@@ -35,7 +35,7 @@ def main():
     for i, d in enumerate(robust.diagnostics):
         print(
             f"  component {i + 1}: method={d.method}, "
-            f"outer={d.outer_iterations}, inner={d.inner_iterations}, "
+            f"outer={d.outer_iterations}, "
             f"final sigma={d.final_sigma:.3g}"
         )
 

@@ -16,7 +16,6 @@ from .mcpi import (
     PCAResult,
     build_deflated_operator,
     fit,
-    mcpi_first_component,
     mcpi_ith_component,
     standard_pca,
     woodbury_update,
@@ -37,7 +36,6 @@ __all__ = [
     "gaussian_kernel",
     "generate_experiment",
     "inject_outliers",
-    "mcpi_first_component",
     "mcpi_ith_component",
     "null_space_vector",
     "power_iteration",

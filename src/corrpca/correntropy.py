@@ -2,7 +2,7 @@
 
 Only the isotropic kernel exp(-||e||^2 / 2 sigma^2) is implemented; the
 weight of a sample is the kernel of its projection residual, and the
-weighted scatter sum_k w_k x_k x_k^T is what the power iterations act on.
+weighted scatter sum_k w_k x_k x_k^T is what the eigen-step acts on.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ dataset bit-for-bit within this implementation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .linalg import check_symmetric, sym_evd
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot."""
+    """Cholesky found the matrix not positive definite."""
 
 
 @dataclass
@@ -51,19 +50,10 @@ class ExperimentSpec:
 def cholesky(A: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = A for symmetric positive definite A."""
     check_symmetric(A)
-    A = np.asarray(A, dtype=float)
-    p = A.shape[0]
-    L = np.zeros((p, p))
-    for i in range(p):
-        for j in range(i + 1):
-            s = A[i, j] - L[i, :j] @ L[j, :j]
-            if i == j:
-                if s <= 0.0:
-                    raise NotPositiveDefiniteError(f"non-positive pivot at row {i}: {s:g}")
-                L[i, i] = math.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    return L
+    try:
+        return np.linalg.cholesky(np.asarray(A, dtype=float))
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefiniteError(str(err)) from err
 
 
 def sample_mvn(spec: ExperimentSpec, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Dense symmetric eigensolver, power iteration, and null-space extraction.
 
-Everything here operates on small p-by-p problems, so a cyclic Jacobi
-sweep is used for the eigendecomposition instead of pulling in LAPACK.
-All outputs follow a single sign convention: each vector is flipped so
-that its entry of largest absolute value is positive (lowest index wins
-ties), which makes results deterministic and regression-testable.
+``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
+descending order and a sign convention.  ``power_iteration`` is the
+paper-literal reference for the deflated eigen-step that ``mcpi.fit`` solves
+directly.  All eigenvector outputs follow a single sign convention: each
+vector is flipped so that its entry of largest absolute value is positive
+(lowest index wins ties), which makes results deterministic and
+regression-testable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,63 +56,18 @@ class EigenPairs:
 
 
 def sym_evd(A: np.ndarray, sym_tol: float = 1e-9) -> EigenPairs:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * ||A||_F.  Eigenvalues come back in non-increasing order with
-    ties broken by the pre-sort column index, so output is deterministic.
+    Eigenvalues come back in non-increasing order with ties broken by
+    LAPACK's ascending column order, so output is deterministic.
     """
     check_symmetric(A, sym_tol)
-    A = np.asarray(A, dtype=float)
-    p = A.shape[0]
-    a = 0.5 * (A + A.T)  # exact symmetry for the rotation updates
-    V = np.eye(p)
-
-    norm_a = np.linalg.norm(a)
-    if norm_a > 0.0:
-        stop = 1e-12 * norm_a
-        for _sweep in range(100):
-            off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-            if off <= stop:
-                break
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    aij = a[i, j]
-                    if abs(aij) <= 1e-300:
-                        continue
-                    diff = a[j, j] - a[i, i]
-                    if abs(aij) < 1e-36 * abs(diff):
-                        t = aij / diff
-                    else:
-                        phi = diff / (2.0 * aij)
-                        t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                        if phi < 0.0:
-                            t = -t
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    # Two-sided rotation on rows/cols i and j.
-                    row_i = a[i, :].copy()
-                    row_j = a[j, :].copy()
-                    a[i, :] = c * row_i - s * row_j
-                    a[j, :] = s * row_i + c * row_j
-                    col_i = a[:, i].copy()
-                    col_j = a[:, j].copy()
-                    a[:, i] = c * col_i - s * col_j
-                    a[:, j] = s * col_i + c * col_j
-                    a[i, j] = 0.0
-                    a[j, i] = 0.0
-                    vec_i = V[:, i].copy()
-                    vec_j = V[:, j].copy()
-                    V[:, i] = c * vec_i - s * vec_j
-                    V[:, j] = s * vec_i + c * vec_j
-
-    values = np.diag(a).copy()
+    values, V = np.linalg.eigh(np.asarray(A, dtype=float))
     order = np.argsort(-values, kind="stable")
-    values = values[order]
     V = V[:, order]
-    for k in range(p):
+    for k in range(V.shape[1]):
         V[:, k] = fix_sign(V[:, k])
-    return EigenPairs(values=values, vectors=V)
+    return EigenPairs(values=values[order], vectors=V)
 
 
 @dataclass(frozen=True)
@@ -119,7 +75,6 @@ class PowerIterationResult:
     vector: np.ndarray
     iterations: int
     converged: bool
-    oscillated: bool = False
 
 
 def power_iteration(
@@ -128,8 +83,7 @@ def power_iteration(
     """Iterate v <- K v / ||K v|| from a unit start vector.
 
     Stops when the displacement ||v_new - v_old|| falls below ``tol``.
-    K need not be symmetric.  A persistent sign flip of the iterate with
-    no shrinking displacement is reported through ``oscillated``.
+    K need not be symmetric.
     """
     K = np.asarray(K, dtype=float)
     v = np.asarray(v0, dtype=float)
@@ -138,20 +92,16 @@ def power_iteration(
     if not np.all(np.isfinite(K)):
         raise ValueError("K has non-finite entries")
 
-    sign_flips = 0
     for it in range(1, max_iter + 1):
         w = K @ v
         nrm = np.linalg.norm(w)
         if nrm <= 1e-300:
             raise SingularDirectionError("K v vanished; direction undefined")
         v_new = w / nrm
-        if float(v_new @ v) < 0.0:
-            sign_flips += 1
         if np.linalg.norm(v_new - v) <= tol:
             return PowerIterationResult(v_new, it, True)
         v = v_new
-    oscillated = sign_flips > max_iter // 2
-    return PowerIterationResult(v, max_iter, False, oscillated)
+    return PowerIterationResult(v, max_iter, False)
 
 
 def orthogonalize_against(v: np.ndarray, basis: list[np.ndarray] | np.ndarray) -> np.ndarray:

@@ -1,18 +1,25 @@
 """Correntropy power-iteration PCA solvers.
 
-Three layers:
+Two layers:
 
-* ``mcpi_first_component`` -- fixed-point loop for the leading component:
-  freeze the sample weights, power-iterate on the weighted scatter, refresh
-  the weights, repeat.
-* ``mcpi_ith_component`` -- same loop on the deflated, diagonally shifted
-  operator K = Q (S - P S - S P) + theta I, which removes the components
-  already found.
-* ``fit`` -- full decomposition: an a-priori eigendecomposition seeds each
-  component and its kernel size (sigma_i = sqrt(lambda_i)), the kernel is
+* ``mcpi_ith_component`` -- fixed-point loop for one component: freeze the
+  sample weights, take the top eigenvector of the weighted scatter
+  compressed to the complement of the components already found,
+  (I - P) S (I - P), refresh the weights, repeat.  With no components found
+  this is the leading component.
+* ``fit`` -- full decomposition: an a-priori eigendecomposition of
+  X^T X / n seeds each component and its kernel size
+  (sigma_i = sqrt(n lambda_i), the i-th singular value of X), the kernel is
   shrunk geometrically (sigma <- eta sigma) for n_decay rounds per
-  component, projections are maintained with a rank-one Woodbury inverse
-  update, and the last component is read off the null space.
+  component, and the last component is read off the null space.
+
+The paper removes found components through the shifted operator
+K = Q (S - P S - S P) + theta I with Q = (I + P)^-1 kept by rank-one
+Woodbury updates.  For the orthogonal projector P that ``fit`` builds,
+Q = I - P/2 and K acts as (I - P) S on the complement of range(P), so its
+intended fixed point is the eigenvector ``fit`` computes directly.
+``DeflationState``, ``woodbury_update`` and ``build_deflated_operator`` are
+kept as that paper-literal reference.
 
 ``standard_pca`` provides the plain eigendecomposition baseline.
 """
@@ -29,7 +36,6 @@ from .linalg import (
     fix_sign,
     null_space_vector,
     orthogonalize_against,
-    power_iteration,
     sym_evd,
 )
 
@@ -52,16 +58,14 @@ class DegenerateInputError(ValueError):
 
 @dataclass
 class MCPIConfig:
-    """Loop tolerances and the kernel-shrinking schedule.
+    """Loop tolerance and the kernel-shrinking schedule.
 
-    ``sigma0`` overrides the sqrt(lambda_i) initial kernel size for every
+    ``sigma0`` overrides the sqrt(n lambda_i) initial kernel size for every
     component when set (used to freeze sigma large and recover plain PCA).
     """
 
     eta: float = 0.95
     n_decay: int = 65
-    inner_tol: float = 1e-10
-    inner_max_iter: int = 1000
     outer_tol: float = 1e-8
     outer_max_iter: int = 200
     center: bool = False
@@ -72,10 +76,10 @@ class MCPIConfig:
             raise ValueError(f"eta must be in (0,1), got {self.eta}")
         if self.n_decay < 1:
             raise ValueError("n_decay must be >= 1")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.inner_max_iter < 1 or self.outer_max_iter < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be positive")
+        if self.outer_max_iter < 1:
+            raise ValueError("outer_max_iter must be >= 1")
         if self.sigma0 is not None and self.sigma0 <= 0:
             raise ValueError("sigma0 must be positive when set")
 
@@ -83,7 +87,7 @@ class MCPIConfig:
 @dataclass
 class DeflationState:
     """Projection P onto found components, its companion Q = (I+P)^-1,
-    and the components themselves."""
+    and the components themselves (the paper's deflation bookkeeping)."""
 
     P: np.ndarray
     Q: np.ndarray
@@ -124,20 +128,19 @@ def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
 class ComponentDiagnostics:
     final_sigma: float
     outer_iterations: int
-    inner_iterations: int
     converged: bool
     sigma_underflow: bool = False
-    oscillation_detected: bool = False
     method: str = "mcpi"
 
     def as_dict(self) -> dict:
         return {
             "final_sigma": self.final_sigma,
             "outer_iterations": self.outer_iterations,
-            "inner_iterations": self.inner_iterations,
+            # The eigen-step is a direct solve, so there are no inner
+            # iterations; the key stays so report readers keep working.
+            "inner_iterations": 0,
             "converged": self.converged,
             "sigma_underflow": self.sigma_underflow,
-            "oscillation_detected": self.oscillation_detected,
             "method": self.method,
         }
 
@@ -159,26 +162,29 @@ def _check_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _fixed_point_loop(X, sigma, v0, cfg, operator, residual):
-    """Shared alternating scheme: freeze weights, power-iterate, repeat.
+def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
+    """Next robust component, orthogonal to the unit vectors in ``components``.
 
-    ``operator(S)`` maps the weighted scatter to the iteration matrix and
-    ``residual(v)`` builds the p x p residual operator feeding the weights.
+    Each outer iteration weights the samples by the kernel of their residual
+    (I - P - v v^T) x and moves v to the top eigenvector of the weighted
+    scatter compressed to the complement of range(P).
     """
+    X = np.asarray(X, dtype=float)
+    p = X.shape[1]
     v = _check_unit(v0)
-    inner_total = 0
+    complement = np.eye(p)
+    if components:
+        F = np.column_stack(components)
+        complement -= F @ F.T
+        v = orthogonalize_against(v, components)
     converged = False
-    oscillated = False
     outer = 0
     for outer in range(1, cfg.outer_max_iter + 1):
-        w = residual_weights(X, residual(v), sigma)
+        w = residual_weights(X, complement - np.outer(v, v), sigma)
         if all_underflowed(w):
             raise SigmaTooSmallError(last_valid=v)
         S = weighted_scatter(X, w)
-        res = power_iteration(operator(S), v, cfg.inner_tol, cfg.inner_max_iter)
-        inner_total += res.iterations
-        oscillated = oscillated or res.oscillated
-        v_new = res.vector
+        v_new = np.linalg.eigh(complement @ S @ complement)[1][:, -1]
         if float(v_new @ v) < 0.0:  # sign ambiguity must not stall convergence
             v_new = -v_new
         if np.linalg.norm(v_new - v) <= cfg.outer_tol:
@@ -189,70 +195,31 @@ def _fixed_point_loop(X, sigma, v0, cfg, operator, residual):
     diag = ComponentDiagnostics(
         final_sigma=float(sigma),
         outer_iterations=outer,
-        inner_iterations=inner_total,
         converged=converged,
-        oscillation_detected=oscillated,
-    )
-    return v, diag
-
-
-def mcpi_first_component(X, sigma, v0, cfg: MCPIConfig):
-    """Leading robust component via the correntropy fixed-point iteration."""
-    X = np.asarray(X, dtype=float)
-    p = X.shape[1]
-    eye = np.eye(p)
-    v, diag = _fixed_point_loop(
-        X, sigma, v0, cfg,
-        operator=lambda S: S,
-        residual=lambda v: eye - np.outer(v, v),
     )
     return fix_sign(v), diag
 
 
-def mcpi_ith_component(X, state: DeflationState, sigma, v0, cfg: MCPIConfig):
-    """Next robust component, deflating the directions already in ``state``."""
-    X = np.asarray(X, dtype=float)
-    p = X.shape[1]
-    eye = np.eye(p)
-    v0 = _check_unit(v0)
-    if state.components:
-        v0 = orthogonalize_against(v0, state.components)
-    v, diag = _fixed_point_loop(
-        X, sigma, v0, cfg,
-        operator=lambda S: build_deflated_operator(S, state),
-        residual=lambda v: eye - state.P - np.outer(v, v),
-    )
-    if state.components:  # guard against floating-point drift out of the complement
-        v = orthogonalize_against(v, state.components)
-    return fix_sign(v), diag
-
-
-def _shrinking_rounds(X, state, sigma, v, cfg):
+def _shrinking_rounds(X, components, sigma, v, cfg):
     """n_decay rounds of {solve at fixed sigma; sigma <- eta sigma}."""
     diag = None
     underflow = False
     outer_total = 0
-    inner_total = 0
-    oscillated = False
     for _ in range(cfg.n_decay):
         try:
-            v, diag = mcpi_ith_component(X, state, sigma, v, cfg)
+            v, diag = mcpi_ith_component(X, components, sigma, v, cfg)
         except SigmaTooSmallError as err:
             v = err.last_valid
             underflow = True
             break
         outer_total += diag.outer_iterations
-        inner_total += diag.inner_iterations
-        oscillated = oscillated or diag.oscillation_detected
         sigma *= cfg.eta
     final_sigma = diag.final_sigma if diag is not None else float(sigma)
     return v, ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
-        inner_iterations=inner_total,
         converged=diag.converged if diag is not None else False,
         sigma_underflow=underflow,
-        oscillation_detected=oscillated,
     )
 
 
@@ -277,7 +244,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     cfg = cfg if cfg is not None else MCPIConfig()
     X, apriori = _prepare(X, cfg)
     p = X.shape[1]
-    state = DeflationState.initial(p)
+    components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
     n = X.shape[0]
@@ -289,28 +256,23 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
         # near-quadratic regime; n_decay shrink steps then land at the
         # per-direction noise scale instead of collapsing below it.
         sigma = cfg.sigma0 if cfg.sigma0 is not None else float(np.sqrt(n * apriori.values[i]))
-        v = apriori.vectors[:, i]
-        if state.components:
-            v = orthogonalize_against(v, state.components)
-        v, diag = _shrinking_rounds(X, state, sigma, v, cfg)
-        state.add(v)
+        v, diag = _shrinking_rounds(X, components, sigma, apriori.vectors[:, i], cfg)
+        components.append(v)
         diags.append(diag)
 
     if p > 1:
-        v_last = null_space_vector(np.column_stack(state.components))
-        state.add(v_last)
+        components.append(null_space_vector(np.column_stack(components)))
         diags.append(
             ComponentDiagnostics(
                 final_sigma=float("nan"),
                 outer_iterations=0,
-                inner_iterations=0,
                 converged=True,
                 method="null_space",
             )
         )
 
     return PCAResult(
-        components=np.column_stack(state.components),
+        components=np.column_stack(components),
         apriori_eigenvalues=apriori.values,
         diagnostics=diags,
     )
@@ -329,7 +291,6 @@ def standard_pca(X, center: bool = False) -> PCAResult:
         ComponentDiagnostics(
             final_sigma=float("nan"),
             outer_iterations=0,
-            inner_iterations=0,
             converged=True,
             method="evd",
         )

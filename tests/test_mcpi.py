@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from corrpca.datagen import ExperimentSpec, sample_mvn
-from corrpca.linalg import sym_evd
+from corrpca.correntropy import residual_weights, weighted_scatter
+from corrpca.linalg import power_iteration, sym_evd
 from corrpca.mcpi import (
     DeflationState,
     DegenerateInputError,
@@ -10,7 +11,6 @@ from corrpca.mcpi import (
     NumericalSingularityError,
     build_deflated_operator,
     fit,
-    mcpi_first_component,
     mcpi_ith_component,
     standard_pca,
     woodbury_update,
@@ -103,7 +103,7 @@ class TestFirstComponent:
         c = 3.0
         X = np.array([[c, 0.0], [-c, 0.0], [c, 0.0], [-c, 0.0]])
         v0 = np.array([1.0, 1.0]) / np.sqrt(2)
-        v, diag = mcpi_first_component(X, 1.0, v0, MCPIConfig())
+        v, diag = mcpi_ith_component(X, [], 1.0, v0, MCPIConfig())
         assert diag.converged
         assert np.allclose(np.abs(v), [1.0, 0.0], atol=1e-8)
 
@@ -111,50 +111,72 @@ class TestFirstComponent:
         X = clean_data(seed=3)
         top = sym_evd(X.T @ X).vectors[:, 0]
         v0 = np.array([1.0, 0.0, 0.0])
-        v, diag = mcpi_first_component(X, huge_sigma(X), v0, MCPIConfig())
+        v, diag = mcpi_ith_component(X, [], huge_sigma(X), v0, MCPIConfig())
         assert diag.converged
         assert abs_cos(v, top) >= 1.0 - 1e-6
 
     def test_sign_fixed_and_unit(self):
         X = clean_data(seed=4)
-        v, _ = mcpi_first_component(X, 5.0, np.array([0.0, 1.0, 0.0]), MCPIConfig())
+        v, _ = mcpi_ith_component(X, [], 5.0, np.array([0.0, 1.0, 0.0]), MCPIConfig())
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert v[np.argmax(np.abs(v))] > 0
 
 
 class TestIthComponent:
-    def test_empty_state_matches_first(self):
-        X = clean_data(seed=5)
-        v0 = np.array([1.0, 0.0, 0.0])
-        sigma = 4.0
-        state = DeflationState.initial(3)
-        v_first, _ = mcpi_first_component(X, sigma, v0, MCPIConfig())
-        v_ith, _ = mcpi_ith_component(X, state, sigma, v0, MCPIConfig())
-        assert abs_cos(v_first, v_ith) >= 1.0 - 1e-8
-
     def test_large_sigma_second_eigenvector(self):
         X = clean_data(seed=6)
         pairs = sym_evd(X.T @ X)
-        state = DeflationState.initial(3)
-        state.add(pairs.vectors[:, 0])
         v0 = pairs.vectors[:, 1]
-        v, diag = mcpi_ith_component(X, state, huge_sigma(X), v0, MCPIConfig())
+        v, diag = mcpi_ith_component(X, [pairs.vectors[:, 0]], huge_sigma(X), v0, MCPIConfig())
         assert diag.converged
         assert abs_cos(v, pairs.vectors[:, 1]) >= 1.0 - 1e-4
 
     def test_orthogonal_to_prior_components(self):
         X = clean_data(seed=7)
         pairs = sym_evd(X.T @ X)
+        prior = pairs.vectors[:, 0]
+        v, _ = mcpi_ith_component(X, [prior], 2.0, pairs.vectors[:, 1], MCPIConfig())
+        assert abs_cos(v, prior) <= 1e-8
+
+    def test_eigen_step_matches_deflated_operator_reference(self):
+        # one outer iteration of the production solver against power
+        # iteration on the paper's shifted Woodbury operator, from the state
+        # after component 1; for this seed the shift makes the complement
+        # eigenvalue dominant, so the reference converges
+        X = clean_data(seed=20)
+        v1 = fit(X).components[:, 0]
+        pairs = sym_evd(X.T @ X / X.shape[0])
+        v0 = pairs.vectors[:, 1] - float(pairs.vectors[:, 1] @ v1) * v1
+        v0 /= np.linalg.norm(v0)
+        sigma = float(np.sqrt(X.shape[0] * pairs.values[1]))
+        v, _ = mcpi_ith_component(X, [v1], sigma, v0, MCPIConfig(outer_max_iter=1))
+
         state = DeflationState.initial(3)
-        state.add(pairs.vectors[:, 0])
-        v, _ = mcpi_ith_component(
-            X, state, 2.0, pairs.vectors[:, 1], MCPIConfig()
-        )
-        for prior in state.components:
-            assert abs_cos(v, prior) <= 1e-8
+        state.add(v1)
+        S = weighted_scatter(X, residual_weights(X, np.eye(3) - state.P - np.outer(v0, v0), sigma))
+        ref = power_iteration(build_deflated_operator(S, state), v0, 1e-13, 20000)
+        assert ref.converged
+        assert 1.0 - abs_cos(v, ref.vector) <= 1e-10
+
+
+# Spectrum (100, 2, 1) in a rotated basis: the max |diag K| shift of the
+# deflated operator leaves the found direction's eigenvalue dominant, so
+# power iteration on it never reaches the complement's top eigenvector.
+WEAK_COMPLEMENT_BASIS = np.linalg.qr(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]]))[0]
+WEAK_COMPLEMENT_SCATTER = WEAK_COMPLEMENT_BASIS @ np.diag([100.0, 2.0, 1.0]) @ WEAK_COMPLEMENT_BASIS.T
 
 
 class TestFit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weak_complement_converges(self, seed):
+        X = clean_data(seed=seed, scatter=WEAK_COMPLEMENT_SCATTER)
+        res = fit(X)
+        assert all(d.converged for d in res.diagnostics)
+        V = res.components
+        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
+        cos = np.abs(np.sum(V * standard_pca(X).components, axis=0))
+        assert np.all(cos >= 0.99)
+
     def test_orthonormal_components(self):
         X = clean_data(seed=8)
         res = fit(X, MCPIConfig(n_decay=10))
@@ -266,7 +288,7 @@ class TestConfigValidation:
             {"eta": 0.0},
             {"eta": 1.0},
             {"n_decay": 0},
-            {"inner_tol": 0.0},
+            {"outer_tol": 0.0},
             {"outer_max_iter": 0},
             {"sigma0": -1.0},
         ],
