@@ -3,12 +3,14 @@
 Walks through the pieces one at a time: the symmetric eigensolver, the
 correntropy weights and weighted scatter, the paper's deflated operator with
 its rank-one inverse update (the reference that the fit's direct eigen-step
-is equivalent to), and the null-space extraction of the last component.
+is equivalent to), the fit's step in the coordinates of the complement of
+the found component, and the null-space extraction of the last component.
 """
 
 import numpy as np
 
 import corrpca as cp
+from corrpca.correntropy import rank_one_weights
 from corrpca.mcpi import DeflationState, build_deflated_operator
 
 SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
@@ -45,8 +47,20 @@ def main():
     print("orthogonality to first component:", abs(float(res.vector @ v)))
     C = np.eye(3) - state.P
     direct = np.linalg.eigh(C @ S @ C)[1][:, -1]
-    print("fit's eigen-step, top eigenvector of (I-P) S (I-P), |cos| to it:",
-          round(abs(float(direct @ res.vector)), 12))
+    print("top eigenvector of (I-P) S (I-P), |cos| to it:", round(abs(float(direct @ res.vector)), 12))
+    # fit's step: an orthonormal basis B of the complement of v, Y = X B,
+    # rank-one weights from ||y||^2 - (y.u)^2 and the m x m scatter of Y
+    B = np.linalg.qr(v[:, None], mode="complete")[0][:, 1:]
+    Y = X @ B
+    u = B.T @ np.array([0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    w_c = rank_one_weights(np.einsum("ij,ij->i", Y, Y), Y @ u, sigma=3.0)
+    w_ref = cp.residual_weights(X, C - np.outer(B @ u, B @ u), sigma=3.0)
+    print("complement weights vs residual_weights, max |diff|:", float(np.max(np.abs(w_c - w_ref))))
+    step = B @ np.linalg.eigh(cp.weighted_scatter(Y, w_c))[1][:, -1]
+    S_ref = cp.weighted_scatter(X, w_ref)
+    ref_step = np.linalg.eigh(C @ S_ref @ C)[1][:, -1]
+    print("complement-coordinate step vs (I-P) S (I-P) step, |cos|:", round(abs(float(step @ ref_step)), 12))
 
     print("\n-- last component from the null space --")
     v2 = res.vector - float(res.vector @ v) * v

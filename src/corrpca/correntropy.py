@@ -45,6 +45,20 @@ def residual_weights(X: np.ndarray, R: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
+def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel weight of each residual y_k - t_k u for a unit vector u.
+
+    ``e`` holds the energies ||y_k||^2 and ``t`` the projections y_k . u, so
+    the squared residual is e_k - t_k^2.  That difference cancels when y_k
+    is nearly parallel to u; it is clamped at 0 so rounding cannot push a
+    weight above 1.  Equals ``residual_weights(Y, I - u u^T, sigma)`` up to
+    an exponent error of about eps ||y_k||^2 / (2 sigma^2).
+    """
+    sigma = _check_sigma(sigma)
+    sq = np.maximum(e - t * t, 0.0)
+    return np.exp(-sq / (2.0 * sigma * sigma))
+
+
 def all_underflowed(w: np.ndarray) -> bool:
     """True when every weight is numerically zero (scatter would vanish)."""
     return bool(np.all(w < UNDERFLOW_FLOOR))

@@ -13,6 +13,24 @@ Two layers:
   shrunk geometrically (sigma <- eta sigma) for n_decay rounds per
   component, and the last component is read off the null space.
 
+The loop runs in the coordinates of the complement of the k found
+components, set up once per component and shared by its n_decay rounds: an
+orthonormal p x m basis B of that complement (m = p - k; the identity for
+the first component, else the trailing columns of a complete QR of the found
+components), Y = X B stored column-major, and the row energies
+e = ||y||^2.  For v = B u the residual (I - P - v v^T) x is y - (y.u) u, so
+with t = Y u each outer iteration is
+
+    w = exp(-max(e - t^2, 0) / 2 sigma^2),   u <- top eigenvector of Y^T diag(w) Y,
+
+an O(n m) weight pass and an m x m eigensolve in place of the p x p residual
+operator, its n x p x p product and the (I - P) S (I - P) sandwich.
+Computing ||y||^2 - t^2 instead of the residual's norm cancels for rows
+nearly parallel to u; its absolute error is a few ulps of ||y||^2, so the
+exponent is off by at most about eps ||y||^2 / 2 sigma^2, and the clamp at 0
+keeps every weight in (0, 1].  ``correntropy.residual_weights`` remains the
+reference for these weights.
+
 The paper removes found components through the shifted operator
 K = Q (S - P S - S P) + theta I with Q = (I + P)^-1 kept by rank-one
 Woodbury updates.  For the orthogonal projector P that ``fit`` builds,
@@ -30,12 +48,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correntropy import all_underflowed, residual_weights, weighted_scatter
+from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     EigenPairs,
+    SingularDirectionError,
     fix_sign,
     null_space_vector,
-    orthogonalize_against,
     sym_evd,
 )
 
@@ -53,7 +71,8 @@ class NumericalSingularityError(RuntimeError):
 
 
 class DegenerateInputError(ValueError):
-    """Input matrix is (numerically) rank deficient or too small."""
+    """Input matrix is (numerically) rank deficient, too small, or has
+    non-finite entries."""
 
 
 @dataclass
@@ -126,6 +145,10 @@ def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
 
 @dataclass
 class ComponentDiagnostics:
+    """How one component was found.  For an iterated component,
+    ``converged`` is true only when every decay round that finished met
+    ``outer_tol`` within ``outer_max_iter`` outer iterations."""
+
     final_sigma: float
     outer_iterations: int
     converged: bool
@@ -162,6 +185,66 @@ def _check_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class _Complement:
+    """Coordinates of the samples in the complement of the found components.
+
+    ``B`` is an orthonormal p x m basis of that complement (m = p - k),
+    ``Y = X B`` is stored column-major for the weighted scatter, and ``e``
+    holds the row energies ||y_k||^2.
+    """
+
+    B: np.ndarray
+    Y: np.ndarray
+    e: np.ndarray
+
+    @classmethod
+    def of(cls, X: np.ndarray, components) -> "_Complement":
+        if components:
+            F = np.column_stack(components)
+            B = np.linalg.qr(F, mode="complete")[0][:, F.shape[1]:]
+        else:
+            B = np.eye(X.shape[1])
+        Y = np.asfortranarray(X @ B)
+        return cls(B=B, Y=Y, e=np.einsum("ij,ij->i", Y, Y))
+
+    def coordinates(self, v: np.ndarray) -> np.ndarray:
+        """Unit vector of the projection of v onto the complement, in B."""
+        u = self.B.T @ v
+        nrm = np.linalg.norm(u)
+        if nrm <= 1e-300:
+            raise SingularDirectionError("start vector lies in the span of the found components")
+        return u / nrm
+
+    def signed(self, u: np.ndarray) -> np.ndarray:
+        """u, negated exactly when ``fix_sign`` would flip B u."""
+        v = self.B @ u
+        return -u if v[np.argmax(np.abs(v))] < 0.0 else u
+
+
+def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, cfg: MCPIConfig):
+    """Outer iterations at a fixed kernel size, in complement coordinates.
+
+    Returns (u, outer iterations, converged); raises SigmaTooSmallError with
+    the last valid direction in the original coordinates.
+    """
+    converged = False
+    outer = 0
+    for outer in range(1, cfg.outer_max_iter + 1):
+        w = rank_one_weights(cs.e, cs.Y @ u, sigma)
+        if all_underflowed(w):
+            raise SigmaTooSmallError(last_valid=cs.B @ u)
+        u_new = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
+        if float(u_new @ u) < 0.0:  # sign ambiguity must not stall convergence
+            u_new = -u_new
+        if np.linalg.norm(u_new - u) <= cfg.outer_tol:
+            u = u_new
+            converged = True
+            break
+        u = u_new
+    return u, outer, converged
+
+
 def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     """Next robust component, orthogonal to the unit vectors in ``components``.
 
@@ -169,58 +252,50 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     (I - P - v v^T) x and moves v to the top eigenvector of the weighted
     scatter compressed to the complement of range(P).
     """
-    X = np.asarray(X, dtype=float)
-    p = X.shape[1]
-    v = _check_unit(v0)
-    complement = np.eye(p)
-    if components:
-        F = np.column_stack(components)
-        complement -= F @ F.T
-        v = orthogonalize_against(v, components)
-    converged = False
-    outer = 0
-    for outer in range(1, cfg.outer_max_iter + 1):
-        w = residual_weights(X, complement - np.outer(v, v), sigma)
-        if all_underflowed(w):
-            raise SigmaTooSmallError(last_valid=v)
-        S = weighted_scatter(X, w)
-        v_new = np.linalg.eigh(complement @ S @ complement)[1][:, -1]
-        if float(v_new @ v) < 0.0:  # sign ambiguity must not stall convergence
-            v_new = -v_new
-        if np.linalg.norm(v_new - v) <= cfg.outer_tol:
-            v = v_new
-            converged = True
-            break
-        v = v_new
+    cs = _Complement.of(np.asarray(X, dtype=float), components)
+    u, outer, converged = _fixed_point(cs, sigma, cs.coordinates(_check_unit(v0)), cfg)
     diag = ComponentDiagnostics(
         final_sigma=float(sigma),
         outer_iterations=outer,
         converged=converged,
     )
-    return fix_sign(v), diag
+    return fix_sign(cs.B @ u), diag
 
 
 def _shrinking_rounds(X, components, sigma, v, cfg):
-    """n_decay rounds of {solve at fixed sigma; sigma <- eta sigma}."""
-    diag = None
-    underflow = False
+    """n_decay rounds of {solve at fixed sigma; sigma <- eta sigma}, sharing
+    one complement set-up.  The component counts as converged only when
+    every round that finished converged."""
+    cs = _Complement.of(X, components)
+    u = cs.coordinates(v)
+    final_sigma = float(sigma)
     outer_total = 0
+    round_converged: list[bool] = []
+    underflow = False
     for _ in range(cfg.n_decay):
         try:
-            v, diag = mcpi_ith_component(X, components, sigma, v, cfg)
+            u, outer, converged = _fixed_point(cs, sigma, u, cfg)
         except SigmaTooSmallError as err:
             v = err.last_valid
             underflow = True
             break
-        outer_total += diag.outer_iterations
+        u = cs.signed(u)
+        v = cs.B @ u
+        final_sigma = float(sigma)
+        outer_total += outer
+        round_converged.append(converged)
         sigma *= cfg.eta
-    final_sigma = diag.final_sigma if diag is not None else float(sigma)
     return v, ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
-        converged=diag.converged if diag is not None else False,
+        converged=bool(round_converged) and all(round_converged),
         sigma_underflow=underflow,
     )
+
+
+def _check_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise DegenerateInputError("input has non-finite entries (NaN or inf)")
 
 
 def _prepare(X, cfg: MCPIConfig):
@@ -231,6 +306,7 @@ def _prepare(X, cfg: MCPIConfig):
     n, p = X.shape
     if n < p or p < 1:
         raise DegenerateInputError(f"need n >= p >= 1, got n={n}, p={p}")
+    _check_finite(X)
     if cfg.center:
         X = X - X.mean(axis=0)
     apriori = sym_evd(X.T @ X / n)
@@ -283,6 +359,7 @@ def standard_pca(X, center: bool = False) -> PCAResult:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
         raise DegenerateInputError(f"need n >= p, got shape {X.shape}")
+    _check_finite(X)
     if center:
         X = X - X.mean(axis=0)
     n = X.shape[0]

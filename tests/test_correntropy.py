@@ -6,6 +6,7 @@ import pytest
 from corrpca.correntropy import (
     all_underflowed,
     gaussian_kernel,
+    rank_one_weights,
     residual_weights,
     weighted_scatter,
 )
@@ -88,6 +89,37 @@ class TestResidualWeights:
         w = residual_weights(X, np.eye(2), 1e-3)
         assert all_underflowed(w)
         assert not all_underflowed(np.array([0.0, 1e-200]))
+
+
+class TestRankOneWeights:
+    def test_matches_residual_weights(self):
+        rng = np.random.default_rng(8)
+        Y = rng.standard_normal((50, 4))
+        u = rng.standard_normal(4)
+        u /= np.linalg.norm(u)
+        e = np.einsum("ij,ij->i", Y, Y)
+        w = rank_one_weights(e, Y @ u, 0.9)
+        expected = residual_weights(Y, np.eye(4) - np.outer(u, u), 0.9)
+        np.testing.assert_allclose(w, expected, rtol=1e-12, atol=0.0)
+
+    def test_rows_parallel_to_u_stay_in_unit_interval(self):
+        # for this u, e - t^2 of every row c u rounds below zero; unclamped,
+        # sigma = 1e-8 would turn that into a weight of about e^53
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        Y = np.outer(np.linspace(1.0, 5.0, 9), u)
+        e = np.einsum("ij,ij->i", Y, Y)
+        t = Y @ u
+        below = e - t * t < 0.0
+        assert np.any(below)
+        w = rank_one_weights(e, t, 1e-8)
+        assert np.all(w > 0.0) and np.all(w <= 1.0)
+        assert np.all(w[below] == 1.0)
+
+    def test_rejects_bad_sigma(self):
+        with pytest.raises(ValueError):
+            rank_one_weights(np.ones(2), np.zeros(2), 0.0)
 
 
 class TestWeightedScatter:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from corrpca.datagen import ExperimentSpec, sample_mvn
+from corrpca.datagen import ExperimentSpec, generate_experiment, sample_mvn
 from corrpca.correntropy import residual_weights, weighted_scatter
-from corrpca.linalg import power_iteration, sym_evd
+from corrpca.linalg import orthogonalize_against, power_iteration, sym_evd
 from corrpca.mcpi import (
     DeflationState,
     DegenerateInputError,
     MCPIConfig,
     NumericalSingularityError,
+    SigmaTooSmallError,
     build_deflated_operator,
     fit,
     mcpi_ith_component,
@@ -138,6 +139,15 @@ class TestIthComponent:
         v, _ = mcpi_ith_component(X, [prior], 2.0, pairs.vectors[:, 1], MCPIConfig())
         assert abs_cos(v, prior) <= 1e-8
 
+    def test_underflow_carries_direction_in_original_coordinates(self):
+        X = clean_data(seed=7)
+        pairs = sym_evd(X.T @ X)
+        prior = pairs.vectors[:, 0]
+        v0 = np.ones(3) / np.sqrt(3.0)
+        with pytest.raises(SigmaTooSmallError) as err:
+            mcpi_ith_component(X, [prior], 1e-6, v0, MCPIConfig())
+        assert np.max(np.abs(err.value.last_valid - orthogonalize_against(v0, [prior]))) <= 1e-12
+
     def test_eigen_step_matches_deflated_operator_reference(self):
         # one outer iteration of the production solver against power
         # iteration on the paper's shifted Woodbury operator, from the state
@@ -159,6 +169,33 @@ class TestIthComponent:
         assert 1.0 - abs_cos(v, ref.vector) <= 1e-10
 
 
+class TestComplementStep:
+    """One outer step in complement coordinates against the formulation in
+    the original coordinates: weights of the residuals (I - P - v v^T) x,
+    then the top eigenvector of (I - P) S (I - P)."""
+
+    @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (3, 2), (10, 3)])
+    def test_one_step_matches_projected_scatter(self, p, k):
+        rng = np.random.default_rng(21 + p + k)
+        scatter = np.diag(np.arange(p, 0, -1, dtype=float))
+        X, _ = generate_experiment(ExperimentSpec(n=300, p=p, scatter=scatter, outlier_fraction=0.05,
+                                                  nu=15.0, seed=22))
+        components = list(np.linalg.qr(rng.standard_normal((p, p)))[0][:, :k].T)
+        v0 = rng.standard_normal(p)
+        v0 /= np.linalg.norm(v0)
+        sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
+        v, _ = mcpi_ith_component(X, components, sigma, v0, MCPIConfig(outer_max_iter=1))
+
+        C = np.eye(p)
+        v_ref = v0
+        if components:
+            C -= np.column_stack(components) @ np.column_stack(components).T
+            v_ref = orthogonalize_against(v0, components)
+        S = weighted_scatter(X, residual_weights(X, C - np.outer(v_ref, v_ref), sigma))
+        ref = np.linalg.eigh(C @ S @ C)[1][:, -1]
+        assert 1.0 - abs_cos(v, ref) <= 1e-12
+
+
 # Spectrum (100, 2, 1) in a rotated basis: the max |diag K| shift of the
 # deflated operator leaves the found direction's eigenvalue dominant, so
 # power iteration on it never reaches the complement's top eigenvector.
@@ -176,6 +213,34 @@ class TestFit:
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
         cos = np.abs(np.sum(V * standard_pca(X).components, axis=0))
         assert np.all(cos >= 0.99)
+
+    def test_unconverged_earlier_round_reported(self):
+        # round 1 stops at outer_max_iter, round 2 converges from where it
+        # left off; the component must not report convergence
+        X, _ = generate_experiment(ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1,
+                                                  nu=15.0, seed=4))
+        pairs = sym_evd(X.T @ X / X.shape[0])
+        cfg = MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2, outer_max_iter=25)
+        v, sigma, rounds = pairs.vectors[:, 0], cfg.sigma0, []
+        for _ in range(cfg.n_decay):
+            v, diag = mcpi_ith_component(X, [], sigma, v, cfg)
+            rounds.append(diag.converged)
+            sigma *= cfg.eta
+        assert rounds == [False, True]
+        assert not fit(X, cfg).diagnostics[0].converged
+
+    def test_underflow_reported(self):
+        res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=3))
+        assert all(d.sigma_underflow and not d.converged for d in res.diagnostics[:2])
+        V = res.components
+        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = clean_data(seed=8)
+        X[5, 1] = bad
+        with pytest.raises(DegenerateInputError):
+            fit(X)
 
     def test_orthonormal_components(self):
         X = clean_data(seed=8)
@@ -272,6 +337,13 @@ class TestStandardPCA:
         pairs = sym_evd(X.T @ X / X.shape[0])
         assert np.array_equal(res.components, pairs.vectors)
         assert np.array_equal(res.apriori_eigenvalues, pairs.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = clean_data(seed=18)
+        X[0, 0] = bad
+        with pytest.raises(DegenerateInputError):
+            standard_pca(X)
 
     def test_recovers_demo_directions_within_sampling_error(self):
         X = clean_data(n=4000, seed=19)

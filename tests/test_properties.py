@@ -1,0 +1,35 @@
+"""Invariances of ``fit`` under row order and row signs, checked with
+hypothesis on small contaminated samples."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrpca.datagen import ExperimentSpec, generate_experiment
+from corrpca.mcpi import fit
+
+DEMO_SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
+TOL = 1e-9
+
+samples = st.builds(
+    lambda n, seed: generate_experiment(
+        ExperimentSpec(n=n, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05, nu=15.0, seed=seed)
+    )[0],
+    n=st.integers(min_value=20, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+few = settings(max_examples=5, deadline=None, derandomize=True)
+
+
+@few
+@given(X=samples, perm_seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_row_permutation(X, perm_seed):
+    perm = np.random.default_rng(perm_seed).permutation(X.shape[0])
+    assert np.max(np.abs(fit(X[perm]).components - fit(X).components)) <= TOL
+
+
+@few
+@given(X=samples, flip_seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_row_sign_flips(X, flip_seed):
+    D = np.random.default_rng(flip_seed).choice([-1.0, 1.0], size=(X.shape[0], 1))
+    assert np.max(np.abs(fit(D * X).components - fit(X).components)) <= TOL
