@@ -55,13 +55,19 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
     an exponent error of about eps ||y_k||^2 / (2 sigma^2).
     """
     sigma = _check_sigma(sigma)
-    sq = np.maximum(e - t * t, 0.0)
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    # One temporary, updated in place.  t^2 - e = -(e - t^2) exactly, so
+    # exp(min(t^2 - e, 0) / 2 sigma^2) equals exp(-max(e - t^2, 0) / 2 sigma^2)
+    # bit for bit.
+    w = t * t
+    w -= e
+    np.minimum(w, 0.0, out=w)
+    w /= 2.0 * sigma * sigma
+    return np.exp(w, out=w)
 
 
 def all_underflowed(w: np.ndarray) -> bool:
     """True when every weight is numerically zero (scatter would vanish)."""
-    return bool(np.all(w < UNDERFLOW_FLOOR))
+    return bool(w.max() < UNDERFLOW_FLOOR)
 
 
 def weighted_scatter(X: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -13,6 +13,17 @@ Two layers:
   shrunk geometrically (sigma <- eta sigma) for n_decay rounds per
   component, and the last component is read off the null space.
 
+Only the last round's fixed point is the answer; an earlier round only
+gives the next one its start vector.  So every round but the last stops
+once a step moves the direction by at most sqrt(outer_tol) (1e-4 by
+default), and the last round runs to outer_tol (1e-8).  A component is
+``converged`` when each round met its own tolerance within outer_max_iter
+outer iterations.  If sigma shrinks until every sample weight underflows,
+the schedule stops there and the component keeps the direction reached so
+far (the last finished round's when the underflow comes on a round's first
+step), which is converged only to sqrt(outer_tol); it reports
+``sigma_underflow=True`` and ``converged=False``.
+
 The loop runs in the coordinates of the complement of the k found
 components, set up once per component and shared by its n_decay rounds: an
 orthonormal p x m basis B of that complement (m = p - k; the identity for
@@ -79,6 +90,9 @@ class DegenerateInputError(ValueError):
 class MCPIConfig:
     """Loop tolerance and the kernel-shrinking schedule.
 
+    ``fit`` runs the last of the ``n_decay`` rounds of a component to
+    ``outer_tol`` and every earlier round to sqrt(outer_tol);
+    ``mcpi_ith_component`` runs its single kernel size to ``outer_tol``.
     ``sigma0`` overrides the sqrt(n lambda_i) initial kernel size for every
     component when set (used to freeze sigma large and recover plain PCA).
     """
@@ -146,8 +160,10 @@ def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
 @dataclass
 class ComponentDiagnostics:
     """How one component was found.  For an iterated component,
-    ``converged`` is true only when every decay round that finished met
-    ``outer_tol`` within ``outer_max_iter`` outer iterations."""
+    ``converged`` is true only when no round underflowed and every decay
+    round met its own tolerance within ``outer_max_iter`` outer iterations:
+    sqrt(outer_tol) for the rounds before the last, ``outer_tol`` for the
+    last one."""
 
     final_sigma: float
     outer_iterations: int
@@ -222,22 +238,23 @@ class _Complement:
         return -u if v[np.argmax(np.abs(v))] < 0.0 else u
 
 
-def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, cfg: MCPIConfig):
-    """Outer iterations at a fixed kernel size, in complement coordinates.
+def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_iter: int):
+    """Outer iterations at a fixed kernel size, in complement coordinates,
+    until a step moves u by at most ``tol``.
 
     Returns (u, outer iterations, converged); raises SigmaTooSmallError with
     the last valid direction in the original coordinates.
     """
     converged = False
     outer = 0
-    for outer in range(1, cfg.outer_max_iter + 1):
+    for outer in range(1, max_iter + 1):
         w = rank_one_weights(cs.e, cs.Y @ u, sigma)
         if all_underflowed(w):
             raise SigmaTooSmallError(last_valid=cs.B @ u)
         u_new = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
         if float(u_new @ u) < 0.0:  # sign ambiguity must not stall convergence
             u_new = -u_new
-        if np.linalg.norm(u_new - u) <= cfg.outer_tol:
+        if np.linalg.norm(u_new - u) <= tol:
             u = u_new
             converged = True
             break
@@ -253,7 +270,8 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     scatter compressed to the complement of range(P).
     """
     cs = _Complement.of(np.asarray(X, dtype=float), components)
-    u, outer, converged = _fixed_point(cs, sigma, cs.coordinates(_check_unit(v0)), cfg)
+    u0 = cs.coordinates(_check_unit(v0))
+    u, outer, converged = _fixed_point(cs, sigma, u0, cfg.outer_tol, cfg.outer_max_iter)
     diag = ComponentDiagnostics(
         final_sigma=float(sigma),
         outer_iterations=outer,
@@ -264,17 +282,19 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
 
 def _shrinking_rounds(X, components, sigma, v, cfg):
     """n_decay rounds of {solve at fixed sigma; sigma <- eta sigma}, sharing
-    one complement set-up.  The component counts as converged only when
-    every round that finished converged."""
+    one complement set-up; rounds before the last stop at sqrt(outer_tol),
+    the last at outer_tol."""
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
+    early_tol = np.sqrt(cfg.outer_tol)
     final_sigma = float(sigma)
     outer_total = 0
-    round_converged: list[bool] = []
+    converged = True
     underflow = False
-    for _ in range(cfg.n_decay):
+    for r in range(cfg.n_decay):
+        tol = cfg.outer_tol if r == cfg.n_decay - 1 else early_tol
         try:
-            u, outer, converged = _fixed_point(cs, sigma, u, cfg)
+            u, outer, round_converged = _fixed_point(cs, sigma, u, tol, cfg.outer_max_iter)
         except SigmaTooSmallError as err:
             v = err.last_valid
             underflow = True
@@ -283,12 +303,12 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
         v = cs.B @ u
         final_sigma = float(sigma)
         outer_total += outer
-        round_converged.append(converged)
+        converged = converged and round_converged
         sigma *= cfg.eta
     return v, ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
-        converged=bool(round_converged) and all(round_converged),
+        converged=converged and not underflow,
         sigma_underflow=underflow,
     )
 
@@ -296,6 +316,17 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
 def _check_finite(X: np.ndarray) -> None:
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")
+
+
+def _scatter(X: np.ndarray) -> np.ndarray:
+    """X^T X / n, or DegenerateInputError when it overflows float64."""
+    with np.errstate(over="ignore"):
+        S = X.T @ X / X.shape[0]
+    if not np.all(np.isfinite(S)):
+        raise DegenerateInputError(
+            f"X^T X overflows float64 (max |x| = {np.max(np.abs(X)):g}); rescale the input"
+        )
+    return S
 
 
 def _prepare(X, cfg: MCPIConfig):
@@ -309,7 +340,7 @@ def _prepare(X, cfg: MCPIConfig):
     _check_finite(X)
     if cfg.center:
         X = X - X.mean(axis=0)
-    apriori = sym_evd(X.T @ X / n)
+    apriori = sym_evd(_scatter(X))
     if apriori.values[-1] <= 1e-10 * apriori.values[0]:
         raise DegenerateInputError("input is numerically rank deficient")
     return X, apriori
@@ -362,8 +393,7 @@ def standard_pca(X, center: bool = False) -> PCAResult:
     _check_finite(X)
     if center:
         X = X - X.mean(axis=0)
-    n = X.shape[0]
-    pairs: EigenPairs = sym_evd(X.T @ X / n)
+    pairs: EigenPairs = sym_evd(_scatter(X))
     diags = [
         ComponentDiagnostics(
             final_sigma=float("nan"),

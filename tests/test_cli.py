@@ -72,6 +72,12 @@ class TestFit:
         short.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
         assert run(["fit", "--input", short, "--output", tmp_path / "r.json"]) == 3
 
+    def test_overflowing_scatter_exit_3(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        np.savetxt(huge, 1e160 * np.random.default_rng(1).standard_normal((50, 3)), delimiter=",")
+        assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_header_flag(self, tmp_path):
         data = tmp_path / "h.csv"
         rng = np.random.default_rng(0)

@@ -117,6 +117,21 @@ class TestRankOneWeights:
         assert np.all(w > 0.0) and np.all(w <= 1.0)
         assert np.all(w[below] == 1.0)
 
+    def test_bit_identical_to_clamped_formula(self):
+        # rows 0-8 are parallel to u; for this u, e - t^2 of some of them
+        # rounds below 0 (the clamp applies) and of some to exactly 0
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        Y = np.vstack([np.outer(np.linspace(1.0, 5.0, 9), u), rng.standard_normal((40, 3))])
+        e = np.einsum("ij,ij->i", Y, Y)
+        t = Y @ u
+        d = e - t * t
+        assert np.any(d < 0.0) and np.any(d == 0.0) and np.any(d > 0.0)
+        for sigma in (1e-8, 0.3, 2.0, 1e3):
+            expected = np.exp(-np.maximum(d, 0.0) / (2.0 * sigma * sigma))
+            assert rank_one_weights(e, t, sigma).tobytes() == expected.tobytes()
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             rank_one_weights(np.ones(2), np.zeros(2), 0.0)

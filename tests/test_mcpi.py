@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -215,23 +217,62 @@ class TestFit:
         assert np.all(cos >= 0.99)
 
     def test_unconverged_earlier_round_reported(self):
-        # round 1 stops at outer_max_iter, round 2 converges from where it
-        # left off; the component must not report convergence
+        # round 1 stops at outer_max_iter short of even sqrt(outer_tol),
+        # round 2 converges to outer_tol from where it left off; the
+        # component must not report convergence
         X, _ = generate_experiment(ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1,
                                                   nu=15.0, seed=4))
         pairs = sym_evd(X.T @ X / X.shape[0])
-        cfg = MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2, outer_max_iter=25)
+        cfg = MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2, outer_max_iter=18)
         v, sigma, rounds = pairs.vectors[:, 0], cfg.sigma0, []
-        for _ in range(cfg.n_decay):
-            v, diag = mcpi_ith_component(X, [], sigma, v, cfg)
+        for tol in (np.sqrt(cfg.outer_tol), cfg.outer_tol):
+            v, diag = mcpi_ith_component(X, [], sigma, v, replace(cfg, outer_tol=tol))
             rounds.append(diag.converged)
             sigma *= cfg.eta
         assert rounds == [False, True]
         assert not fit(X, cfg).diagnostics[0].converged
 
+    def test_result_is_fixed_point_at_final_sigma(self):
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                  nu=15.0, seed=3))
+        res = fit(X)
+        for i, d in enumerate(res.diagnostics[:-1]):
+            v = res.components[:, i]
+            v_next, _ = mcpi_ith_component(X, list(res.components[:, :i].T), d.final_sigma, v, MCPIConfig())
+            assert np.max(np.abs(v_next - v)) <= 1e-7
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_matches_every_round_at_outer_tol(self, p):
+        # reference: every decay round solved to outer_tol, one
+        # mcpi_ith_component call per round
+        scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=0.05,
+                                                  nu=15.0, seed=5))
+        cfg = MCPIConfig()
+        pairs = sym_evd(X.T @ X / X.shape[0])
+        components = []
+        for i in range(p - 1):
+            v, sigma = pairs.vectors[:, i], float(np.sqrt(X.shape[0] * pairs.values[i]))
+            for _ in range(cfg.n_decay):
+                v, _ = mcpi_ith_component(X, components, sigma, v, cfg)
+                sigma *= cfg.eta
+            components.append(v)
+        V = fit(X, cfg).components
+        assert np.max(np.abs(V[:, :-1] - np.column_stack(components))) <= 1e-6
+
     def test_underflow_reported(self):
         res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=3))
         assert all(d.sigma_underflow and not d.converged for d in res.diagnostics[:2])
+        V = res.components
+        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
+
+    def test_underflow_after_finished_rounds_not_converged(self):
+        # rounds at sigma = 1, 0.1, ... finish until every weight underflows;
+        # the direction is then converged only to sqrt(outer_tol)
+        res = fit(clean_data(seed=9), MCPIConfig(sigma0=1.0, eta=0.1, n_decay=30))
+        d = res.diagnostics[0]
+        assert d.sigma_underflow and d.final_sigma < 1.0
+        assert not d.converged
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
 
@@ -240,6 +281,11 @@ class TestFit:
         X = clean_data(seed=8)
         X[5, 1] = bad
         with pytest.raises(DegenerateInputError):
+            fit(X)
+
+    def test_overflowing_scatter_rejected(self):
+        X = 1e160 * np.random.default_rng(1).standard_normal((50, 3))
+        with pytest.raises(DegenerateInputError, match="overflows"):
             fit(X)
 
     def test_orthonormal_components(self):
@@ -343,6 +389,11 @@ class TestStandardPCA:
         X = clean_data(seed=18)
         X[0, 0] = bad
         with pytest.raises(DegenerateInputError):
+            standard_pca(X)
+
+    def test_overflowing_scatter_rejected(self):
+        X = 1e160 * np.random.default_rng(1).standard_normal((50, 3))
+        with pytest.raises(DegenerateInputError, match="overflows"):
             standard_pca(X)
 
     def test_recovers_demo_directions_within_sampling_error(self):

@@ -1,5 +1,5 @@
-"""Invariances of ``fit`` under row order and row signs, checked with
-hypothesis on small contaminated samples."""
+"""Invariances of ``fit`` under row order, row signs, data scale and
+rotations, checked with hypothesis on small contaminated samples."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,3 +33,20 @@ def test_row_permutation(X, perm_seed):
 def test_row_sign_flips(X, flip_seed):
     D = np.random.default_rng(flip_seed).choice([-1.0, 1.0], size=(X.shape[0], 1))
     assert np.max(np.abs(fit(D * X).components - fit(X).components)) <= TOL
+
+
+@few
+@given(X=samples, c=st.floats(min_value=1e-3, max_value=1e3))
+def test_scale(X, c):
+    assert np.max(np.abs(fit(c * X).components - fit(X).components)) <= TOL
+
+
+@few
+@given(X=samples, rot_seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_rotation(X, rot_seed):
+    # rows x R are the samples R^T x, so the components are R^T V, each up
+    # to the sign that fix_sign picks
+    R = np.linalg.qr(np.random.default_rng(rot_seed).standard_normal((3, 3)))[0]
+    W = fit(X @ R).components
+    RV = R.T @ fit(X).components
+    assert np.max(np.abs(W * np.sign(np.sum(W * RV, axis=0)) - RV)) <= TOL
