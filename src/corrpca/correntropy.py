@@ -7,6 +7,8 @@ weighted scatter sum_k w_k x_k x_k^T is what the eigen-step acts on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Below this, exp() has underflowed to zero for every practical purpose;
@@ -63,6 +65,19 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
     np.minimum(w, 0.0, out=w)
     w /= 2.0 * sigma * sigma
     return np.exp(w, out=w)
+
+
+def exponent_overflows(e_max: float, sigma: float) -> bool:
+    """True when ``rank_one_weights`` cannot form its exponents at this sigma.
+
+    Every exponent it divides by 2 sigma^2 lies in [-e_max, 0] for row
+    energies at most ``e_max``.  Once e_max / 2 sigma^2 overflows (and below
+    sigma ~ 1e-162, where 2 sigma^2 itself is 0 and 0/0 gives NaN), every
+    weight is 0 except those of rows whose squared residual rounds to exactly
+    0, so the kernel has underflowed.  One scalar test per kernel size.
+    """
+    scale = 2.0 * float(sigma) * float(sigma)
+    return scale == 0.0 or float(e_max) / scale == math.inf
 
 
 def all_underflowed(w: np.ndarray) -> bool:

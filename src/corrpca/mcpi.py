@@ -14,15 +14,26 @@ Two layers:
   component, and the last component is read off the null space.
 
 Only the last round's fixed point is the answer; an earlier round only
-gives the next one its start vector.  So every round but the last stops
-once a step moves the direction by at most sqrt(outer_tol) (1e-4 by
-default), and the last round runs to outer_tol (1e-8).  A component is
-``converged`` when each round met its own tolerance within outer_max_iter
-outer iterations.  If sigma shrinks until every sample weight underflows,
-the schedule stops there and the component keeps the direction reached so
-far (the last finished round's when the underflow comes on a round's first
-step), which is converged only to sqrt(outer_tol); it reports
-``sigma_underflow=True`` and ``converged=False``.
+carries the fixed point from one kernel size to the next.  So every round
+but the last stops once a step moves the direction by at most
+sqrt(outer_tol) (1e-4 by default), and the last round runs to outer_tol
+(1e-8).  Since sigma shrinks geometrically, the fixed points lie on a smooth
+path in log sigma, and each round is a predictor-corrector step along it:
+round 1 starts from the a-priori vector, round 2 from round 1's fixed point,
+round 3 from the linear extrapolation 2 u_r - u_{r-1} of the last two fixed
+points and every later round from the quadratic one,
+3 (u_r - u_{r-1}) + u_{r-2}, normalised (all in complement coordinates);
+the fixed-point loop is the corrector.  The extrapolated start is never
+reported.  A component is ``converged`` when each round met its own
+tolerance within outer_max_iter outer iterations.  If sigma shrinks until
+every sample weight underflows, the schedule stops there and the component
+keeps the direction reached so far, which is converged only to
+sqrt(outer_tol); when the underflow comes on a round's first step, that is
+the last finished round's fixed point, not the extrapolated start.  It
+reports ``sigma_underflow=True`` and ``converged=False``.  A kernel so small
+that the largest exponent ||y||^2 / 2 sigma^2 overflows (below
+sigma ~ 1e-162 even 2 sigma^2 is 0) counts as underflow on the round's
+first step; it is tested once per round, outside the outer loop.
 
 The loop runs in the coordinates of the complement of the k found
 components, set up once per component and shared by its n_decay rounds: an
@@ -59,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
+from .correntropy import all_underflowed, exponent_overflows, rank_one_weights, weighted_scatter
 from .linalg import (
     EigenPairs,
     SingularDirectionError,
@@ -70,11 +81,14 @@ from .linalg import (
 
 
 class SigmaTooSmallError(RuntimeError):
-    """All sample weights underflowed; carries the last valid direction."""
+    """All sample weights underflowed; carries the last valid direction and
+    the number of outer steps finished at that kernel size (0 when the start
+    vector itself is the last valid direction)."""
 
-    def __init__(self, last_valid: np.ndarray):
+    def __init__(self, last_valid: np.ndarray, steps: int = 0):
         super().__init__("kernel size shrank until every sample weight underflowed")
         self.last_valid = last_valid
+        self.steps = steps
 
 
 class NumericalSingularityError(RuntimeError):
@@ -206,13 +220,14 @@ class _Complement:
     """Coordinates of the samples in the complement of the found components.
 
     ``B`` is an orthonormal p x m basis of that complement (m = p - k),
-    ``Y = X B`` is stored column-major for the weighted scatter, and ``e``
-    holds the row energies ||y_k||^2.
+    ``Y = X B`` is stored column-major for the weighted scatter, ``e``
+    holds the row energies ||y_k||^2 and ``e_max`` the largest of them.
     """
 
     B: np.ndarray
     Y: np.ndarray
     e: np.ndarray
+    e_max: float
 
     @classmethod
     def of(cls, X: np.ndarray, components) -> "_Complement":
@@ -222,7 +237,8 @@ class _Complement:
         else:
             B = np.eye(X.shape[1])
         Y = np.asfortranarray(X @ B)
-        return cls(B=B, Y=Y, e=np.einsum("ij,ij->i", Y, Y))
+        e = np.einsum("ij,ij->i", Y, Y)
+        return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Unit vector of the projection of v onto the complement, in B."""
@@ -243,14 +259,18 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     until a step moves u by at most ``tol``.
 
     Returns (u, outer iterations, converged); raises SigmaTooSmallError with
-    the last valid direction in the original coordinates.
+    the last valid direction in the original coordinates when every weight
+    underflows, or before the first step when sigma is too small for the
+    weights' exponents to be formed at all.
     """
+    if exponent_overflows(cs.e_max, sigma):
+        raise SigmaTooSmallError(last_valid=cs.B @ u)
     converged = False
     outer = 0
     for outer in range(1, max_iter + 1):
         w = rank_one_weights(cs.e, cs.Y @ u, sigma)
         if all_underflowed(w):
-            raise SigmaTooSmallError(last_valid=cs.B @ u)
+            raise SigmaTooSmallError(last_valid=cs.B @ u, steps=outer - 1)
         u_new = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
         if float(u_new @ u) < 0.0:  # sign ambiguity must not stall convergence
             u_new = -u_new
@@ -280,12 +300,40 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     return fix_sign(cs.B @ u), diag
 
 
+def _predict(history: list[np.ndarray]) -> np.ndarray:
+    """Start vector for the next round from the fixed points of the last
+    rounds (oldest first, sign-aligned): the polynomial through them on the
+    uniform log-sigma grid, evaluated one step ahead and normalised.  That is
+    the last point itself, 2 u_r - u_{r-1}, or 3 (u_r - u_{r-1}) + u_{r-2}."""
+    if len(history) == 1:
+        return history[0]
+    if len(history) == 2:
+        u = 2.0 * history[1] - history[0]
+    else:
+        u = 3.0 * (history[-1] - history[-2]) + history[-3]
+    return u / np.linalg.norm(u)
+
+
 def _shrinking_rounds(X, components, sigma, v, cfg):
     """n_decay rounds of {solve at fixed sigma; sigma <- eta sigma}, sharing
     one complement set-up; rounds before the last stop at sqrt(outer_tol),
-    the last at outer_tol."""
+    the last at outer_tol.
+
+    Predictor-corrector: round 1 starts from ``v``, every later round from
+    ``_predict`` of the fixed points of up to three earlier rounds, and
+    ``_fixed_point`` corrects that start.  The history keeps the sign the
+    iteration produced (a fixed point takes the sign of its start, so
+    consecutive points stay aligned); only the reported direction is signed,
+    because ``fix_sign`` can flip it between rounds and a flipped point would
+    wreck the extrapolation.  The prediction is never reported: when every
+    weight underflows on a round's first step, the component keeps the last
+    finished round's direction (in round 1, ``v`` projected onto the
+    complement).
+    """
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
+    v = cs.B @ u
+    history: list[np.ndarray] = []
     early_tol = np.sqrt(cfg.outer_tol)
     final_sigma = float(sigma)
     outer_total = 0
@@ -293,14 +341,16 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
     underflow = False
     for r in range(cfg.n_decay):
         tol = cfg.outer_tol if r == cfg.n_decay - 1 else early_tol
+        start = _predict(history) if history else u
         try:
-            u, outer, round_converged = _fixed_point(cs, sigma, u, tol, cfg.outer_max_iter)
+            u, outer, round_converged = _fixed_point(cs, sigma, start, tol, cfg.outer_max_iter)
         except SigmaTooSmallError as err:
-            v = err.last_valid
+            if err.steps:
+                v = fix_sign(err.last_valid)
             underflow = True
             break
-        u = cs.signed(u)
-        v = cs.B @ u
+        history = history[-2:] + [u]
+        v = cs.B @ cs.signed(u)
         final_sigma = float(sigma)
         outer_total += outer
         converged = converged and round_converged

@@ -78,6 +78,20 @@ class TestFit:
         assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_tiny_sigma_schedule_reports_underflow(self, tmp_path):
+        # rows along the coordinate axes: rows along a fixed point keep weight
+        # 1 at any sigma, so the schedule runs on until 2 sigma^2 underflows
+        rng = np.random.default_rng(0)
+        X = np.vstack([np.outer(rng.uniform(2.0, 3.0, 30), e) for e in np.eye(3)])
+        data = tmp_path / "data.csv"
+        np.savetxt(data, X * np.repeat([3.0, 2.0, 1.0], 30)[:, None], delimiter=",")
+        report = tmp_path / "r.json"
+        assert run(["fit", "--input", data, "--eta", 0.3, "--n-decay", 800, "--output", report]) == 0
+        doc = json.loads(report.read_text())
+        assert [(d["sigma_underflow"], d["converged"]) for d in doc["diagnostics"][:2]] == [(True, False)] * 2
+        V = np.array(doc["components_rows"])
+        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
+
     def test_header_flag(self, tmp_path):
         data = tmp_path / "h.csv"
         rng = np.random.default_rng(0)

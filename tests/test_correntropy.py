@@ -5,6 +5,7 @@ import pytest
 
 from corrpca.correntropy import (
     all_underflowed,
+    exponent_overflows,
     gaussian_kernel,
     rank_one_weights,
     residual_weights,
@@ -135,6 +136,35 @@ class TestRankOneWeights:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             rank_one_weights(np.ones(2), np.zeros(2), 0.0)
+
+
+class TestExponentOverflows:
+    def test_zero_and_overflowing_scale(self):
+        assert exponent_overflows(100.0, 1e-170)  # 2 sigma^2 is 0
+        assert exponent_overflows(100.0, 1e-155)  # 100 / 2 sigma^2 overflows
+        assert not exponent_overflows(100.0, 1e-150)
+        assert not exponent_overflows(100.0, 1.0)
+
+    def test_weights_finite_whenever_not_flagged(self):
+        # sigma sweeps through the band where 2 sigma^2 is subnormal and then
+        # 0; rows 0-8 are parallel to u, so their exponents are (about) 0.
+        # Pytest turns the RuntimeWarning of an overflowing or 0/0 division
+        # into an error, so every unflagged sigma must form its weights
+        # silently.
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        Y = np.vstack([np.outer(np.linspace(1.0, 5.0, 9), u), 30.0 * rng.standard_normal((40, 3))])
+        e = np.einsum("ij,ij->i", Y, Y)
+        t = Y @ u
+        flagged = 0
+        for sigma in np.geomspace(1e-140, 1e-170, 301):
+            if exponent_overflows(e.max(), sigma):
+                flagged += 1
+                continue
+            w = rank_one_weights(e, t, sigma)
+            assert np.all((w >= 0.0) & (w <= 1.0))
+        assert 0 < flagged < 301
 
 
 class TestWeightedScatter:

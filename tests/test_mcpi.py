@@ -5,7 +5,8 @@ import pytest
 
 from corrpca.datagen import ExperimentSpec, generate_experiment, sample_mvn
 from corrpca.correntropy import residual_weights, weighted_scatter
-from corrpca.linalg import orthogonalize_against, power_iteration, sym_evd
+from corrpca import mcpi
+from corrpca.linalg import fix_sign, orthogonalize_against, power_iteration, sym_evd
 from corrpca.mcpi import (
     DeflationState,
     DegenerateInputError,
@@ -33,6 +34,36 @@ def huge_sigma(X):
 
 def abs_cos(u, v):
     return abs(float(u @ v))
+
+
+def axis_rows(seed=0):
+    """30 rows along each coordinate axis, scaled 3, 2, 1: every fixed point
+    is an axis exactly, so rows along it have squared residual exactly 0."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([np.outer(rng.uniform(2.0, 3.0, 30), e) for e in np.eye(3)])
+    return X * np.repeat([3.0, 2.0, 1.0], 30)[:, None]
+
+
+def every_round_reference(X, cfg, early_tol=None):
+    """Per-round reference for ``fit``: each decay round is one
+    ``mcpi_ith_component`` call started at the previous round's (signed)
+    result.  Rounds before the last run to ``early_tol`` (``outer_tol`` when
+    None), the last to ``outer_tol``.  Returns the iterated components as
+    columns, the summed outer iterations and the number of rounds whose
+    result has the opposite sign of the vector it started from."""
+    pairs = sym_evd(X.T @ X / X.shape[0])
+    components, outer, flips = [], 0, 0
+    for i in range(X.shape[1] - 1):
+        v, sigma = pairs.vectors[:, i], float(np.sqrt(X.shape[0] * pairs.values[i]))
+        for r in range(cfg.n_decay):
+            tol = cfg.outer_tol if early_tol is None or r == cfg.n_decay - 1 else early_tol
+            v_next, diag = mcpi_ith_component(X, components, sigma, v, replace(cfg, outer_tol=tol))
+            outer += diag.outer_iterations
+            flips += float(v_next @ v) < 0.0
+            v = v_next
+            sigma *= cfg.eta
+        components.append(v)
+    return np.column_stack(components), outer, flips
 
 
 class TestWoodburyUpdate:
@@ -141,6 +172,10 @@ class TestIthComponent:
         v, _ = mcpi_ith_component(X, [prior], 2.0, pairs.vectors[:, 1], MCPIConfig())
         assert abs_cos(v, prior) <= 1e-8
 
+    def test_tiny_sigma_raises_underflow(self):
+        with pytest.raises(SigmaTooSmallError):
+            mcpi_ith_component(axis_rows(), [], 1e-170, np.array([1.0, 0.0, 0.0]), MCPIConfig())
+
     def test_underflow_carries_direction_in_original_coordinates(self):
         X = clean_data(seed=7)
         pairs = sym_evd(X.T @ X)
@@ -243,22 +278,100 @@ class TestFit:
 
     @pytest.mark.parametrize("p", [3, 10])
     def test_matches_every_round_at_outer_tol(self, p):
-        # reference: every decay round solved to outer_tol, one
-        # mcpi_ith_component call per round
+        # reference: every decay round solved to outer_tol
         scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
         X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=0.05,
                                                   nu=15.0, seed=5))
         cfg = MCPIConfig()
-        pairs = sym_evd(X.T @ X / X.shape[0])
-        components = []
-        for i in range(p - 1):
-            v, sigma = pairs.vectors[:, i], float(np.sqrt(X.shape[0] * pairs.values[i]))
-            for _ in range(cfg.n_decay):
-                v, _ = mcpi_ith_component(X, components, sigma, v, cfg)
-                sigma *= cfg.eta
-            components.append(v)
+        ref, _, _ = every_round_reference(X, cfg)
         V = fit(X, cfg).components
-        assert np.max(np.abs(V[:, :-1] - np.column_stack(components))) <= 1e-6
+        assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
+
+    @pytest.mark.parametrize("n_decay", [1, 2, 3])
+    def test_short_schedules_match_every_round_reference(self, n_decay):
+        # the last round starts from the a-priori vector, the previous fixed
+        # point, or the line through the two before it
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                  nu=15.0, seed=5))
+        cfg = MCPIConfig(n_decay=n_decay)
+        ref, _, _ = every_round_reference(X, cfg)
+        V = fit(X, cfg).components
+        assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
+
+    def test_predictor_cuts_outer_iterations(self):
+        # against rounds started at the previous fixed point with the same
+        # round tolerances
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                  nu=15.0, seed=3))
+        cfg = MCPIConfig()
+        ref, ref_outer, _ = every_round_reference(X, cfg, early_tol=np.sqrt(cfg.outer_tol))
+        res = fit(X, cfg)
+        assert sum(d.outer_iterations for d in res.diagnostics) <= 0.6 * ref_outer
+        assert np.max(np.abs(res.components[:, :-1] - ref)) <= 1e-6
+
+    def test_sign_flips_between_rounds_match_reference(self):
+        # the top direction has two near-equal largest entries of opposite
+        # sign, so fix_sign flips the reported direction between rounds;
+        # negating the second column makes them equal-signed, so nothing
+        # flips there, and the predictor must not notice the difference
+        Q = np.linalg.qr(np.array([[1.0, 0.3, 0.1], [-1.0, 0.3, 0.2], [0.2, 1.0, -0.5]]))[0]
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=Q @ np.diag([6.0, 3.0, 1.0]) @ Q.T,
+                                                  outlier_fraction=0.05, nu=15.0, seed=16))
+        cfg = MCPIConfig()
+        ref, ref_outer, flips = every_round_reference(X, cfg, early_tol=np.sqrt(cfg.outer_tol))
+        assert flips >= 2
+        res = fit(X, cfg)
+        assert np.max(np.abs(res.components[:, :-1] - ref)) <= 1e-6
+        assert sum(d.outer_iterations for d in res.diagnostics) <= 0.6 * ref_outer
+
+        D = np.diag([1.0, -1.0, 1.0])
+        mirrored = fit(X @ D, cfg)
+        assert [d.outer_iterations for d in mirrored.diagnostics] == [d.outer_iterations for d in res.diagnostics]
+        cos = np.sum(res.components * (D @ mirrored.components), axis=0)
+        assert np.all(1.0 - np.abs(cos) <= 1e-12)
+
+    def test_first_step_underflow_keeps_last_fixed_point(self, monkeypatch):
+        # sigma0 = 0.5, eta = 0.3: six rounds of component 1 finish, and on
+        # the seventh every weight underflows at the extrapolated start
+        rounds = []
+        solve = mcpi._fixed_point
+
+        def recorded(cs, sigma, u, tol, max_iter):
+            try:
+                result = solve(cs, sigma, u, tol, max_iter)
+            except SigmaTooSmallError as err:
+                rounds.append((sigma, u, None, err.steps))
+                raise
+            rounds.append((sigma, u, result[0], None))
+            return result
+
+        monkeypatch.setattr(mcpi, "_fixed_point", recorded)
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                  nu=15.0, seed=0))
+        res = fit(X, MCPIConfig(sigma0=0.5, eta=0.3, n_decay=30))
+        finished = next(r for r, (_, _, u, _) in enumerate(rounds) if u is None)
+        sigma_last, _, u_last, _ = rounds[finished - 1]
+        _, start, _, steps = rounds[finished]
+        assert finished >= 3 and steps == 0
+        d = res.diagnostics[0]
+        assert d.sigma_underflow and not d.converged and d.final_sigma == sigma_last
+        v = res.components[:, 0]  # the complement of no components is the identity
+        assert np.array_equal(v, fix_sign(u_last))
+        assert np.max(np.abs(v - fix_sign(start))) > 1e-3
+
+    @pytest.mark.parametrize("data", ["demo", "axis"])
+    def test_tiny_sigma_ends_as_underflow(self, data):
+        # the schedule reaches sigma < 1e-162, where 2 sigma^2 is 0 and a
+        # row along u would get weight 0/0; on the axis data such rows keep
+        # weight 1 until then
+        if data == "demo":
+            X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, seed=9))
+        else:
+            X = axis_rows()
+        res = fit(X, MCPIConfig(sigma0=1.0, eta=0.3, n_decay=400))
+        assert all(d.sigma_underflow and not d.converged for d in res.diagnostics[:2])
+        V = res.components
+        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
 
     def test_underflow_reported(self):
         res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=3))
