@@ -66,11 +66,7 @@ def _result_dict(result: PCAResult) -> dict:
 
 
 def _config_from_args(args) -> MCPIConfig:
-    return MCPIConfig(
-        eta=args.eta,
-        n_decay=args.n_decay,
-        center=getattr(args, "center", False),
-    )
+    return MCPIConfig(eta=args.eta, n_decay=args.n_decay, center=args.center)
 
 
 def cmd_fit(args) -> int:
@@ -260,24 +256,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a CSV dataset and write a JSON report")
+    # The MCPIConfig options shared by fit and demo.
+    schedule = argparse.ArgumentParser(add_help=False)
+    schedule.add_argument("--eta", type=float, default=0.95)
+    schedule.add_argument("--n-decay", type=int, default=65)
+    schedule.add_argument("--center", action="store_true")
+
+    p_fit = sub.add_parser(
+        "fit", parents=[schedule], help="fit a CSV dataset and write a JSON report"
+    )
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--output", default="-")
-    p_fit.add_argument("--eta", type=float, default=0.95)
-    p_fit.add_argument("--n-decay", type=int, default=65)
-    p_fit.add_argument("--center", action="store_true")
     p_fit.add_argument("--header", action="store_true", help="skip one header line")
     p_fit.add_argument("--seed", type=int, default=0, help="echoed into the report")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_demo = sub.add_parser("demo", help="synthetic comparison against plain PCA")
+    p_demo = sub.add_parser(
+        "demo", parents=[schedule], help="synthetic comparison against plain PCA"
+    )
     p_demo.add_argument("--n", type=int, default=400)
     p_demo.add_argument("--p", type=int, default=3)
     p_demo.add_argument("--outlier-frac", type=float, default=0.0)
     p_demo.add_argument("--nu", type=float, default=15.0)
-    p_demo.add_argument("--eta", type=float, default=0.95)
-    p_demo.add_argument("--n-decay", type=int, default=65)
-    p_demo.add_argument("--center", action="store_true")
     p_demo.add_argument("--replicates", type=int, default=20)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--output", default="-")

@@ -1,11 +1,13 @@
-"""Dense symmetric eigensolver, power iteration, and null-space extraction.
+"""Dense symmetric eigensolver, power iteration, and complement bases.
 
 ``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
-descending order and a sign convention.  ``power_iteration`` is the
-paper-literal reference for the deflated eigen-step that ``mcpi.fit`` solves
-directly.  All eigenvector outputs follow a single sign convention: each
-vector is flipped so that its entry of largest absolute value is positive
-(lowest index wins ties), which makes results deterministic and
+descending order and a sign convention.  ``complement_basis`` is the one
+source of orthonormal complements: ``mcpi`` iterates in it and
+``null_space_vector`` reads the last component off it.  ``power_iteration``
+is the paper-literal reference for the deflated eigen-step that ``mcpi.fit``
+solves directly.  All eigenvector outputs follow a single sign convention:
+each vector is flipped so that its entry of largest absolute value is
+positive (lowest index wins ties), which makes results deterministic and
 regression-testable.
 """
 
@@ -17,19 +19,30 @@ import numpy as np
 
 
 class SingularDirectionError(ValueError):
-    """Power iteration hit K v = 0; the next direction is undefined."""
-
-
-class DegenerateBasisError(ValueError):
-    """No basis seed produced a usable null-space residual."""
+    """Power iteration hit K v = 0, or a start vector lies in the span of the
+    found components; the next direction is undefined."""
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
     """Flip v so its largest-magnitude entry is positive (ties: lowest index)."""
-    idx = int(np.argmax(np.abs(v)))
-    if v[idx] < 0.0:
-        return -v
+    return -v if v[np.argmax(np.abs(v))] < 0.0 else v
+
+
+def check_unit(v: np.ndarray) -> np.ndarray:
+    """v as a float array, or ValueError unless it has unit norm (to 1e-8)."""
+    v = np.asarray(v, dtype=float)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        raise ValueError("v0 must be a unit vector")
     return v
+
+
+def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
+    """V as a float array, or ValueError unless max |V^T V - I| <= tol."""
+    V = np.asarray(V, dtype=float)
+    dev = np.max(np.abs(V.T @ V - np.eye(V.shape[1])), initial=0.0)
+    if dev > tol:
+        raise ValueError(f"columns not orthonormal: max |V^T V - I| = {dev:g}")
+    return V
 
 
 def check_symmetric(A: np.ndarray, tol: float = 1e-9) -> None:
@@ -65,8 +78,8 @@ def sym_evd(A: np.ndarray, sym_tol: float = 1e-9) -> EigenPairs:
     values, V = np.linalg.eigh(np.asarray(A, dtype=float))
     order = np.argsort(-values, kind="stable")
     V = V[:, order]
-    for k in range(V.shape[1]):
-        V[:, k] = fix_sign(V[:, k])
+    # fix_sign on every column at once: argmax picks the lowest index on ties
+    V[:, V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0.0] *= -1.0
     return EigenPairs(values=values[order], vectors=V)
 
 
@@ -86,9 +99,7 @@ def power_iteration(
     K need not be symmetric.
     """
     K = np.asarray(K, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("v0 must be a unit vector")
+    v = check_unit(v0)
     if not np.all(np.isfinite(K)):
         raise ValueError("K has non-finite entries")
 
@@ -115,35 +126,17 @@ def orthogonalize_against(v: np.ndarray, basis: list[np.ndarray] | np.ndarray) -
     return v / nrm
 
 
-def null_space_vector(V: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to the p-1 orthonormal columns of V.
+def complement_basis(F: np.ndarray) -> np.ndarray:
+    """Orthonormal p x (p - k) basis of the complement of range(F), for a
+    p x k matrix F of full column rank: the trailing columns of its complete
+    QR.  The identity when k = 0."""
+    return np.linalg.qr(F, mode="complete")[0][:, F.shape[1]:]
 
-    Each standard basis vector is Gram-Schmidt orthogonalized against the
-    columns; the candidate with the largest residual norm wins.  Cheaper
-    than an SVD for a rank-one complement.
-    """
+
+def null_space_vector(V: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to the p-1 orthonormal columns of V, sign-fixed."""
     V = np.asarray(V, dtype=float)
     p, m = V.shape
     if m != p - 1:
         raise ValueError(f"expected p x (p-1) matrix, got {V.shape}")
-    gram_dev = np.max(np.abs(V.T @ V - np.eye(m))) if m else 0.0
-    if gram_dev > 1e-8:
-        raise ValueError(f"columns not orthonormal: max |V^T V - I| = {gram_dev:g}")
-
-    best_res = None
-    best_norm = -1.0
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = 1.0
-        r = e - V @ (V.T @ e)
-        nrm = np.linalg.norm(r)
-        if nrm > best_norm:
-            best_norm = nrm
-            best_res = r
-    if best_norm < 1e-12:
-        raise DegenerateBasisError("every basis seed collapsed; basis is degenerate")
-    v = best_res / best_norm
-    # Second pass kills first-order round-off against the columns.
-    v -= V @ (V.T @ v)
-    v /= np.linalg.norm(v)
-    return fix_sign(v)
+    return fix_sign(complement_basis(check_orthonormal(V, 1e-8))[:, 0])

@@ -11,7 +11,8 @@ Two layers:
   X^T X / n seeds each component and its kernel size
   (sigma_i = sqrt(n lambda_i), the i-th singular value of X), the kernel is
   shrunk geometrically (sigma <- eta sigma) for n_decay rounds per
-  component, and the last component is read off the null space.
+  component, and the last component is the one-column complement basis of
+  the others.
 
 Only the last round's fixed point is the answer; an earlier round only
 carries the fixed point from one kernel size to the next.  So every round
@@ -33,13 +34,15 @@ the last finished round's fixed point, not the extrapolated start.  It
 reports ``sigma_underflow=True`` and ``converged=False``.  A kernel so small
 that the largest exponent ||y||^2 / 2 sigma^2 overflows (below
 sigma ~ 1e-162 even 2 sigma^2 is 0) counts as underflow on the round's
-first step; it is tested once per round, outside the outer loop.
+first step; it is tested once per round, outside the outer loop.  The
+iteration keeps whatever sign its steps produce; the sign convention of
+``linalg.fix_sign`` is applied once, to the direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
 components, set up once per component and shared by its n_decay rounds: an
-orthonormal p x m basis B of that complement (m = p - k; the identity for
-the first component, else the trailing columns of a complete QR of the found
-components), Y = X B stored column-major, and the row energies
+orthonormal p x m basis B of that complement (m = p - k;
+``linalg.complement_basis``, the trailing columns of a complete QR of the
+found components), Y = X B stored column-major, and the row energies
 e = ||y||^2.  For v = B u the residual (I - P - v v^T) x is y - (y.u) u, so
 with t = Y u each outer iteration is
 
@@ -72,8 +75,9 @@ import numpy as np
 
 from .correntropy import all_underflowed, exponent_overflows, rank_one_weights, weighted_scatter
 from .linalg import (
-    EigenPairs,
     SingularDirectionError,
+    check_unit,
+    complement_basis,
     fix_sign,
     null_space_vector,
     sym_evd,
@@ -185,6 +189,11 @@ class ComponentDiagnostics:
     sigma_underflow: bool = False
     method: str = "mcpi"
 
+    @classmethod
+    def direct(cls, method: str) -> "ComponentDiagnostics":
+        """A component solved in one step, without a kernel schedule."""
+        return cls(final_sigma=float("nan"), outer_iterations=0, converged=True, method=method)
+
     def as_dict(self) -> dict:
         return {
             "final_sigma": self.final_sigma,
@@ -208,13 +217,6 @@ class PCAResult:
     diagnostics: list[ComponentDiagnostics]
 
 
-def _check_unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValueError("v0 must be a unit vector")
-    return v
-
-
 @dataclass(frozen=True)
 class _Complement:
     """Coordinates of the samples in the complement of the found components.
@@ -231,11 +233,8 @@ class _Complement:
 
     @classmethod
     def of(cls, X: np.ndarray, components) -> "_Complement":
-        if components:
-            F = np.column_stack(components)
-            B = np.linalg.qr(F, mode="complete")[0][:, F.shape[1]:]
-        else:
-            B = np.eye(X.shape[1])
+        F = np.column_stack(components) if components else np.empty((X.shape[1], 0))
+        B = complement_basis(F)
         Y = np.asfortranarray(X @ B)
         e = np.einsum("ij,ij->i", Y, Y)
         return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
@@ -247,11 +246,6 @@ class _Complement:
         if nrm <= 1e-300:
             raise SingularDirectionError("start vector lies in the span of the found components")
         return u / nrm
-
-    def signed(self, u: np.ndarray) -> np.ndarray:
-        """u, negated exactly when ``fix_sign`` would flip B u."""
-        v = self.B @ u
-        return -u if v[np.argmax(np.abs(v))] < 0.0 else u
 
 
 def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_iter: int):
@@ -290,14 +284,11 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     scatter compressed to the complement of range(P).
     """
     cs = _Complement.of(np.asarray(X, dtype=float), components)
-    u0 = cs.coordinates(_check_unit(v0))
+    u0 = cs.coordinates(check_unit(v0))
     u, outer, converged = _fixed_point(cs, sigma, u0, cfg.outer_tol, cfg.outer_max_iter)
-    diag = ComponentDiagnostics(
-        final_sigma=float(sigma),
-        outer_iterations=outer,
-        converged=converged,
+    return fix_sign(cs.B @ u), ComponentDiagnostics(
+        final_sigma=float(sigma), outer_iterations=outer, converged=converged
     )
-    return fix_sign(cs.B @ u), diag
 
 
 def _predict(history: list[np.ndarray]) -> np.ndarray:
@@ -323,16 +314,16 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
     ``_predict`` of the fixed points of up to three earlier rounds, and
     ``_fixed_point`` corrects that start.  The history keeps the sign the
     iteration produced (a fixed point takes the sign of its start, so
-    consecutive points stay aligned); only the reported direction is signed,
-    because ``fix_sign`` can flip it between rounds and a flipped point would
-    wreck the extrapolation.  The prediction is never reported: when every
-    weight underflows on a round's first step, the component keeps the last
-    finished round's direction (in round 1, ``v`` projected onto the
-    complement).
+    consecutive points stay aligned); ``fix_sign`` could flip a point between
+    rounds and wreck the extrapolation, so it is applied once, after the
+    loop, to the direction the component reports.  The prediction is never
+    reported: when every weight underflows on a round's first step, the
+    component keeps the last finished round's direction (in round 1, ``v``
+    projected onto the complement).
     """
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
-    v = cs.B @ u
+    stopped_at = None  # where an underflow in the middle of a round stopped it
     history: list[np.ndarray] = []
     early_tol = np.sqrt(cfg.outer_tol)
     final_sigma = float(sigma)
@@ -346,16 +337,15 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
             u, outer, round_converged = _fixed_point(cs, sigma, start, tol, cfg.outer_max_iter)
         except SigmaTooSmallError as err:
             if err.steps:
-                v = fix_sign(err.last_valid)
+                stopped_at = err.last_valid
             underflow = True
             break
         history = history[-2:] + [u]
-        v = cs.B @ cs.signed(u)
         final_sigma = float(sigma)
         outer_total += outer
         converged = converged and round_converged
         sigma *= cfg.eta
-    return v, ComponentDiagnostics(
+    return fix_sign(cs.B @ u if stopped_at is None else stopped_at), ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
         converged=converged and not underflow,
@@ -363,36 +353,39 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
     )
 
 
-def _check_finite(X: np.ndarray) -> None:
-    if not np.all(np.isfinite(X)):
-        raise DegenerateInputError("input has non-finite entries (NaN or inf)")
-
-
-def _scatter(X: np.ndarray) -> np.ndarray:
-    """X^T X / n, or DegenerateInputError when it overflows float64."""
-    with np.errstate(over="ignore"):
-        S = X.T @ X / X.shape[0]
-    if not np.all(np.isfinite(S)):
-        raise DegenerateInputError(
-            f"X^T X overflows float64 (max |x| = {np.max(np.abs(X)):g}); rescale the input"
-        )
-    return S
-
-
-def _prepare(X, cfg: MCPIConfig):
-    cfg.validate()
+def _scatter_evd(X, center: bool):
+    """The checked input as floats (centred when asked) and the eigenpairs of
+    X^T X / n.  Raises DegenerateInputError unless X is n x p with
+    n >= p >= 1 and finite, and X^T X fits in float64."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DegenerateInputError(f"expected an n x p matrix, got shape {X.shape}")
     n, p = X.shape
     if n < p or p < 1:
         raise DegenerateInputError(f"need n >= p >= 1, got n={n}, p={p}")
-    _check_finite(X)
-    if cfg.center:
+    if not np.all(np.isfinite(X)):
+        raise DegenerateInputError("input has non-finite entries (NaN or inf)")
+    if center:
         X = X - X.mean(axis=0)
-    apriori = sym_evd(_scatter(X))
-    if apriori.values[-1] <= 1e-10 * apriori.values[0]:
-        raise DegenerateInputError("input is numerically rank deficient")
+    with np.errstate(over="ignore"):
+        S = X.T @ X / n
+    if not np.all(np.isfinite(S)):
+        raise DegenerateInputError(
+            f"X^T X overflows float64 (max |x| = {np.max(np.abs(X)):g}); rescale the input"
+        )
+    return X, sym_evd(S)
+
+
+def _prepare(X, cfg: MCPIConfig):
+    cfg.validate()
+    X, apriori = _scatter_evd(X, cfg.center)
+    lo, hi = apriori.values[-1], apriori.values[0]
+    if lo <= 1e-10 * hi:
+        ratio = lo / hi if hi > 0.0 else float("nan")
+        raise DegenerateInputError(
+            f"input is numerically rank deficient (lambda_min / lambda_max = {ratio:.3g}); "
+            "drop or combine collinear columns"
+        )
     return X, apriori
 
 
@@ -400,11 +393,10 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     """Full robust decomposition via the kernel-shrinking schedule."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, apriori = _prepare(X, cfg)
-    p = X.shape[1]
+    n, p = X.shape
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
-    n = X.shape[0]
     n_iterated = p - 1 if p > 1 else 1
     for i in range(n_iterated):
         # Initial kernel size: the i-th singular value of X, i.e.
@@ -419,14 +411,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
 
     if p > 1:
         components.append(null_space_vector(np.column_stack(components)))
-        diags.append(
-            ComponentDiagnostics(
-                final_sigma=float("nan"),
-                outer_iterations=0,
-                converged=True,
-                method="null_space",
-            )
-        )
+        diags.append(ComponentDiagnostics.direct("null_space"))
 
     return PCAResult(
         components=np.column_stack(components),
@@ -437,24 +422,9 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
 
 def standard_pca(X, center: bool = False) -> PCAResult:
     """Baseline: eigendecomposition of the (optionally centered) scatter /n."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise DegenerateInputError(f"need n >= p, got shape {X.shape}")
-    _check_finite(X)
-    if center:
-        X = X - X.mean(axis=0)
-    pairs: EigenPairs = sym_evd(_scatter(X))
-    diags = [
-        ComponentDiagnostics(
-            final_sigma=float("nan"),
-            outer_iterations=0,
-            converged=True,
-            method="evd",
-        )
-        for _ in range(X.shape[1])
-    ]
+    X, pairs = _scatter_evd(X, center)
     return PCAResult(
         components=pairs.vectors,
         apriori_eigenvalues=pairs.values,
-        diagnostics=diags,
+        diagnostics=[ComponentDiagnostics.direct("evd") for _ in range(X.shape[1])],
     )

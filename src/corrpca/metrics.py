@@ -6,13 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_orthonormal
 
-def _check_orthonormal(V: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    dev = np.max(np.abs(V.T @ V - np.eye(V.shape[1])))
-    if dev > tol:
-        raise ValueError(f"columns not orthonormal: max |V^T V - I| = {dev:g}")
-    return V
+ORTHONORMAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -30,8 +26,8 @@ def component_alignment(V_est: np.ndarray, V_true: np.ndarray) -> AlignmentRepor
     absolute cosine (ties go to the lowest index).  Sign flips and column
     permutations of either argument leave the values unchanged.
     """
-    V_est = _check_orthonormal(V_est)
-    V_true = _check_orthonormal(V_true)
+    V_est = check_orthonormal(V_est, ORTHONORMAL_TOL)
+    V_true = check_orthonormal(V_true, ORTHONORMAL_TOL)
     if V_est.shape != V_true.shape:
         raise ValueError(f"shape mismatch: {V_est.shape} vs {V_true.shape}")
     p = V_est.shape[1]
@@ -54,7 +50,7 @@ def component_alignment(V_est: np.ndarray, V_true: np.ndarray) -> AlignmentRepor
 
 def reconstruction_error(X: np.ndarray, V: np.ndarray) -> float:
     """sum_k ||(I - V V^T) x_k||^2 for orthonormal columns V."""
-    V = _check_orthonormal(V)
+    V = check_orthonormal(V, ORTHONORMAL_TOL)
     X = np.asarray(X, dtype=float)
     E = X - (X @ V) @ V.T
     return float(np.sum(E * E))

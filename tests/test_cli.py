@@ -78,6 +78,14 @@ class TestFit:
         assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_collinear_columns_exit_3(self, tmp_path, capsys):
+        X = np.random.default_rng(2).standard_normal((50, 3))
+        X[:, 2] = X[:, 0] + X[:, 1]
+        data = tmp_path / "collinear.csv"
+        np.savetxt(data, X, delimiter=",")
+        assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 3
+        assert "drop or combine collinear columns" in capsys.readouterr().err
+
     def test_tiny_sigma_schedule_reports_underflow(self, tmp_path):
         # rows along the coordinate axes: rows along a fixed point keep weight
         # 1 at any sigma, so the schedule runs on until 2 sigma^2 underflows

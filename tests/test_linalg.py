@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from corrpca.linalg import (
-    DegenerateBasisError,
     SingularDirectionError,
+    fix_sign,
     null_space_vector,
     power_iteration,
     sym_evd,
@@ -69,6 +69,23 @@ class TestSymEvd:
         pairs = sym_evd(np.zeros((3, 3)))
         assert np.array_equal(pairs.values, np.zeros(3))
 
+    def test_tied_entries_lowest_index_positive(self):
+        # both eigenvectors have entries of equal magnitude, +-1/sqrt(2)
+        V = sym_evd(np.array([[0.0, 1.0], [1.0, 0.0]])).vectors
+        assert np.abs(V[0, 0]) == np.abs(V[1, 0]) and np.abs(V[0, 1]) == np.abs(V[1, 1])
+        assert np.all(V[0] > 0)
+
+    def test_sign_matches_fix_sign_per_column(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            p = int(rng.integers(1, 9))
+            A = rng.standard_normal((p, p))
+            A = A + A.T
+            values, V = np.linalg.eigh(A)
+            V = V[:, np.argsort(-values, kind="stable")]
+            expected = np.column_stack([fix_sign(V[:, k]) for k in range(p)])
+            assert sym_evd(A).vectors.tobytes() == expected.tobytes()
+
 
 class TestPowerIteration:
     def test_dominant_axis(self):
@@ -126,6 +143,13 @@ class TestNullSpaceVector:
         assert np.linalg.norm(V.T @ v) <= 1e-8
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
+    def test_orthogonal_to_machine_precision(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            p = int(rng.integers(2, 12))
+            V = random_orthonormal(p, rng)[:, : p - 1]
+            assert np.linalg.norm(V.T @ null_space_vector(V)) <= 1e-14
+
     def test_sign_fixed(self):
         rng = np.random.default_rng(13)
         V = random_orthonormal(4, rng)[:, :3]
@@ -146,5 +170,5 @@ class TestNullSpaceVector:
 
     def test_degenerate_when_basis_spans_everything(self):
         # p=1 with zero columns is the only way to drive every residual to 0
-        with pytest.raises((DegenerateBasisError, ValueError)):
+        with pytest.raises(ValueError):
             null_space_vector(np.ones((2, 1)))

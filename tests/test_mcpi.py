@@ -456,6 +456,12 @@ class TestFit:
         with pytest.raises(DegenerateInputError):
             fit(X, MCPIConfig())
 
+    def test_collinear_columns_rejected_with_ratio(self):
+        X = clean_data(seed=8)
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+        with pytest.raises(DegenerateInputError, match=r"lambda_min / lambda_max = .*collinear"):
+            fit(X)
+
     def test_n_less_than_p_rejected(self):
         with pytest.raises(DegenerateInputError):
             fit(np.ones((2, 3)), MCPIConfig())
@@ -508,6 +514,10 @@ class TestStandardPCA:
         X = 1e160 * np.random.default_rng(1).standard_normal((50, 3))
         with pytest.raises(DegenerateInputError, match="overflows"):
             standard_pca(X)
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            standard_pca(np.empty((5, 0)))
 
     def test_recovers_demo_directions_within_sampling_error(self):
         X = clean_data(n=4000, seed=19)
