@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .datagen import ExperimentSpec, generate_experiment
+from .datagen import ExperimentSpec, cholesky, generate_experiment
 from .linalg import sym_evd
 from .mcpi import DegenerateInputError, MCPIConfig, PCAResult, fit, standard_pca
 from .metrics import component_alignment
@@ -43,8 +43,6 @@ def _read_matrix_csv(path: str, header: bool = False) -> np.ndarray:
         X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     if X.size == 0:
         raise ValueError("empty input")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite values")
     return X
 
 
@@ -119,6 +117,7 @@ def _load_scatter(args) -> np.ndarray:
         S = _read_matrix_csv(args.scatter_csv)
         if S.shape != (args.p, args.p):
             raise ValueError(f"scatter must be {args.p} x {args.p}, got {S.shape}")
+        cholesky(S)  # rejects non-finite, non-symmetric and non-PD scatters
         return S
     return _default_scatter(args.p)
 

@@ -2,11 +2,11 @@
 
 Two layers:
 
-* ``mcpi_ith_component`` -- fixed-point loop for one component: freeze the
-  sample weights, take the top eigenvector of the weighted scatter
-  compressed to the complement of the components already found,
-  (I - P) S (I - P), refresh the weights, repeat.  With no components found
-  this is the leading component.
+* ``mcpi_ith_component`` -- fixed-point loop for one component at one kernel
+  size (a one-round schedule): freeze the sample weights, take the top
+  eigenvector of the weighted scatter compressed to the complement of the
+  components already found, (I - P) S (I - P), refresh the weights, repeat.
+  With no components found this is the leading component.
 * ``fit`` -- full decomposition: an a-priori eigendecomposition of
   X^T X / n seeds each component and its kernel size
   (sigma_i = sqrt(n lambda_i), the i-th singular value of X), the kernel is
@@ -26,16 +26,15 @@ points and every later round from the quadratic one,
 3 (u_r - u_{r-1}) + u_{r-2}, normalised (all in complement coordinates);
 the fixed-point loop is the corrector.  The extrapolated start is never
 reported.  A component is ``converged`` when each round met its own
-tolerance within outer_max_iter outer iterations.  If sigma shrinks until
-every sample weight underflows, the schedule stops there and the component
-keeps the direction reached so far, which is converged only to
-sqrt(outer_tol); when the underflow comes on a round's first step, that is
-the last finished round's fixed point, not the extrapolated start.  It
-reports ``sigma_underflow=True`` and ``converged=False``.  A kernel so small
-that the largest exponent ||y||^2 / 2 sigma^2 overflows (below
-sigma ~ 1e-162 even 2 sigma^2 is 0) counts as underflow on the round's
-first step; it is tested once per round, outside the outer loop.  The
-iteration keeps whatever sign its steps produce; the sign convention of
+tolerance within outer_max_iter outer iterations.  The schedule stops early
+when the kernel no longer carries information: before a round, once sigma
+has reached the floor 2 sigma^2 <= eps max ||y||^2, or during one, when
+every sample weight underflows.  The component then keeps the
+direction reached so far, which is converged only to sqrt(outer_tol); when
+the stop comes before a round has finished a step, that is the last finished
+round's fixed point, not the extrapolated start.  It reports
+``sigma_underflow=True`` and ``converged=False``.  The iteration keeps
+whatever sign its steps produce; the sign convention of
 ``linalg.fix_sign`` is applied once, to the direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
@@ -53,8 +52,10 @@ operator, its n x p x p product and the (I - P) S (I - P) sandwich.
 Computing ||y||^2 - t^2 instead of the residual's norm cancels for rows
 nearly parallel to u; its absolute error is a few ulps of ||y||^2, so the
 exponent is off by at most about eps ||y||^2 / 2 sigma^2, and the clamp at 0
-keeps every weight in (0, 1].  ``correntropy.residual_weights`` remains the
-reference for these weights.
+keeps every weight in (0, 1].  At the floor that error reaches about 1 for
+the largest exponent, so the weights are rounding noise; the floor also lies
+far above the sizes at which an exponent overflows or 2 sigma^2 is 0.
+``correntropy.residual_weights`` remains the reference for these weights.
 
 The paper removes found components through the shifted operator
 K = Q (S - P S - S P) + theta I with Q = (I + P)^-1 kept by rank-one
@@ -69,11 +70,11 @@ kept as that paper-literal reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .correntropy import all_underflowed, exponent_overflows, rank_one_weights, weighted_scatter
+from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     SingularDirectionError,
     check_unit,
@@ -82,17 +83,6 @@ from .linalg import (
     null_space_vector,
     sym_evd,
 )
-
-
-class SigmaTooSmallError(RuntimeError):
-    """All sample weights underflowed; carries the last valid direction and
-    the number of outer steps finished at that kernel size (0 when the start
-    vector itself is the last valid direction)."""
-
-    def __init__(self, last_valid: np.ndarray, steps: int = 0):
-        super().__init__("kernel size shrank until every sample weight underflowed")
-        self.last_valid = last_valid
-        self.steps = steps
 
 
 class NumericalSingularityError(RuntimeError):
@@ -178,10 +168,11 @@ def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
 @dataclass
 class ComponentDiagnostics:
     """How one component was found.  For an iterated component,
-    ``converged`` is true only when no round underflowed and every decay
-    round met its own tolerance within ``outer_max_iter`` outer iterations:
-    sqrt(outer_tol) for the rounds before the last, ``outer_tol`` for the
-    last one."""
+    ``converged`` is true only when the schedule ran to its end and every
+    decay round met its own tolerance within ``outer_max_iter`` outer
+    iterations: sqrt(outer_tol) for the rounds before the last, ``outer_tol``
+    for the last one.  ``sigma_underflow`` marks a schedule stopped early, at
+    the kernel-size floor or when every weight underflowed."""
 
     final_sigma: float
     outer_iterations: int
@@ -252,43 +243,36 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     """Outer iterations at a fixed kernel size, in complement coordinates,
     until a step moves u by at most ``tol``.
 
-    Returns (u, outer iterations, converged); raises SigmaTooSmallError with
-    the last valid direction in the original coordinates when every weight
-    underflows, or before the first step when sigma is too small for the
-    weights' exponents to be formed at all.
+    Returns (u, outer iterations, converged, underflow).  When every weight
+    underflows, ``u`` is the last direction that still had weights (the start
+    vector if that happens on the first step) and the count is the number of
+    steps finished before.
     """
-    if exponent_overflows(cs.e_max, sigma):
-        raise SigmaTooSmallError(last_valid=cs.B @ u)
-    converged = False
-    outer = 0
-    for outer in range(1, max_iter + 1):
+    for outer in range(max_iter):
         w = rank_one_weights(cs.e, cs.Y @ u, sigma)
         if all_underflowed(w):
-            raise SigmaTooSmallError(last_valid=cs.B @ u, steps=outer - 1)
+            return u, outer, False, True
         u_new = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
         if float(u_new @ u) < 0.0:  # sign ambiguity must not stall convergence
             u_new = -u_new
-        if np.linalg.norm(u_new - u) <= tol:
-            u = u_new
-            converged = True
-            break
+        step = np.linalg.norm(u_new - u)
         u = u_new
-    return u, outer, converged
+        if step <= tol:
+            return u, outer + 1, True, False
+    return u, max_iter, False, False
 
 
 def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
-    """Next robust component, orthogonal to the unit vectors in ``components``.
+    """Next robust component, orthogonal to the unit vectors in ``components``:
+    a one-round schedule at kernel size ``sigma``, solved to ``outer_tol``.
 
     Each outer iteration weights the samples by the kernel of their residual
     (I - P - v v^T) x and moves v to the top eigenvector of the weighted
-    scatter compressed to the complement of range(P).
+    scatter compressed to the complement of range(P).  A ``sigma`` at the
+    kernel-size floor or an underflow is reported, not raised.
     """
-    cs = _Complement.of(np.asarray(X, dtype=float), components)
-    u0 = cs.coordinates(check_unit(v0))
-    u, outer, converged = _fixed_point(cs, sigma, u0, cfg.outer_tol, cfg.outer_max_iter)
-    return fix_sign(cs.B @ u), ComponentDiagnostics(
-        final_sigma=float(sigma), outer_iterations=outer, converged=converged
-    )
+    return _shrinking_rounds(np.asarray(X, dtype=float), components, sigma, check_unit(v0),
+                             replace(cfg, n_decay=1))
 
 
 def _predict(history: list[np.ndarray]) -> np.ndarray:
@@ -316,14 +300,17 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
     iteration produced (a fixed point takes the sign of its start, so
     consecutive points stay aligned); ``fix_sign`` could flip a point between
     rounds and wreck the extrapolation, so it is applied once, after the
-    loop, to the direction the component reports.  The prediction is never
-    reported: when every weight underflows on a round's first step, the
-    component keeps the last finished round's direction (in round 1, ``v``
-    projected onto the complement).
+    loop, to the direction the component reports.
+
+    The schedule stops, with ``sigma_underflow``, before a round once
+    2 sigma^2 <= eps max e (the kernel-size floor), or within one when every
+    weight underflows.  The prediction is never reported: a round that
+    finished a step keeps its direction, else the component keeps the last
+    finished round's (in round 1, ``v`` projected onto the complement).
     """
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
-    stopped_at = None  # where an underflow in the middle of a round stopped it
+    floor = np.finfo(float).eps * cs.e_max  # the kernel-size floor, on 2 sigma^2
     history: list[np.ndarray] = []
     early_tol = np.sqrt(cfg.outer_tol)
     final_sigma = float(sigma)
@@ -331,21 +318,22 @@ def _shrinking_rounds(X, components, sigma, v, cfg):
     converged = True
     underflow = False
     for r in range(cfg.n_decay):
+        if 2.0 * sigma * sigma <= floor:
+            underflow = True
+            break
         tol = cfg.outer_tol if r == cfg.n_decay - 1 else early_tol
         start = _predict(history) if history else u
-        try:
-            u, outer, round_converged = _fixed_point(cs, sigma, start, tol, cfg.outer_max_iter)
-        except SigmaTooSmallError as err:
-            if err.steps:
-                stopped_at = err.last_valid
-            underflow = True
+        u_round, outer, round_converged, underflow = _fixed_point(cs, sigma, start, tol, cfg.outer_max_iter)
+        if outer:  # a round that finished no step leaves u where it was
+            u = u_round
+        if underflow:
             break
         history = history[-2:] + [u]
         final_sigma = float(sigma)
         outer_total += outer
         converged = converged and round_converged
         sigma *= cfg.eta
-    return fix_sign(cs.B @ u if stopped_at is None else stopped_at), ComponentDiagnostics(
+    return fix_sign(cs.B @ u), ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
         converged=converged and not underflow,
@@ -397,8 +385,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
-    n_iterated = p - 1 if p > 1 else 1
-    for i in range(n_iterated):
+    for i in range(p - 1):
         # Initial kernel size: the i-th singular value of X, i.e.
         # sqrt(n * lambda_i) with lambda_i from the scatter/n spectrum.
         # Starting at data norm scale keeps the early rounds in the
@@ -409,9 +396,9 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
         components.append(v)
         diags.append(diag)
 
-    if p > 1:
-        components.append(null_space_vector(np.column_stack(components)))
-        diags.append(ComponentDiagnostics.direct("null_space"))
+    F = np.column_stack(components) if components else np.empty((p, 0))
+    components.append(null_space_vector(F))
+    diags.append(ComponentDiagnostics.direct("null_space"))
 
     return PCAResult(
         components=np.column_stack(components),

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from corrpca.cli import main
 
@@ -88,7 +89,7 @@ class TestFit:
 
     def test_tiny_sigma_schedule_reports_underflow(self, tmp_path):
         # rows along the coordinate axes: rows along a fixed point keep weight
-        # 1 at any sigma, so the schedule runs on until 2 sigma^2 underflows
+        # 1 at any sigma, so only the kernel-size floor ends the schedule
         rng = np.random.default_rng(0)
         X = np.vstack([np.outer(rng.uniform(2.0, 3.0, 30), e) for e in np.eye(3)])
         data = tmp_path / "data.csv"
@@ -99,6 +100,15 @@ class TestFit:
         assert [(d["sigma_underflow"], d["converged"]) for d in doc["diagnostics"][:2]] == [(True, False)] * 2
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_cell_exit_3(self, tmp_path, bad, capsys):
+        rows = np.random.default_rng(3).standard_normal((20, 3)).astype(str)
+        rows[4, 1] = bad
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_header_flag(self, tmp_path):
         data = tmp_path / "h.csv"
@@ -147,3 +157,24 @@ class TestDemo:
         ) == 0
         kinds = [line.split(",")[0] for line in plot.read_text().splitlines()[1:]]
         assert kinds.count("outlier") == 5
+
+
+BAD_SCATTERS = {
+    "non_symmetric": [[4.0, 1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
+    "non_pd": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "nan": [[4.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 2.0]],
+}
+
+
+class TestScatterCsv:
+    @pytest.mark.parametrize("kind", sorted(BAD_SCATTERS))
+    @pytest.mark.parametrize("command", ["demo", "synth"])
+    def test_bad_scatter_exit_2(self, tmp_path, command, kind, capsys):
+        scatter = tmp_path / "scatter.csv"
+        np.savetxt(scatter, np.array(BAD_SCATTERS[kind]), delimiter=",")
+        args = [command, "--n", 40, "--p", 3, "--seed", 0, "--scatter-csv", scatter,
+                "--output", tmp_path / "out"]
+        if command == "demo":
+            args += ["--replicates", 1, "--n-decay", 2]
+        assert run(args) == 2
+        assert "bad scatter matrix" in capsys.readouterr().err

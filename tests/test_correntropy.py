@@ -5,13 +5,13 @@ import pytest
 
 from corrpca.correntropy import (
     all_underflowed,
-    exponent_overflows,
     gaussian_kernel,
     rank_one_weights,
     residual_weights,
     weighted_scatter,
 )
 from corrpca.linalg import sym_evd
+from corrpca.mcpi import MCPIConfig, mcpi_ith_component
 
 
 class TestGaussianKernel:
@@ -138,33 +138,45 @@ class TestRankOneWeights:
             rank_one_weights(np.ones(2), np.zeros(2), 0.0)
 
 
+def stops_at_floor(Y, sigma, u):
+    """Whether a one-step schedule from u at this sigma reports underflow.
+    Some row of Y has e - t^2 <= 0 at u, so its weight on that step is
+    exactly 1 and only the kernel-size floor can stop the schedule."""
+    return mcpi_ith_component(Y, [], sigma, u, MCPIConfig(outer_max_iter=1))[1].sigma_underflow
+
+
 class TestExponentOverflows:
+    """The floor 2 sigma^2 <= eps max e that ends a kernel schedule covers
+    every sigma at which the weights' exponents overflow or 2 sigma^2 is 0."""
+
     def test_zero_and_overflowing_scale(self):
-        assert exponent_overflows(100.0, 1e-170)  # 2 sigma^2 is 0
-        assert exponent_overflows(100.0, 1e-155)  # 100 / 2 sigma^2 overflows
-        assert not exponent_overflows(100.0, 1e-150)
-        assert not exponent_overflows(100.0, 1.0)
+        Y, u = np.diag([10.0, 1.0]), np.array([1.0, 0.0])  # max e = 100
+        assert stops_at_floor(Y, 1e-170, u)  # 2 sigma^2 is 0
+        assert stops_at_floor(Y, 1e-155, u)  # 100 / 2 sigma^2 overflows
+        assert stops_at_floor(Y, 1e-150, u)
+        assert stops_at_floor(Y, 1e-7, u)  # 2 sigma^2 = 2e-14 <= eps * 100
+        assert not stops_at_floor(Y, 1.1e-7, u)
+        assert not stops_at_floor(Y, 1.0, u)
 
     def test_weights_finite_whenever_not_flagged(self):
-        # sigma sweeps through the band where 2 sigma^2 is subnormal and then
-        # 0; rows 0-8 are parallel to u, so their exponents are (about) 0.
-        # Pytest turns the RuntimeWarning of an overflowing or 0/0 division
-        # into an error, so every unflagged sigma must form its weights
-        # silently.
+        # sigma sweeps down across the floor, through the band where
+        # 2 sigma^2 is subnormal and then 0; rows 0-8 are parallel to u, so
+        # their exponents are (about) 0.  Pytest turns the RuntimeWarning of
+        # an overflowing or 0/0 division into an error, so every unflagged
+        # sigma must form its weights silently.
         rng = np.random.default_rng(13)
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         Y = np.vstack([np.outer(np.linspace(1.0, 5.0, 9), u), 30.0 * rng.standard_normal((40, 3))])
         e = np.einsum("ij,ij->i", Y, Y)
         t = Y @ u
-        flagged = 0
-        for sigma in np.geomspace(1e-140, 1e-170, 301):
-            if exponent_overflows(e.max(), sigma):
-                flagged += 1
-                continue
+        sigmas = np.geomspace(1.0, 1e-170, 341)
+        flags = [stops_at_floor(Y, sigma, u) for sigma in sigmas]
+        assert flags == sorted(flags)  # once flagged, every smaller sigma is too
+        assert 0 < sum(flags) < len(flags)
+        for sigma in sigmas[~np.array(flags)]:
             w = rank_one_weights(e, t, sigma)
             assert np.all((w >= 0.0) & (w <= 1.0))
-        assert 0 < flagged < 301
 
 
 class TestWeightedScatter:

@@ -12,7 +12,6 @@ from corrpca.mcpi import (
     DegenerateInputError,
     MCPIConfig,
     NumericalSingularityError,
-    SigmaTooSmallError,
     build_deflated_operator,
     fit,
     mcpi_ith_component,
@@ -173,17 +172,21 @@ class TestIthComponent:
         assert abs_cos(v, prior) <= 1e-8
 
     def test_tiny_sigma_raises_underflow(self):
-        with pytest.raises(SigmaTooSmallError):
-            mcpi_ith_component(axis_rows(), [], 1e-170, np.array([1.0, 0.0, 0.0]), MCPIConfig())
+        # far below the floor: reported before any step, at the start vector
+        v0 = np.array([0.0, -1.0, 0.0])
+        v, diag = mcpi_ith_component(axis_rows(), [], 1e-170, v0, MCPIConfig())
+        assert diag.sigma_underflow and not diag.converged and diag.outer_iterations == 0
+        assert np.array_equal(v, fix_sign(v0))
 
     def test_underflow_carries_direction_in_original_coordinates(self):
+        # above the floor, but every weight underflows on the first step
         X = clean_data(seed=7)
         pairs = sym_evd(X.T @ X)
         prior = pairs.vectors[:, 0]
         v0 = np.ones(3) / np.sqrt(3.0)
-        with pytest.raises(SigmaTooSmallError) as err:
-            mcpi_ith_component(X, [prior], 1e-6, v0, MCPIConfig())
-        assert np.max(np.abs(err.value.last_valid - orthogonalize_against(v0, [prior]))) <= 1e-12
+        v, diag = mcpi_ith_component(X, [prior], 1e-6, v0, MCPIConfig())
+        assert diag.sigma_underflow and not diag.converged
+        assert np.max(np.abs(v - fix_sign(orthogonalize_against(v0, [prior])))) <= 1e-12
 
     def test_eigen_step_matches_deflated_operator_reference(self):
         # one outer iteration of the production solver against power
@@ -333,25 +336,22 @@ class TestFit:
     def test_first_step_underflow_keeps_last_fixed_point(self, monkeypatch):
         # sigma0 = 0.5, eta = 0.3: six rounds of component 1 finish, and on
         # the seventh every weight underflows at the extrapolated start
-        rounds = []
+        rounds = []  # (sigma, start, u, steps, underflow) per round
         solve = mcpi._fixed_point
 
         def recorded(cs, sigma, u, tol, max_iter):
-            try:
-                result = solve(cs, sigma, u, tol, max_iter)
-            except SigmaTooSmallError as err:
-                rounds.append((sigma, u, None, err.steps))
-                raise
-            rounds.append((sigma, u, result[0], None))
+            result = solve(cs, sigma, u, tol, max_iter)
+            u_end, steps, _, underflow = result
+            rounds.append((sigma, u, u_end, steps, underflow))
             return result
 
         monkeypatch.setattr(mcpi, "_fixed_point", recorded)
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
                                                   nu=15.0, seed=0))
         res = fit(X, MCPIConfig(sigma0=0.5, eta=0.3, n_decay=30))
-        finished = next(r for r, (_, _, u, _) in enumerate(rounds) if u is None)
-        sigma_last, _, u_last, _ = rounds[finished - 1]
-        _, start, _, steps = rounds[finished]
+        finished = next(r for r, round_ in enumerate(rounds) if round_[4])
+        sigma_last, _, u_last, _, _ = rounds[finished - 1]
+        _, start, _, steps, _ = rounds[finished]
         assert finished >= 3 and steps == 0
         d = res.diagnostics[0]
         assert d.sigma_underflow and not d.converged and d.final_sigma == sigma_last
@@ -361,9 +361,9 @@ class TestFit:
 
     @pytest.mark.parametrize("data", ["demo", "axis"])
     def test_tiny_sigma_ends_as_underflow(self, data):
-        # the schedule reaches sigma < 1e-162, where 2 sigma^2 is 0 and a
-        # row along u would get weight 0/0; on the axis data such rows keep
-        # weight 1 until then
+        # n_decay = 400 would take sigma below 1e-162, where 2 sigma^2 is 0
+        # and a row along u would get weight 0/0; on the axis data such rows
+        # keep weight 1 at any sigma, so only the floor stops the schedule
         if data == "demo":
             X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, seed=9))
         else:
@@ -372,6 +372,17 @@ class TestFit:
         assert all(d.sigma_underflow and not d.converged for d in res.diagnostics[:2])
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
+
+    def test_floor_stops_schedule_on_clean_data(self):
+        # rows whose e - t^2 rounds to <= 0 keep weight 1 at any sigma, so
+        # without the floor component 2 shrinks on to sigma ~ 1e-104 and
+        # reports convergence, its direction set by those few rows alone
+        X = clean_data(seed=9)
+        res = fit(X, MCPIConfig(sigma0=1.0, eta=0.3, n_decay=200))
+        d = res.diagnostics[1]
+        assert d.sigma_underflow and not d.converged
+        e = np.sum(X * X, axis=1) - (X @ res.components[:, 0]) ** 2  # energies in the complement
+        assert d.final_sigma >= np.sqrt(np.finfo(float).eps * e.max() / 2.0)
 
     def test_underflow_reported(self):
         res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=3))
@@ -413,10 +424,12 @@ class TestFit:
         assert np.all(np.diff(res.apriori_eigenvalues) <= 0)
 
     def test_p1_degenerate(self):
+        # the only component is the complement of none, for either sign of X
         X = np.abs(np.random.default_rng(10).standard_normal((20, 1))) + 0.5
-        res = fit(X, MCPIConfig(n_decay=3))
-        assert res.components.shape == (1, 1)
-        assert res.components[0, 0] == pytest.approx(1.0)
+        for data in (X, -X):
+            res = fit(data, MCPIConfig(n_decay=3))
+            assert np.array_equal(res.components, [[1.0]])
+            assert [d.method for d in res.diagnostics] == ["null_space"]
 
     def test_frozen_huge_sigma_matches_pca(self):
         X = clean_data(seed=11)
