@@ -1,7 +1,10 @@
 """Command-line entry point: fit a CSV dataset, synthesize one, or run the
 outlier-contamination demo comparing the robust fit against plain PCA.
 
-Exit codes: 0 success, 2 parse error, 3 degenerate input, 4 I/O error.
+Exit codes: 0 success; 2 a bad flag or input file, decided by argparse or
+by the one ``try`` in which each command checks all its flags and inputs
+before any work; 3 degenerate input (``DegenerateInputError``) and 4 a failed
+write (an ``OSError`` once the inputs are read), both decided in ``main``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from .linalg import sym_evd
 from .mcpi import DegenerateInputError, MCPIConfig, PCAResult, fit, standard_pca
 from .metrics import component_alignment
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Demo default scatter for p=3; distinct eigenvalues, off-axis eigenvectors.
 DEFAULT_SCATTER_3D = np.array(
@@ -38,11 +42,15 @@ def _default_scatter(p: int) -> np.ndarray:
 
 
 def _read_matrix_csv(path: str, header: bool = False) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # empty input is reported as a parse error
-        X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    """The numbers in a CSV file; ValueError if it cannot be read or parsed."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty input is reported as a parse error
+            X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot parse {path}: {err}") from err
     if X.size == 0:
-        raise ValueError("empty input")
+        raise ValueError(f"cannot parse {path}: empty input")
     return X
 
 
@@ -63,22 +71,38 @@ def _result_dict(result: PCAResult) -> dict:
     }
 
 
-def _config_from_args(args) -> MCPIConfig:
-    return MCPIConfig(eta=args.eta, n_decay=args.n_decay, center=args.center)
+def _config(args) -> MCPIConfig:
+    cfg = MCPIConfig(eta=args.eta, n_decay=args.n_decay, center=args.center)
+    cfg.validate()
+    return cfg
+
+
+def _experiment(args) -> ExperimentSpec:
+    """The checked experiment of ``synth`` and ``demo``, with the scatter read
+    from ``--scatter-csv`` or the default one for ``--p``."""
+    scatter = _default_scatter(args.p)
+    if args.scatter_csv:
+        try:
+            scatter = _read_matrix_csv(args.scatter_csv)
+            if scatter.shape != (args.p, args.p):
+                raise ValueError(f"scatter must be {args.p} x {args.p}, got {scatter.shape}")
+            cholesky(scatter)  # rejects non-finite, non-symmetric and non-PD scatters
+        except ValueError as err:
+            raise ValueError(f"bad scatter matrix: {err}") from err
+    spec = ExperimentSpec(n=args.n, p=args.p, scatter=scatter, outlier_fraction=args.outlier_frac,
+                          nu=args.nu, seed=args.seed)
+    spec.validate()
+    return spec
 
 
 def cmd_fit(args) -> int:
     try:
+        cfg = _config(args)
         X = _read_matrix_csv(args.input, args.header)
-    except (OSError, ValueError) as err:
-        print(f"error: cannot parse {args.input}: {err}", file=sys.stderr)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _config_from_args(args)
-    try:
-        result = fit(X, cfg)
-    except DegenerateInputError as err:
-        print(f"error: degenerate input: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    result = fit(X, cfg)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
@@ -86,51 +110,19 @@ def cmd_fit(args) -> int:
             "eta": cfg.eta,
             "n_decay": cfg.n_decay,
             "center": cfg.center,
-            "seed": args.seed,
             "input": args.input,
         },
         "n": int(X.shape[0]),
         "p": int(X.shape[1]),
         **_result_dict(result),
     }
-    try:
-        _write_json(args.output, report)
-    except OSError as err:
-        print(f"error: cannot write {args.output}: {err}", file=sys.stderr)
-        return EXIT_IO
+    _write_json(args.output, report)
     return EXIT_OK
-
-
-def _spec_from_args(args, scatter: np.ndarray, seed: int) -> ExperimentSpec:
-    return ExperimentSpec(
-        n=args.n,
-        p=args.p,
-        scatter=scatter,
-        outlier_fraction=args.outlier_frac,
-        nu=args.nu,
-        seed=seed,
-    )
-
-
-def _load_scatter(args) -> np.ndarray:
-    if getattr(args, "scatter_csv", None):
-        S = _read_matrix_csv(args.scatter_csv)
-        if S.shape != (args.p, args.p):
-            raise ValueError(f"scatter must be {args.p} x {args.p}, got {S.shape}")
-        cholesky(S)  # rejects non-finite, non-symmetric and non-PD scatters
-        return S
-    return _default_scatter(args.p)
 
 
 def cmd_synth(args) -> int:
     try:
-        scatter = _load_scatter(args)
-    except (OSError, ValueError) as err:
-        print(f"error: bad scatter matrix: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    spec = _spec_from_args(args, scatter, args.seed)
-    try:
-        spec.validate()
+        spec = _experiment(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -141,18 +133,14 @@ def cmd_synth(args) -> int:
         "seed": spec.seed,
         "n": spec.n,
         "p": spec.p,
-        "scatter_rows": scatter.tolist(),
+        "scatter_rows": spec.scatter.tolist(),
         "outlier_fraction": spec.outlier_fraction,
         "nu": spec.nu,
         "outlier_basis": args.outlier_basis,
         "outlier_indices": idx.tolist(),
     }
-    try:
-        np.savetxt(args.output, X, delimiter=",", fmt="%.17g")
-        _write_json(args.output + ".meta.json", sidecar)
-    except OSError as err:
-        print(f"error: cannot write {args.output}: {err}", file=sys.stderr)
-        return EXIT_IO
+    np.savetxt(args.output, X, delimiter=",", fmt="%.17g")
+    _write_json(args.output + ".meta.json", sidecar)
     return EXIT_OK
 
 
@@ -174,42 +162,40 @@ def _write_plot_csv(path, X, idx, eigvals, V_true, V_mcpi, V_pca) -> None:
 
 def cmd_demo(args) -> int:
     try:
-        scatter = _load_scatter(args)
-    except (OSError, ValueError) as err:
-        print(f"error: bad scatter matrix: {err}", file=sys.stderr)
+        spec = _experiment(args)
+        cfg = _config(args)
+        if args.replicates < 1:
+            raise ValueError(f"--replicates must be >= 1, got {args.replicates}")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _config_from_args(args)
-    truth = sym_evd(scatter)
+    truth = sym_evd(spec.scatter)
     V_true = truth.vectors
 
     replicate_rows = []
     mcpi_scores = np.empty((args.replicates, args.p))
     pca_scores = np.empty((args.replicates, args.p))
     first = None
-    try:
-        for r in range(args.replicates):
-            spec = _spec_from_args(args, scatter, args.seed + r)
-            X, idx = generate_experiment(spec, args.outlier_basis)
-            res_m = fit(X, cfg)
-            res_p = standard_pca(X, cfg.center)
-            a_m = component_alignment(res_m.components, V_true)
-            a_p = component_alignment(res_p.components, V_true)
-            mcpi_scores[r] = a_m.per_component_abs_cos
-            pca_scores[r] = a_p.per_component_abs_cos
-            if first is None:
-                first = (X, idx, res_m.components, res_p.components)
-            replicate_rows.append(
-                {
-                    "replicate": r,
-                    "seed": spec.seed,
-                    "n_outliers": int(idx.size),
-                    "mcpi_abs_cos": a_m.per_component_abs_cos.tolist(),
-                    "pca_abs_cos": a_p.per_component_abs_cos.tolist(),
-                }
-            )
-    except DegenerateInputError as err:
-        print(f"error: degenerate input: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    for r in range(args.replicates):
+        rep_spec = replace(spec, seed=args.seed + r)
+        X, idx = generate_experiment(rep_spec, args.outlier_basis)
+        res_m = fit(X, cfg)
+        res_p = standard_pca(X, cfg.center)
+        a_m = component_alignment(res_m.components, V_true)
+        a_p = component_alignment(res_p.components, V_true)
+        mcpi_scores[r] = a_m.per_component_abs_cos
+        pca_scores[r] = a_p.per_component_abs_cos
+        if first is None:
+            first = (X, idx, res_m.components, res_p.components)
+        replicate_rows.append(
+            {
+                "replicate": r,
+                "seed": rep_spec.seed,
+                "n_outliers": int(idx.size),
+                "mcpi_abs_cos": a_m.per_component_abs_cos.tolist(),
+                "pca_abs_cos": a_p.per_component_abs_cos.tolist(),
+            }
+        )
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -225,7 +211,7 @@ def cmd_demo(args) -> int:
             "seed": args.seed,
             "replicates": args.replicates,
             "outlier_basis": args.outlier_basis,
-            "scatter_rows": scatter.tolist(),
+            "scatter_rows": spec.scatter.tolist(),
         },
         "true_eigenvalues": truth.values.tolist(),
         "true_components_rows": V_true.tolist(),
@@ -237,14 +223,10 @@ def cmd_demo(args) -> int:
             "pca_mean_abs_cos": np.mean(pca_scores, axis=0).tolist(),
         },
     }
-    try:
-        _write_json(args.output, report)
-        if args.plot_csv:
-            X, idx, V_m, V_p = first
-            _write_plot_csv(args.plot_csv, X, idx, truth.values, V_true, V_m, V_p)
-    except OSError as err:
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        return EXIT_IO
+    _write_json(args.output, report)
+    if args.plot_csv:
+        X, idx, V_m, V_p = first
+        _write_plot_csv(args.plot_csv, X, idx, truth.values, V_true, V_m, V_p)
     return EXIT_OK
 
 
@@ -261,39 +243,38 @@ def build_parser() -> argparse.ArgumentParser:
     schedule.add_argument("--n-decay", type=int, default=65)
     schedule.add_argument("--center", action="store_true")
 
+    # The ExperimentSpec options shared by synth and demo (besides --n, --p
+    # and --seed, whose defaults differ).
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--outlier-frac", type=float, default=0.0)
+    data.add_argument("--nu", type=float, default=15.0)
+    data.add_argument("--outlier-basis", choices=("literal", "rotated"), default="literal")
+    data.add_argument("--scatter-csv", default=None, help="override the p x p scatter")
+
     p_fit = sub.add_parser(
         "fit", parents=[schedule], help="fit a CSV dataset and write a JSON report"
     )
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--output", default="-")
     p_fit.add_argument("--header", action="store_true", help="skip one header line")
-    p_fit.add_argument("--seed", type=int, default=0, help="echoed into the report")
     p_fit.set_defaults(func=cmd_fit)
 
     p_demo = sub.add_parser(
-        "demo", parents=[schedule], help="synthetic comparison against plain PCA"
+        "demo", parents=[schedule, data], help="synthetic comparison against plain PCA"
     )
     p_demo.add_argument("--n", type=int, default=400)
     p_demo.add_argument("--p", type=int, default=3)
-    p_demo.add_argument("--outlier-frac", type=float, default=0.0)
-    p_demo.add_argument("--nu", type=float, default=15.0)
     p_demo.add_argument("--replicates", type=int, default=20)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--output", default="-")
     p_demo.add_argument("--plot-csv", default=None)
-    p_demo.add_argument("--outlier-basis", choices=("literal", "rotated"), default="literal")
-    p_demo.add_argument("--scatter-csv", default=None, help="override the p x p scatter")
     p_demo.set_defaults(func=cmd_demo)
 
-    p_synth = sub.add_parser("synth", help="write a synthetic dataset as CSV")
+    p_synth = sub.add_parser("synth", parents=[data], help="write a synthetic dataset as CSV")
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--p", type=int, required=True)
-    p_synth.add_argument("--outlier-frac", type=float, default=0.0)
-    p_synth.add_argument("--nu", type=float, default=15.0)
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--outlier-basis", choices=("literal", "rotated"), default="literal")
-    p_synth.add_argument("--scatter-csv", default=None, help="override the p x p scatter")
     p_synth.set_defaults(func=cmd_synth)
 
     return parser
@@ -301,7 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DegenerateInputError as err:
+        print(f"error: degenerate input: {err}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except OSError as err:  # the commands read all their inputs before this
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

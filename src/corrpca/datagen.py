@@ -31,7 +31,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n < 1 or self.p < 1:
+        if not (self.n >= 1 and self.p >= 1):
             raise ValueError("n and p must be positive")
         scatter = np.asarray(self.scatter, dtype=float)
         if scatter.shape != (self.p, self.p):
@@ -39,8 +39,8 @@ class ExperimentSpec:
         check_symmetric(scatter)
         if not (0.0 <= self.outlier_fraction <= 1.0):
             raise ValueError("outlier_fraction must be in [0, 1]")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not (0.0 < self.nu < np.inf):
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
 
     @property
     def n_outliers(self) -> int:

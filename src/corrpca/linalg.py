@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Largest max |A - A^T| that check_symmetric (and so sym_evd) accepts.
+SYMMETRY_TOL = 1e-9
+
+
 class SingularDirectionError(ValueError):
     """Power iteration hit K v = 0, or a start vector lies in the span of the
     found components; the next direction is undefined."""
@@ -45,15 +49,15 @@ def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
     return V
 
 
-def check_symmetric(A: np.ndarray, tol: float = 1e-9) -> None:
+def check_symmetric(A: np.ndarray) -> None:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     dev = np.max(np.abs(A - A.T)) if A.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix not symmetric: max |A - A^T| = {dev:g} > {tol:g}")
+    if dev > SYMMETRY_TOL:
+        raise ValueError(f"matrix not symmetric: max |A - A^T| = {dev:g} > {SYMMETRY_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,13 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def sym_evd(A: np.ndarray, sym_tol: float = 1e-9) -> EigenPairs:
+def sym_evd(A: np.ndarray) -> EigenPairs:
     """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come back in non-increasing order with ties broken by
     LAPACK's ascending column order, so output is deterministic.
     """
-    check_symmetric(A, sym_tol)
+    check_symmetric(A)
     values, V = np.linalg.eigh(np.asarray(A, dtype=float))
     order = np.argsort(-values, kind="stable")
     V = V[:, order]

@@ -113,16 +113,17 @@ class MCPIConfig:
     sigma0: float | None = None
 
     def validate(self) -> None:
+        """ValueError unless every field is in range; NaN is out of every range."""
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must be in (0,1), got {self.eta}")
-        if self.n_decay < 1:
-            raise ValueError("n_decay must be >= 1")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
-        if self.outer_max_iter < 1:
-            raise ValueError("outer_max_iter must be >= 1")
-        if self.sigma0 is not None and self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive when set")
+        if not (self.n_decay >= 1):
+            raise ValueError(f"n_decay must be >= 1, got {self.n_decay}")
+        if not (0.0 < self.outer_tol < np.inf):
+            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
+        if not (self.outer_max_iter >= 1):
+            raise ValueError(f"outer_max_iter must be >= 1, got {self.outer_max_iter}")
+        if self.sigma0 is not None and not (0.0 < self.sigma0 < np.inf):
+            raise ValueError(f"sigma0 must be positive and finite when set, got {self.sigma0}")
 
 
 @dataclass
@@ -269,10 +270,13 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     Each outer iteration weights the samples by the kernel of their residual
     (I - P - v v^T) x and moves v to the top eigenvector of the weighted
     scatter compressed to the complement of range(P).  A ``sigma`` at the
-    kernel-size floor or an underflow is reported, not raised.
+    kernel-size floor or an underflow is reported, not raised.  ``X`` gets
+    ``fit``'s input checks but the rank test, and ``sigma`` those of ``sigma0``.
     """
-    return _shrinking_rounds(np.asarray(X, dtype=float), components, sigma, check_unit(v0),
-                             replace(cfg, n_decay=1))
+    cfg = replace(cfg, n_decay=1, sigma0=sigma)
+    cfg.validate()
+    X, _ = _scatter_evd(X, center=False)
+    return _shrinking_rounds(X, components, sigma, check_unit(v0), cfg)
 
 
 def _predict(history: list[np.ndarray]) -> np.ndarray:

@@ -35,19 +35,6 @@ class TestSynth:
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", b])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_spec_exit_2(self, tmp_path):
-        out = tmp_path / "x.csv"
-        assert run(
-            ["synth", "--n", 10, "--p", 3, "--seed", 0, "--outlier-frac", 2.0,
-             "--output", out]
-        ) == 2
-
-    def test_unwritable_output_exit_4(self, tmp_path):
-        assert run(
-            ["synth", "--n", 10, "--p", 3, "--seed", 0,
-             "--output", str(tmp_path / "no" / "such" / "dir.csv")]
-        ) == 4
-
 
 class TestFit:
     def test_round_trip_from_synth(self, tmp_path):
@@ -56,7 +43,7 @@ class TestFit:
         run(["synth", "--n", 120, "--p", 3, "--seed", 5, "--output", data])
         assert run(["fit", "--input", data, "--output", report]) == 0
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["n"] == 120 and doc["p"] == 3
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
@@ -178,3 +165,40 @@ class TestScatterCsv:
             args += ["--replicates", 1, "--n-decay", 2]
         assert run(args) == 2
         assert "bad scatter matrix" in capsys.readouterr().err
+
+
+# Valid flags per command; the flags of a row come after them and so win.
+VALID_FLAGS = {
+    "fit": ["--input", "{data}", "--n-decay", 2],
+    "synth": ["--n", 40, "--p", 3, "--seed", 0],
+    "demo": ["--n", 40, "--replicates", 1, "--n-decay", 2],
+}
+
+
+def row(command, flags, code, name=None):
+    name = name or ",".join(f"{k[2:]}={v}" for k, v in zip(flags[::2], flags[1::2]))
+    return pytest.param(command, flags, code, id=f"{command}-{name}")
+
+
+EXIT_TABLE = [
+    *(row(c, f, 2) for c in ("synth", "demo")
+      for f in (["--outlier-frac", 2], ["--nu", -1], ["--nu", "nan"], ["--n", 0], ["--p", 0])),
+    *(row(c, f, 2) for c in ("fit", "demo") for f in (["--eta", 2], ["--n-decay", 0])),
+    row("demo", ["--replicates", 0], 2),
+    row("demo", ["--replicates", -1], 2),
+    row("demo", ["--n", 2, "--p", 3], 3),
+    *(row(c, ["--output", "{tmp}/no/such/dir/out"], 4, "unwritable-output")
+      for c in ("fit", "demo", "synth")),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command,flags,code", EXIT_TABLE)
+    def test_exit_code(self, tmp_path, capsys, command, flags, code):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((40, 3)), delimiter=",")
+        argv = [command, *VALID_FLAGS[command], "--output", tmp_path / "out", *flags]
+        argv = [str(a).format(data=data, tmp=tmp_path) for a in argv]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

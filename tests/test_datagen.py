@@ -132,5 +132,6 @@ class TestGenerateExperiment:
             ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.5).validate()
         with pytest.raises(ValueError):
             ExperimentSpec(n=10, p=2, scatter=DEMO_SCATTER).validate()
-        with pytest.raises(ValueError):
-            ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, nu=-1.0).validate()
+        for nu in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nu must be positive and finite"):
+                ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, nu=nu).validate()

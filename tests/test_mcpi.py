@@ -188,6 +188,21 @@ class TestIthComponent:
         assert diag.sigma_underflow and not diag.converged
         assert np.max(np.abs(v - fix_sign(orthogonalize_against(v0, [prior])))) <= 1e-12
 
+    def test_non_finite_input_rejected(self):
+        X = clean_data(seed=7)
+        X[3, 1] = np.nan
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            mcpi_ith_component(X, [], 2.0, np.array([1.0, 0.0, 0.0]), MCPIConfig())
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(DegenerateInputError, match="n x p"):
+            mcpi_ith_component(np.arange(5.0), [], 2.0, np.array([1.0]), MCPIConfig())
+
+    def test_config_validated(self):
+        X = clean_data(seed=7)
+        with pytest.raises(ValueError, match="outer_tol"):
+            mcpi_ith_component(X, [], 2.0, np.array([1.0, 0.0, 0.0]), MCPIConfig(outer_tol=-1.0))
+
     def test_eigen_step_matches_deflated_operator_reference(self):
         # one outer iteration of the production solver against power
         # iteration on the paper's shifted Woodbury operator, from the state
@@ -550,6 +565,12 @@ class TestConfigValidation:
             {"outer_tol": 0.0},
             {"outer_max_iter": 0},
             {"sigma0": -1.0},
+            {"eta": np.nan},
+            {"n_decay": np.nan},
+            {"outer_tol": np.nan},
+            {"outer_tol": np.inf},
+            {"sigma0": np.nan},
+            {"sigma0": np.inf},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
