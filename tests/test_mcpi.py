@@ -65,6 +65,31 @@ def every_round_reference(X, cfg, early_tol=None):
     return np.column_stack(components), outer, flips
 
 
+def record_rounds(monkeypatch):
+    """Patch ``mcpi._fixed_point`` to log every round as (complement set-up,
+    sigma, start, u, steps, converged, underflow)."""
+    rounds = []
+    solve = mcpi._fixed_point
+
+    def recorded(cs, sigma, u, tol, max_iter):
+        result = solve(cs, sigma, u, tol, max_iter)
+        rounds.append((cs, sigma, u, *result))
+        return result
+
+    monkeypatch.setattr(mcpi, "_fixed_point", recorded)
+    return rounds
+
+
+def per_component(rounds):
+    """Recorded rounds split by component: each has its own set-up."""
+    components = []
+    for round_ in rounds:
+        if not components or components[-1][0][0] is not round_[0]:
+            components.append([])
+        components[-1].append(round_)
+    return components
+
+
 class TestWoodburyUpdate:
     def test_identity_plus_rank_one(self):
         v = np.array([0.0, 1.0, 0.0])
@@ -294,12 +319,22 @@ class TestFit:
             v_next, _ = mcpi_ith_component(X, list(res.components[:, :i].T), d.final_sigma, v, MCPIConfig())
             assert np.max(np.abs(v_next - v)) <= 1e-7
 
-    @pytest.mark.parametrize("p", [3, 10])
-    def test_matches_every_round_at_outer_tol(self, p):
+    @pytest.mark.parametrize(
+        "p, fraction, basis",
+        [
+            pytest.param(3, 0.05, "literal", id="3"),
+            pytest.param(10, 0.05, "literal", id="10"),
+            (3, 0.1, "literal"),
+            (3, 0.1, "rotated"),
+            (3, 0.3, "literal"),
+            (3, 0.3, "rotated"),
+        ],
+    )
+    def test_matches_every_round_at_outer_tol(self, p, fraction, basis):
         # reference: every decay round solved to outer_tol
         scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
-        X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=0.05,
-                                                  nu=15.0, seed=5))
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=fraction,
+                                                  nu=15.0, seed=5), basis)
         cfg = MCPIConfig()
         ref, _, _ = every_round_reference(X, cfg)
         V = fit(X, cfg).components
@@ -349,30 +384,75 @@ class TestFit:
         assert np.all(1.0 - np.abs(cos) <= 1e-12)
 
     def test_first_step_underflow_keeps_last_fixed_point(self, monkeypatch):
-        # sigma0 = 0.5, eta = 0.3: six rounds of component 1 finish, and on
-        # the seventh every weight underflows at the extrapolated start
-        rounds = []  # (sigma, start, u, steps, underflow) per round
-        solve = mcpi._fixed_point
-
-        def recorded(cs, sigma, u, tol, max_iter):
-            result = solve(cs, sigma, u, tol, max_iter)
-            u_end, steps, _, underflow = result
-            rounds.append((sigma, u, u_end, steps, underflow))
-            return result
-
-        monkeypatch.setattr(mcpi, "_fixed_point", recorded)
+        # sigma0 = 0.5, eta = 0.3: long steps of component 1 underflow and are
+        # discarded, until a unit step underflows on its first step, at the
+        # extrapolated start; the component keeps the last accepted fixed point
+        rounds = record_rounds(monkeypatch)
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
                                                   nu=15.0, seed=0))
         res = fit(X, MCPIConfig(sigma0=0.5, eta=0.3, n_decay=30))
-        finished = next(r for r, round_ in enumerate(rounds) if round_[4])
-        sigma_last, _, u_last, _, _ = rounds[finished - 1]
-        _, start, _, steps, _ = rounds[finished]
-        assert finished >= 3 and steps == 0
+        *earlier, (_, _, start, _, steps, _, underflow) = per_component(rounds)[0]
+        assert underflow and steps == 0
+        accepted = [round_ for round_ in earlier if not round_[6]]
+        assert len(accepted) >= 3 and len(accepted) < len(earlier)
+        assert all(round_[5] for round_ in accepted)
+        _, sigma_last, _, u_last, _, _, _ = accepted[-1]
         d = res.diagnostics[0]
         assert d.sigma_underflow and not d.converged and d.final_sigma == sigma_last
         v = res.components[:, 0]  # the complement of no components is the identity
         assert np.array_equal(v, fix_sign(u_last))
         assert np.max(np.abs(v - fix_sign(start))) > 1e-3
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_adaptive_steps_skip_most_of_the_grid(self, monkeypatch, seed):
+        # a default fit visits at most 16 of the 65 grid points per component
+        rounds = record_rounds(monkeypatch)
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                  nu=15.0, seed=seed))
+        res = fit(X)
+        assert all(d.converged for d in res.diagnostics)
+        counts = [len(component) for component in per_component(rounds)]
+        assert len(counts) == 2 and max(counts) <= 16
+
+    def test_failed_long_step_retried_shorter(self, monkeypatch):
+        # with outer_max_iter = 12, component 1's long step to the last grid
+        # point stops short of outer_tol; it is discarded and retried at a
+        # grid point in between, and only the accepted rounds decide
+        # ``converged``; every step taken is counted
+        rounds = record_rounds(monkeypatch)
+        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                  nu=15.0, seed=4))
+        cfg = MCPIConfig(outer_max_iter=12)
+        d = fit(X, cfg).diagnostics[0]
+        component = per_component(rounds)[0]
+        k = next(k for k, round_ in enumerate(component) if not round_[5])
+        (_, sigma_accepted, *_), failed, retry = component[k - 1:k + 2]
+        assert failed[4] == cfg.outer_max_iter and not failed[6]
+        assert failed[1] < retry[1] < sigma_accepted
+        assert all(round_[5] for round_ in component[:k] + component[k + 1:])
+        assert d.converged and d.final_sigma == component[-1][1]
+        assert d.outer_iterations == sum(round_[4] for round_ in component)
+
+    @pytest.mark.parametrize(
+        "data, n_decay, stopped",
+        [("clean", 200, [1]), ("axis", 400, [0, 1]), ("outliers", 200, [1])],
+    )
+    def test_floor_stop_reports_last_grid_sigma_above_floor(self, data, n_decay, stopped):
+        # sigma_r = sigma0 eta^r, built by repeated multiplication
+        if data == "outliers":
+            X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
+                                                      nu=15.0, seed=0))
+        else:
+            X = clean_data(seed=9) if data == "clean" else axis_rows()
+        cfg = MCPIConfig(sigma0=1.0, eta=0.3, n_decay=n_decay)
+        res = fit(X, cfg)
+        for i in stopped:
+            floor = np.finfo(float).eps * mcpi._Complement.of(X, list(res.components[:, :i].T)).e_max
+            grid = [cfg.sigma0]
+            while 2.0 * grid[-1] * grid[-1] > floor:
+                grid.append(grid[-1] * cfg.eta)
+            d = res.diagnostics[i]
+            assert d.sigma_underflow and not d.converged and d.final_sigma == grid[-2]
 
     @pytest.mark.parametrize("data", ["demo", "axis"])
     def test_tiny_sigma_ends_as_underflow(self, data):
@@ -571,8 +651,17 @@ class TestConfigValidation:
             {"outer_tol": np.inf},
             {"sigma0": np.nan},
             {"sigma0": np.inf},
+            {"n_decay": 2.5},
+            {"n_decay": 3.0},
+            {"outer_max_iter": 3.5},
+            {"outer_max_iter": "10"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             MCPIConfig(**kwargs).validate()
+
+    def test_accepts_numpy_integers(self):
+        cfg = MCPIConfig(n_decay=np.int64(3), outer_max_iter=np.int32(50))
+        cfg.validate()
+        assert fit(clean_data(seed=1), cfg).diagnostics[0].final_sigma > 0.0
