@@ -4,9 +4,10 @@ Runs the fit with a range of decay depths on the same contaminated dataset.
 A shallow schedule (large final kernel) behaves like plain PCA and gets
 dragged by the outliers; deeper schedules progressively ignore them.  The
 fit steps along the kernel-size grid adaptively, skipping most grid points,
-so its outer iterations go mostly to the small kernel sizes near the end of
-the schedule, where each fixed point converges slowly, not to the number of
-grid points.
+and its secant-accelerated corrector settles each round in a few outer
+iterations, so the outer iterations grow with the number of rounds a deeper
+schedule takes and with its last round, solved to ``outer_tol``, not with
+the number of grid points.
 """
 
 import numpy as np

@@ -33,18 +33,20 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
 
 
 def check_unit(v: np.ndarray) -> np.ndarray:
-    """v as a float array, or ValueError unless it has unit norm (to 1e-8)."""
+    """v as a float array, or ValueError unless it has unit norm (to 1e-8);
+    a NaN entry fails."""
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
         raise ValueError("v0 must be a unit vector")
     return v
 
 
 def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
-    """V as a float array, or ValueError unless max |V^T V - I| <= tol."""
+    """V as a float array, or ValueError unless max |V^T V - I| <= tol; a NaN
+    entry fails."""
     V = np.asarray(V, dtype=float)
     dev = np.max(np.abs(V.T @ V - np.eye(V.shape[1])), initial=0.0)
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"columns not orthonormal: max |V^T V - I| = {dev:g}")
     return V
 

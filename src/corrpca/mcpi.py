@@ -23,8 +23,15 @@ along it, so the rounds are predictor-corrector steps with step-length
 control (Allgower & Georg, "Introduction to Numerical Continuation Methods",
 SIAM 2003): a round starts from the Lagrange polynomial through the last
 three accepted fixed points, in the grid index, evaluated at its own grid
-index and normalised (all in complement coordinates); the fixed-point loop
-is the corrector.  The step h, counted in grid points, starts at 1 and
+index and normalised (all in complement coordinates), and a fixed-point
+loop corrects it.  The corrector is the map u -> top eigenvector of the
+weighted scatter at u, accelerated by a depth-1 Anderson (secant) step: each
+step mixes the last two images along their difference by one scalar, and
+takes the plain image when the secant model of the map does not contract.
+It stops once the map moves its iterate by at most the round's tolerance
+and returns that image, so every direction it returns is an eigenvector of
+a weighted scatter; on 400 x 3 demo data the plain loop needs about twice
+the outer iterations.  The step h, counted in grid points, starts at 1 and
 doubles after an accepted round that took at most ``FAST_ROUND`` outer
 iterations, so most of the grid is skipped: a default fit on 400 x 3 demo
 data takes 14 to 24 rounds for its two iterated components, not 130.  A
@@ -82,6 +89,7 @@ import numpy as np
 from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     SingularDirectionError,
+    check_orthonormal,
     check_unit,
     complement_basis,
     fix_sign,
@@ -225,6 +233,11 @@ class PCAResult:
     diagnostics: list[ComponentDiagnostics]
 
 
+def _columns(components, p: int) -> np.ndarray:
+    """The found components as the columns of a p x k matrix (k may be 0)."""
+    return np.column_stack(components) if len(components) else np.empty((p, 0))
+
+
 @dataclass(frozen=True)
 class _Complement:
     """Coordinates of the samples in the complement of the found components.
@@ -241,8 +254,7 @@ class _Complement:
 
     @classmethod
     def of(cls, X: np.ndarray, components) -> "_Complement":
-        F = np.column_stack(components) if components else np.empty((X.shape[1], 0))
-        B = complement_basis(F)
+        B = complement_basis(_columns(components, X.shape[1]))
         Y = np.asfortranarray(X @ B)
         e = np.einsum("ij,ij->i", Y, Y)
         return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
@@ -258,24 +270,46 @@ class _Complement:
 
 def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_iter: int):
     """Outer iterations at a fixed kernel size, in complement coordinates,
-    until a step moves u by at most ``tol``.
+    accelerated by a secant step, until the map moves its iterate by at most
+    ``tol``.
+
+    Step k maps the iterate x_k to g_k, the top eigenvector of the weighted
+    scatter at x_k, aligned in sign with x_k.  With f_k = g_k - x_k and
+    df = f_k - f_{k-1}, the next iterate is the depth-1 Anderson (secant)
+    mix g_k - gamma (g_k - g_{k-1}), gamma = df.f_k / df.df, normalised.
+    The first step takes x = g_k, and so does a step with df.df zero or not
+    finite or with gamma >= 1/2: a map that scales f by rho along df has
+    gamma = rho / (rho - 1), so gamma < 1/2 is |rho| < 1, and the mix never
+    extrapolates towards a repelling fixed point.  The loop stops when
+    ||f_k|| <= ``tol`` and returns g_k, so the result is always an
+    eigenvector of a weighted scatter, never a mixed iterate.
 
     Returns (u, outer iterations, converged, underflow).  When every weight
-    underflows, ``u`` is the last direction that still had weights (the start
+    underflows, ``u`` is the last g_k that still had weights (the start
     vector if that happens on the first step) and the count is the number of
     steps finished before.
     """
+    x = u
+    u_prev = f_prev = None
     for outer in range(max_iter):
-        w = rank_one_weights(cs.e, cs.Y @ u, sigma)
+        w = rank_one_weights(cs.e, cs.Y @ x, sigma)
         if all_underflowed(w):
             return u, outer, False, True
-        u_new = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
-        if float(u_new @ u) < 0.0:  # sign ambiguity must not stall convergence
-            u_new = -u_new
-        step = np.linalg.norm(u_new - u)
-        u = u_new
-        if step <= tol:
+        u = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
+        if float(u @ x) < 0.0:  # sign ambiguity must not stall convergence
+            u = -u
+        f = u - x
+        if np.linalg.norm(f) <= tol:
             return u, outer + 1, True, False
+        x = u
+        if f_prev is not None:
+            df = f - f_prev
+            dd = float(df @ df)
+            gamma = float(df @ f) / dd if 0.0 < dd < np.inf else np.inf
+            if gamma < 0.5:  # the secant model contracts: |rho| < 1
+                x = u - gamma * (u - u_prev)
+                x = x / np.linalg.norm(x)
+        u_prev, f_prev = u, f
     return u, max_iter, False, False
 
 
@@ -287,11 +321,14 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     (I - P - v v^T) x and moves v to the top eigenvector of the weighted
     scatter compressed to the complement of range(P).  A ``sigma`` at the
     kernel-size floor or an underflow is reported, not raised.  ``X`` gets
-    ``fit``'s input checks but the rank test, and ``sigma`` those of ``sigma0``.
+    ``fit``'s input checks but the rank test, and ``sigma`` those of ``sigma0``;
+    ValueError unless ``v0`` is a unit vector and ``components`` (possibly
+    empty) are orthonormal to 1e-8.
     """
     cfg = replace(cfg, n_decay=1, sigma0=sigma)
     cfg.validate()
     X, _ = _scatter_evd(X, center=False)
+    check_orthonormal(_columns(components, X.shape[1]), 1e-8)
     return _shrinking_rounds(X, components, sigma, check_unit(v0), cfg)
 
 
@@ -435,8 +472,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
         components.append(v)
         diags.append(diag)
 
-    F = np.column_stack(components) if components else np.empty((p, 0))
-    components.append(null_space_vector(F))
+    components.append(null_space_vector(_columns(components, p)))
     diags.append(ComponentDiagnostics.direct("null_space"))
 
     return PCAResult(

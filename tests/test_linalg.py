@@ -125,6 +125,10 @@ class TestPowerIteration:
         with pytest.raises(ValueError):
             power_iteration(np.eye(2), np.array([1.0, 1.0]), 1e-10, 10)
 
+    def test_rejects_nan_start(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            power_iteration(np.eye(3), np.array([np.nan, 0.0, 0.0]), 1e-10, 10)
+
 
 class TestNullSpaceVector:
     def test_standard_basis_complement(self):
@@ -163,6 +167,10 @@ class TestNullSpaceVector:
         V = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             null_space_vector(V)
+
+    def test_rejects_nan_column(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            null_space_vector(np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corrpca.datagen import ExperimentSpec, generate_experiment, sample_mvn
-from corrpca.correntropy import residual_weights, weighted_scatter
+from corrpca.correntropy import all_underflowed, rank_one_weights, residual_weights, weighted_scatter
 from corrpca import mcpi
 from corrpca.linalg import fix_sign, orthogonalize_against, power_iteration, sym_evd
 from corrpca.mcpi import (
@@ -43,13 +43,33 @@ def axis_rows(seed=0):
     return X * np.repeat([3.0, 2.0, 1.0], 30)[:, None]
 
 
+def plain_fixed_point(cs, sigma, u, tol, max_iter):
+    """Oracle for ``mcpi._fixed_point`` without the secant step: the plain
+    loop u <- top eigenvector of the weighted scatter at u, with the same
+    stop rule, sign alignment, underflow rule and return tuple."""
+    for outer in range(max_iter):
+        w = rank_one_weights(cs.e, cs.Y @ u, sigma)
+        if all_underflowed(w):
+            return u, outer, False, True
+        u_new = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
+        if float(u_new @ u) < 0.0:
+            u_new = -u_new
+        step = np.linalg.norm(u_new - u)
+        u = u_new
+        if step <= tol:
+            return u, outer + 1, True, False
+    return u, max_iter, False, False
+
+
 def every_round_reference(X, cfg, early_tol=None):
-    """Per-round reference for ``fit``: each decay round is one
-    ``mcpi_ith_component`` call started at the previous round's (signed)
-    result.  Rounds before the last run to ``early_tol`` (``outer_tol`` when
-    None), the last to ``outer_tol``.  Returns the iterated components as
-    columns, the summed outer iterations and the number of rounds whose
-    result has the opposite sign of the vector it started from."""
+    """Per-round reference for the schedule of ``fit``: each decay round is
+    one ``mcpi_ith_component`` call started at the previous round's (signed)
+    result.  It runs the production corrector; ``TestSecantCorrector``
+    checks that against the plain loop.  Rounds before the last run to
+    ``early_tol`` (``outer_tol`` when None), the last to ``outer_tol``.
+    Returns the iterated components as columns, the summed outer iterations
+    and the number of rounds whose result has the opposite sign of the
+    vector it started from."""
     pairs = sym_evd(X.T @ X / X.shape[0])
     components, outer, flips = [], 0, 0
     for i in range(X.shape[1] - 1):
@@ -223,6 +243,16 @@ class TestIthComponent:
         with pytest.raises(DegenerateInputError, match="n x p"):
             mcpi_ith_component(np.arange(5.0), [], 2.0, np.array([1.0]), MCPIConfig())
 
+    def test_nan_start_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            mcpi_ith_component(clean_data(seed=7), [], 3.0, np.array([np.nan, 0.0, 0.0]), MCPIConfig())
+
+    @pytest.mark.parametrize("prior", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]], ids=["nan", "not-unit"])
+    def test_bad_components_rejected(self, prior):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            mcpi_ith_component(clean_data(seed=7), [np.array(prior)], 3.0, np.array([0.0, 1.0, 0.0]),
+                               MCPIConfig())
+
     def test_config_validated(self):
         X = clean_data(seed=7)
         with pytest.raises(ValueError, match="outer_tol"):
@@ -276,6 +306,61 @@ class TestComplementStep:
         assert 1.0 - abs_cos(v, ref) <= 1e-12
 
 
+def outlier_data(n=400, p=3, fraction=0.05, seed=5):
+    scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
+    return generate_experiment(ExperimentSpec(n=n, p=p, scatter=scatter, outlier_fraction=fraction,
+                                              nu=15.0, seed=seed))[0]
+
+
+class TestSecantCorrector:
+    """``fit`` with the secant-accelerated corrector against ``fit`` with
+    the plain fixed-point loop swapped in."""
+
+    @staticmethod
+    def plain_fit(monkeypatch, X):
+        with monkeypatch.context() as m:
+            m.setattr(mcpi, "_fixed_point", plain_fixed_point)
+            return fit(X)
+
+    @pytest.mark.parametrize(
+        "n, p, fraction, seed",
+        [
+            pytest.param(400, 3, 0.05, 5, id="p3-5%"),
+            pytest.param(400, 3, 0.3, 5, id="p3-30%"),
+            pytest.param(400, 10, 0.05, 5, id="p10"),
+            # a small sample on which a secant step taken even where its
+            # model does not contract never converges
+            pytest.param(56, 3, 0.05, 378879, id="n56"),
+        ],
+    )
+    def test_matches_plain_loop(self, monkeypatch, n, p, fraction, seed):
+        X = outlier_data(n, p, fraction, seed)
+        ref = self.plain_fit(monkeypatch, X)
+        res = fit(X)
+        assert np.max(np.abs(res.components - ref.components)) <= 1e-6
+        assert [d.converged for d in res.diagnostics] == [d.converged for d in ref.diagnostics]
+        assert all(d.converged for d in res.diagnostics)
+
+    def test_cuts_outer_iterations(self, monkeypatch):
+        X = outlier_data(seed=3)
+        ref = self.plain_fit(monkeypatch, X)
+        res = fit(X)
+        outer = [sum(d.outer_iterations for d in r.diagnostics) for r in (res, ref)]
+        assert outer[0] <= 0.7 * outer[1]
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_plain_step_keeps_reported_components(self, p):
+        # the reported direction is an image of the plain map, not a mix
+        X = outlier_data(p=p, seed=3)
+        res = fit(X)
+        for i, d in enumerate(res.diagnostics[:-1]):
+            cs = mcpi._Complement.of(X, list(res.components[:, :i].T))
+            v = res.components[:, i]
+            u, steps, _, underflow = plain_fixed_point(cs, d.final_sigma, cs.coordinates(v), 0.0, 1)
+            assert steps == 1 and not underflow
+            assert np.max(np.abs(cs.B @ u - v)) <= 1e-7
+
+
 # Spectrum (100, 2, 1) in a rotated basis: the max |diag K| shift of the
 # deflated operator leaves the found direction's eigenvalue dominant, so
 # power iteration on it never reaches the complement's top eigenvector.
@@ -301,7 +386,7 @@ class TestFit:
         X, _ = generate_experiment(ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1,
                                                   nu=15.0, seed=4))
         pairs = sym_evd(X.T @ X / X.shape[0])
-        cfg = MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2, outer_max_iter=18)
+        cfg = MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2, outer_max_iter=12)
         v, sigma, rounds = pairs.vectors[:, 0], cfg.sigma0, []
         for tol in (np.sqrt(cfg.outer_tol), cfg.outer_tol):
             v, diag = mcpi_ith_component(X, [], sigma, v, replace(cfg, outer_tol=tol))
@@ -415,14 +500,14 @@ class TestFit:
         assert len(counts) == 2 and max(counts) <= 16
 
     def test_failed_long_step_retried_shorter(self, monkeypatch):
-        # with outer_max_iter = 12, component 1's long step to the last grid
+        # with outer_max_iter = 7, component 1's long step to the last grid
         # point stops short of outer_tol; it is discarded and retried at a
         # grid point in between, and only the accepted rounds decide
         # ``converged``; every step taken is counted
         rounds = record_rounds(monkeypatch)
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
                                                   nu=15.0, seed=4))
-        cfg = MCPIConfig(outer_max_iter=12)
+        cfg = MCPIConfig(outer_max_iter=7)
         d = fit(X, cfg).diagnostics[0]
         component = per_component(rounds)[0]
         k = next(k for k, round_ in enumerate(component) if not round_[5])

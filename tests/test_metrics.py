@@ -48,6 +48,14 @@ class TestComponentAlignment:
         with pytest.raises(ValueError):
             component_alignment(bad, V)
 
+    @pytest.mark.parametrize("side", ["estimate", "truth"])
+    def test_rejects_nan(self, side):
+        V = np.eye(3)
+        bad = np.eye(3)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
+            component_alignment(*((bad, V) if side == "estimate" else (V, bad)))
+
     def test_scores_within_unit_interval(self):
         rep = component_alignment(random_orthonormal(6, 5), random_orthonormal(6, 6))
         assert np.all(rep.per_component_abs_cos >= 0.0)
