@@ -237,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The MCPIConfig options shared by fit and demo.
+    # The MCPIConfig options shared by fit and demo, with its defaults.
+    defaults = MCPIConfig()
     schedule = argparse.ArgumentParser(add_help=False)
-    schedule.add_argument("--eta", type=float, default=0.95)
-    schedule.add_argument("--n-decay", type=int, default=65)
+    schedule.add_argument("--eta", type=float, default=defaults.eta)
+    schedule.add_argument("--n-decay", type=int, default=defaults.n_decay)
     schedule.add_argument("--center", action="store_true")
 
     # The ExperimentSpec options shared by synth and demo (besides --n, --p

@@ -8,46 +8,35 @@ Two layers:
   components already found, (I - P) S (I - P), refresh the weights, repeat.
   With no components found this is the leading component.
 * ``fit`` -- full decomposition: an a-priori eigendecomposition of
-  X^T X / n seeds each component and its kernel size
-  (sigma_i = sqrt(n lambda_i), the i-th singular value of X), the kernel
-  shrinks along the geometric grid sigma_i eta^r, r < n_decay, for each
-  component, and the last component is the one-column complement basis of
-  the others.
+  X^T X / n seeds each component, its kernel size sigma_0 is
+  ``KERNEL_SCALE`` times the median residual norm of the samples at that
+  a-priori vector (the scale of the reconstruction errors whose correntropy
+  the fit maximises, as in He et al., "Robust Principal Component Analysis
+  Based on Maximum Correntropy Criterion", IEEE TIP 2011), the kernel
+  shrinks along the geometric grid sigma_0 eta^r, r < n_decay, and the last
+  component is the one-column complement basis of the others.
 
-Only the fixed point at the last grid point is the answer; an earlier round
-only carries the fixed point along the grid.  So every round but the one at
-the last grid point stops once a step moves the direction by at most
-sqrt(outer_tol) (1e-4 by default), and that one runs to outer_tol (1e-8).
-The grid is uniform in log sigma and the fixed points lie on a smooth path
-along it, so the rounds are predictor-corrector steps with step-length
-control (Allgower & Georg, "Introduction to Numerical Continuation Methods",
-SIAM 2003): a round starts from the Lagrange polynomial through the last
-three accepted fixed points, in the grid index, evaluated at its own grid
-index and normalised (all in complement coordinates), and a fixed-point
-loop corrects it.  The corrector is the map u -> top eigenvector of the
-weighted scatter at u, accelerated by a depth-1 Anderson (secant) step: each
-step mixes the last two images along their difference by one scalar, and
-takes the plain image when the secant model of the map does not contract.
-It stops once the map moves its iterate by at most the round's tolerance
-and returns that image, so every direction it returns is an eigenvector of
-a weighted scatter; on 400 x 3 demo data the plain loop needs about twice
-the outer iterations.  The step h, counted in grid points, starts at 1 and
-doubles after an accepted round that took at most ``FAST_ROUND`` outer
-iterations, so most of the grid is skipped: a default fit on 400 x 3 demo
-data takes 14 to 24 rounds for its two iterated components, not 130.  A
-round with h > 1 that reaches outer_max_iter or underflows is discarded and
-retried from the last accepted fixed point with h halved.  The extrapolated
-start is never reported.  A component is ``converged`` when each accepted
-round met its own tolerance within outer_max_iter outer iterations.  The
-schedule stops early when the kernel no longer carries information: at the
-last grid point above the floor 2 sigma^2 <= eps max ||y||^2, or when every
-sample weight underflows in a round with h = 1.  The component then keeps
-the direction reached so far, which is converged only to sqrt(outer_tol);
-when the stop comes before a round has finished a step, that is the last
-accepted fixed point, not the extrapolated start.  It reports
-``sigma_underflow=True`` and ``converged=False``.  The iteration keeps
-whatever sign its steps produce; the sign convention of ``linalg.fix_sign``
-is applied once, to the direction a component reports.
+With the defaults (eta = 0.04, n_decay = 2) a component takes two rounds, at
+30 and at 1.2 times its median residual norm; both sizes are per-sample
+quantities, so the fit is the same for any n drawn from one distribution
+(stacking X on itself leaves it unchanged).  Only the fixed point at the
+last grid point is the answer, so every earlier round stops once a step
+moves the direction by at most sqrt(outer_tol) (1e-4 by default) and the
+last runs to outer_tol (1e-8).  Each round starts from the fixed point of
+the round before and iterates the map u -> top eigenvector of the weighted
+scatter at u, accelerated by a depth-1 Anderson (secant) step: each step
+mixes the last two images along their difference by one scalar, and takes
+the plain image when the secant model of the map does not contract.  It
+stops once the map moves its iterate by at most the round's tolerance and
+returns that image, so every direction it returns is an eigenvector of a
+weighted scatter.  A component is ``converged`` when each round met its own
+tolerance within outer_max_iter outer iterations.  The schedule stops early
+when the kernel no longer carries information: at the last grid point above
+the floor 2 sigma^2 <= eps max ||y||^2, or when every sample weight
+underflows in a round.  The component then keeps the direction reached so
+far, reports ``sigma_underflow=True`` and ``converged=False``.  The
+iteration keeps whatever sign its steps produce; the sign convention of
+``linalg.fix_sign`` is applied once, to the direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
 components, set up once per component and shared by its rounds: an
@@ -98,9 +87,10 @@ from .linalg import (
 )
 
 
-# A round that reaches its tolerance within this many outer iterations
-# doubles the next step along the kernel-size grid.
-FAST_ROUND = 2
+# sigma_0 of a component, in units of the median residual norm at its
+# a-priori vector; with the default eta and n_decay the last round runs at
+# 1.2 times that median.
+KERNEL_SCALE = 30.0
 
 
 class NumericalSingularityError(RuntimeError):
@@ -116,18 +106,17 @@ class DegenerateInputError(ValueError):
 class MCPIConfig:
     """Loop tolerance and the kernel-shrinking schedule.
 
-    ``fit`` follows each component along the kernel-size grid
-    sigma_0 eta^r, r < n_decay, in adaptive steps that skip most of it; the
-    last kernel size depends on ``eta`` and ``n_decay`` alone.  It runs the
-    round at the last grid point to ``outer_tol`` and every earlier round to
-    sqrt(outer_tol); ``mcpi_ith_component`` runs its single kernel size to
-    ``outer_tol``.
-    ``sigma0`` overrides the sqrt(n lambda_i) initial kernel size for every
-    component when set (used to freeze sigma large and recover plain PCA).
+    ``fit`` runs one round at each point of the kernel-size grid
+    sigma_0 eta^r, r < n_decay, for each component: the last at
+    ``outer_tol``, every earlier one at sqrt(outer_tol).
+    ``mcpi_ith_component`` runs its single kernel size to ``outer_tol``.
+    sigma_0 is ``KERNEL_SCALE`` times the component's median residual norm
+    at its a-priori vector; ``sigma0`` overrides it for every component when
+    set (used to freeze sigma large and recover plain PCA).
     """
 
-    eta: float = 0.95
-    n_decay: int = 65
+    eta: float = 0.04
+    n_decay: int = 2
     outer_tol: float = 1e-8
     outer_max_iter: int = 200
     center: bool = False
@@ -191,13 +180,13 @@ def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
 @dataclass
 class ComponentDiagnostics:
     """How one component was found.  For an iterated component,
-    ``outer_iterations`` counts every outer step taken, in discarded rounds
-    too.  ``converged`` covers the accepted rounds only: it is true when the
-    schedule ran to its end and every accepted round met its own tolerance
-    within ``outer_max_iter`` outer iterations, sqrt(outer_tol) before the
-    last grid point and ``outer_tol`` at it.  ``sigma_underflow`` marks a
-    schedule stopped early, at the kernel-size floor or when every weight
-    underflowed."""
+    ``outer_iterations`` counts the outer steps of all its rounds and
+    ``final_sigma`` is the kernel size of its last finished round.
+    ``converged`` is true when the schedule ran to its end and every round
+    met its own tolerance within ``outer_max_iter`` outer iterations,
+    sqrt(outer_tol) before the last grid point and ``outer_tol`` at it.
+    ``sigma_underflow`` marks a schedule stopped early, at the kernel-size
+    floor or when every weight underflowed."""
 
     final_sigma: float
     outer_iterations: int
@@ -323,92 +312,67 @@ def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
     kernel-size floor or an underflow is reported, not raised.  ``X`` gets
     ``fit``'s input checks but the rank test, and ``sigma`` those of ``sigma0``;
     ValueError unless ``v0`` is a unit vector and ``components`` (possibly
-    empty) are orthonormal to 1e-8.
+    empty) are orthonormal to 1e-8, all of length X's column count.
     """
     cfg = replace(cfg, n_decay=1, sigma0=sigma)
     cfg.validate()
     X, _ = _scatter_evd(X, center=False)
-    check_orthonormal(_columns(components, X.shape[1]), 1e-8)
-    return _shrinking_rounds(X, components, sigma, check_unit(v0), cfg)
+    p = X.shape[1]
+    if np.shape(v0) != (p,):
+        raise ValueError(f"v0 must have length {p} (the columns of X), got shape {np.shape(v0)}")
+    if any(np.shape(c) != (p,) for c in components):
+        raise ValueError(f"components must have length {p} (the columns of X), got shapes "
+                         f"{[np.shape(c) for c in components]}")
+    check_orthonormal(_columns(components, p), 1e-8)
+    return _shrinking_rounds(X, components, check_unit(v0), cfg)
 
 
-def _predict(history: list[tuple[int, np.ndarray]], r: int) -> np.ndarray:
-    """Start vector for the round at grid index ``r`` from the accepted fixed
-    points of the last rounds, as (grid index, point) pairs, oldest first and
-    sign-aligned: the Lagrange polynomial through them in the grid index
-    (linear in log sigma), evaluated at ``r`` and normalised.  On unit steps
-    that is the last point itself, 2 u_1 - u_0, or 3 (u_2 - u_1) + u_0."""
-    u = sum(
-        np.prod([(r - k) / (j - k) for k, _ in history if k != j]) * u_j
-        for j, u_j in history
-    )
-    return u / np.linalg.norm(u)
+def _kernel_size(cs: _Complement, u: np.ndarray) -> float:
+    """``KERNEL_SCALE`` times the median residual norm sqrt(max(e - t^2, 0)),
+    t = Y u, of the rows at ``u``; the RMS residual when over half the rows
+    have residual 0 (the rank test keeps the RMS positive)."""
+    r2 = np.maximum(cs.e - (cs.Y @ u) ** 2, 0.0)
+    r = np.sqrt(r2)
+    mid = [(len(r) - 1) // 2, len(r) // 2]
+    r.partition(mid)  # the median; np.median loads numpy.ma (1 MB) on first use
+    scale = 0.5 * float(r[mid[0]] + r[mid[1]])
+    return KERNEL_SCALE * (scale if scale > 0.0 else float(np.sqrt(np.mean(r2))))
 
 
-def _shrinking_rounds(X, components, sigma, v, cfg):
-    """Rounds along the kernel-size grid sigma_r = sigma eta^r, r < n_decay,
-    sharing one complement set-up; rounds before the last grid point stop at
-    sqrt(outer_tol), the one at the last point at outer_tol.
+def _shrinking_rounds(X, components, v, cfg):
+    """Rounds along the kernel-size grid sigma_r = sigma_0 eta^r, r < n_decay,
+    sharing one complement set-up, from ``v`` projected onto the complement.
 
-    Predictor-corrector with step-length control: the first round, at
-    sigma, starts from ``v``; every later one from ``_predict`` of up to
-    three accepted fixed points, and ``_fixed_point`` corrects that start.
-    The step h, in grid points, starts at 1 and doubles after an accepted
-    round that took at most ``FAST_ROUND`` outer iterations; it never passes
-    the last grid point above the kernel-size floor.  A round with h > 1
-    that reaches ``outer_max_iter`` or underflows is discarded and retried
-    from the last accepted fixed point with h halved.  A round with h = 1 is
-    always accepted: when unconverged it counts against ``converged``, and
-    an underflow ends the schedule.  The history keeps the sign the
-    iteration produced (a fixed point takes the sign of its start, so
-    consecutive points stay aligned); ``fix_sign`` could flip a point between
-    rounds and wreck the extrapolation, so it is applied once, after the
-    loop, to the direction the component reports.
+    sigma_0 is ``cfg.sigma0`` when set, else ``_kernel_size`` at that start.
+    Each round starts from the fixed point of the one before and is solved by
+    ``_fixed_point``, to sqrt(outer_tol) before the last grid point and to
+    ``outer_tol`` at it.  The iteration keeps the sign its steps produce;
+    ``fix_sign`` is applied once, to the direction the component reports.
 
     The schedule stops, with ``sigma_underflow``, at the last grid point
-    above the floor 2 sigma^2 <= eps max e, or within a round with h = 1
-    when every weight underflows.  The prediction is never reported: a
-    round that finished a step keeps its direction, else the component
-    keeps the last accepted fixed point (or ``v`` projected onto the
-    complement, when no round was accepted).
+    above the floor 2 sigma^2 <= eps max e, or within a round in which every
+    weight underflows; the component keeps the direction reached so far.
     """
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
+    sigma = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u)
     floor = np.finfo(float).eps * cs.e_max  # the kernel-size floor, on 2 sigma^2
-    grid: list[float] = []  # the grid points above the floor
-    s = float(sigma)
-    while len(grid) < cfg.n_decay and 2.0 * s * s > floor:
-        grid.append(s)
-        s *= cfg.eta
-    history: list[tuple[int, np.ndarray]] = []
-    early_tol = np.sqrt(cfg.outer_tol)
-    final_sigma = float(sigma)
+    final_sigma = sigma
     outer_total = 0
     converged = True
     underflow = False
-    r, h = -1, 1  # the last accepted grid index and the step
-    while r < len(grid) - 1:
-        h = min(h, len(grid) - 1 - r)
-        tol = cfg.outer_tol if r + h == cfg.n_decay - 1 else early_tol
-        start = _predict(history, r + h) if history else u
-        u_round, outer, round_converged, underflow = _fixed_point(
-            cs, grid[r + h], start, tol, cfg.outer_max_iter
-        )
+    for r in range(cfg.n_decay):
+        if 2.0 * sigma * sigma <= floor:
+            underflow = True
+            break
+        tol = cfg.outer_tol if r == cfg.n_decay - 1 else np.sqrt(cfg.outer_tol)
+        u, outer, round_converged, underflow = _fixed_point(cs, sigma, u, tol, cfg.outer_max_iter)
         outer_total += outer
-        if h > 1 and not round_converged:  # an underflow never converges
-            h //= 2
-            continue
-        if outer:  # a round that finished no step leaves u where it was
-            u = u_round
         if underflow:
             break
-        r += h
-        history = history[-2:] + [(r, u)]
-        final_sigma = grid[r]
+        final_sigma = sigma
         converged = converged and round_converged
-        if outer <= FAST_ROUND:
-            h *= 2
-    underflow = underflow or len(grid) < cfg.n_decay
+        sigma *= cfg.eta
     return fix_sign(cs.B @ u), ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
@@ -457,18 +421,14 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     """Full robust decomposition via the kernel-shrinking schedule."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, apriori = _prepare(X, cfg)
-    n, p = X.shape
+    p = X.shape[1]
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
     for i in range(p - 1):
-        # Initial kernel size: the i-th singular value of X, i.e.
-        # sqrt(n * lambda_i) with lambda_i from the scatter/n spectrum.
-        # Starting at data norm scale keeps the early rounds in the
-        # near-quadratic regime; n_decay shrink steps then land at the
-        # per-direction noise scale instead of collapsing below it.
-        sigma = cfg.sigma0 if cfg.sigma0 is not None else float(np.sqrt(n * apriori.values[i]))
-        v, diag = _shrinking_rounds(X, components, sigma, apriori.vectors[:, i], cfg)
+        # Start at the a-priori eigenvector, with the kernel in units of the
+        # residuals there, so the schedule ends at the same place for any n.
+        v, diag = _shrinking_rounds(X, components, apriori.vectors[:, i], cfg)
         components.append(v)
         diags.append(diag)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrpca.cli import main
+from corrpca.mcpi import MCPIConfig
 
 
 def run(args):
@@ -47,8 +48,8 @@ class TestFit:
         assert doc["n"] == 120 and doc["p"] == 3
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
-        assert doc["config"]["eta"] == 0.95
-        assert doc["config"]["n_decay"] == 65
+        assert doc["config"]["eta"] == MCPIConfig().eta
+        assert doc["config"]["n_decay"] == MCPIConfig().n_decay
 
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -103,8 +104,7 @@ class TestFit:
         rows = rng.standard_normal((30, 2))
         data.write_text("a,b\n" + "\n".join(f"{x},{y}" for x, y in rows) + "\n")
         assert run(
-            ["fit", "--input", data, "--header", "--n-decay", 5,
-             "--output", tmp_path / "r.json"]
+            ["fit", "--input", data, "--header", "--output", tmp_path / "r.json"]
         ) == 0
 
 
@@ -113,7 +113,7 @@ class TestDemo:
         out = tmp_path / "demo.json"
         plot = tmp_path / "plot.csv"
         assert run(
-            ["demo", "--n", 80, "--replicates", 2, "--seed", 0, "--n-decay", 10,
+            ["demo", "--n", 80, "--replicates", 2, "--seed", 0,
              "--output", out, "--plot-csv", plot]
         ) == 0
         doc = json.loads(out.read_text())
@@ -130,7 +130,7 @@ class TestDemo:
 
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["demo", "--n", 60, "--replicates", 1, "--seed", 4, "--n-decay", 8]
+        args = ["demo", "--n", 60, "--replicates", 1, "--seed", 4]
         assert run(args + ["--output", a]) == 0
         assert run(args + ["--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -139,7 +139,7 @@ class TestDemo:
         out = tmp_path / "demo.json"
         plot = tmp_path / "plot.csv"
         assert run(
-            ["demo", "--n", 100, "--replicates", 1, "--seed", 2, "--n-decay", 5,
+            ["demo", "--n", 100, "--replicates", 1, "--seed", 2,
              "--outlier-frac", 0.05, "--output", out, "--plot-csv", plot]
         ) == 0
         kinds = [line.split(",")[0] for line in plot.read_text().splitlines()[1:]]
@@ -162,16 +162,16 @@ class TestScatterCsv:
         args = [command, "--n", 40, "--p", 3, "--seed", 0, "--scatter-csv", scatter,
                 "--output", tmp_path / "out"]
         if command == "demo":
-            args += ["--replicates", 1, "--n-decay", 2]
+            args += ["--replicates", 1]
         assert run(args) == 2
         assert "bad scatter matrix" in capsys.readouterr().err
 
 
 # Valid flags per command; the flags of a row come after them and so win.
 VALID_FLAGS = {
-    "fit": ["--input", "{data}", "--n-decay", 2],
+    "fit": ["--input", "{data}"],
     "synth": ["--n", 40, "--p", 3, "--seed", 0],
-    "demo": ["--n", 40, "--replicates", 1, "--n-decay", 2],
+    "demo": ["--n", 40, "--replicates", 1],
 }
 
 

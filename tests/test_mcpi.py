@@ -61,28 +61,35 @@ def plain_fixed_point(cs, sigma, u, tol, max_iter):
     return u, max_iter, False, False
 
 
-def every_round_reference(X, cfg, early_tol=None):
+def kernel_size_reference(X, components, v):
+    """``mcpi.KERNEL_SCALE`` times the median norm of the residuals
+    (I - P - v v^T) x at ``v`` projected off the found ``components`` (the
+    RMS norm when that median is 0), in the original coordinates."""
+    p = X.shape[1]
+    C = np.eye(p) - sum((np.outer(c, c) for c in components), np.zeros((p, p)))
+    v = orthogonalize_against(v, components)
+    norms = np.linalg.norm(X @ (C - np.outer(v, v)), axis=1)
+    scale = np.median(norms)
+    return mcpi.KERNEL_SCALE * (scale if scale > 0.0 else np.sqrt(np.mean(norms**2)))
+
+
+def every_round_reference(X, cfg):
     """Per-round reference for the schedule of ``fit``: each decay round is
     one ``mcpi_ith_component`` call started at the previous round's (signed)
-    result.  It runs the production corrector; ``TestSecantCorrector``
-    checks that against the plain loop.  Rounds before the last run to
-    ``early_tol`` (``outer_tol`` when None), the last to ``outer_tol``.
-    Returns the iterated components as columns, the summed outer iterations
-    and the number of rounds whose result has the opposite sign of the
-    vector it started from."""
+    result, every one solved to ``outer_tol``, from the kernel size of
+    ``kernel_size_reference`` at the a-priori vector.  It runs the production
+    corrector; ``TestSecantCorrector`` checks that against the plain loop.
+    Returns the iterated components as columns."""
     pairs = sym_evd(X.T @ X / X.shape[0])
-    components, outer, flips = [], 0, 0
+    components = []
     for i in range(X.shape[1] - 1):
-        v, sigma = pairs.vectors[:, i], float(np.sqrt(X.shape[0] * pairs.values[i]))
-        for r in range(cfg.n_decay):
-            tol = cfg.outer_tol if early_tol is None or r == cfg.n_decay - 1 else early_tol
-            v_next, diag = mcpi_ith_component(X, components, sigma, v, replace(cfg, outer_tol=tol))
-            outer += diag.outer_iterations
-            flips += float(v_next @ v) < 0.0
-            v = v_next
+        v = pairs.vectors[:, i]
+        sigma = kernel_size_reference(X, components, v)
+        for _ in range(cfg.n_decay):
+            v, _ = mcpi_ith_component(X, components, sigma, v, cfg)
             sigma *= cfg.eta
         components.append(v)
-    return np.column_stack(components), outer, flips
+    return np.column_stack(components)
 
 
 def record_rounds(monkeypatch):
@@ -253,6 +260,15 @@ class TestIthComponent:
             mcpi_ith_component(clean_data(seed=7), [np.array(prior)], 3.0, np.array([0.0, 1.0, 0.0]),
                                MCPIConfig())
 
+    @pytest.mark.parametrize(
+        "prior, v0, name",
+        [([], [0.0, 1.0], "v0"), ([[1.0, 0.0]], [0.0, 1.0, 0.0], "components")],
+        ids=["v0", "components"],
+    )
+    def test_wrong_length_named(self, prior, v0, name):
+        with pytest.raises(ValueError, match=f"{name} must have length 3"):
+            mcpi_ith_component(clean_data(seed=7), [np.array(c) for c in prior], 3.0, np.array(v0), MCPIConfig())
+
     def test_config_validated(self):
         X = clean_data(seed=7)
         with pytest.raises(ValueError, match="outer_tol"):
@@ -421,102 +437,95 @@ class TestFit:
         X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=fraction,
                                                   nu=15.0, seed=5), basis)
         cfg = MCPIConfig()
-        ref, _, _ = every_round_reference(X, cfg)
+        ref = every_round_reference(X, cfg)
         V = fit(X, cfg).components
         assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
 
     @pytest.mark.parametrize("n_decay", [1, 2, 3])
     def test_short_schedules_match_every_round_reference(self, n_decay):
-        # the last round starts from the a-priori vector, the previous fixed
-        # point, or the line through the two before it
+        # each round starts from the fixed point of the round before, the
+        # first from the a-priori vector
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
                                                   nu=15.0, seed=5))
-        cfg = MCPIConfig(n_decay=n_decay)
-        ref, _, _ = every_round_reference(X, cfg)
+        cfg = MCPIConfig(eta=0.2, n_decay=n_decay)
+        ref = every_round_reference(X, cfg)
         V = fit(X, cfg).components
         assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
 
-    def test_predictor_cuts_outer_iterations(self):
-        # against rounds started at the previous fixed point with the same
-        # round tolerances
-        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
-                                                  nu=15.0, seed=3))
-        cfg = MCPIConfig()
-        ref, ref_outer, _ = every_round_reference(X, cfg, early_tol=np.sqrt(cfg.outer_tol))
+    def test_each_round_starts_at_the_last_fixed_point(self, monkeypatch):
+        # every grid point is visited, in order, and hands its fixed point on
+        rounds = record_rounds(monkeypatch)
+        X = outlier_data(seed=3)
+        cfg = MCPIConfig(eta=0.2, n_decay=4)
         res = fit(X, cfg)
-        assert sum(d.outer_iterations for d in res.diagnostics) <= 0.6 * ref_outer
-        assert np.max(np.abs(res.components[:, :-1] - ref)) <= 1e-6
+        components = per_component(rounds)
+        assert [len(component) for component in components] == [cfg.n_decay] * 2
+        for component, d in zip(components, res.diagnostics):
+            for before, after in zip(component, component[1:]):
+                assert after[1] == before[1] * cfg.eta
+                assert np.array_equal(after[2], before[3])
+            assert d.final_sigma == component[-1][1]
+            assert d.outer_iterations == sum(round_[4] for round_ in component)
 
     def test_sign_flips_between_rounds_match_reference(self):
         # the top direction has two near-equal largest entries of opposite
-        # sign, so fix_sign flips the reported direction between rounds;
-        # negating the second column makes them equal-signed, so nothing
-        # flips there, and the predictor must not notice the difference
+        # sign, so fix_sign would flip a direction between rounds; negating
+        # the second column makes them equal-signed, so nothing flips there,
+        # and the fit of the mirrored data is the reference
         Q = np.linalg.qr(np.array([[1.0, 0.3, 0.1], [-1.0, 0.3, 0.2], [0.2, 1.0, -0.5]]))[0]
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=Q @ np.diag([6.0, 3.0, 1.0]) @ Q.T,
                                                   outlier_fraction=0.05, nu=15.0, seed=16))
         cfg = MCPIConfig()
-        ref, ref_outer, flips = every_round_reference(X, cfg, early_tol=np.sqrt(cfg.outer_tol))
-        assert flips >= 2
         res = fit(X, cfg)
-        assert np.max(np.abs(res.components[:, :-1] - ref)) <= 1e-6
-        assert sum(d.outer_iterations for d in res.diagnostics) <= 0.6 * ref_outer
-
         D = np.diag([1.0, -1.0, 1.0])
         mirrored = fit(X @ D, cfg)
         assert [d.outer_iterations for d in mirrored.diagnostics] == [d.outer_iterations for d in res.diagnostics]
         cos = np.sum(res.components * (D @ mirrored.components), axis=0)
         assert np.all(1.0 - np.abs(cos) <= 1e-12)
 
+    def test_zero_median_residual_falls_back_to_rms(self):
+        # component 2 starts at e2 in the complement of e1: the 30 rows along
+        # e1 and the 30 along e2 have residual 0, so the median is 0 and
+        # sigma_0 is KERNEL_SCALE times the RMS of the residuals x_3
+        X = axis_rows()
+        res = fit(X, MCPIConfig(n_decay=1))
+        assert np.array_equal(np.abs(res.components), np.eye(3))
+        rms = np.sqrt(np.mean(X[:, 2] ** 2))
+        assert res.diagnostics[1].final_sigma == pytest.approx(mcpi.KERNEL_SCALE * rms, rel=1e-12)
+        assert res.diagnostics[0].final_sigma == pytest.approx(
+            mcpi.KERNEL_SCALE * np.median(np.linalg.norm(X[:, 1:], axis=1)), rel=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.3])
+    def test_robustness_does_not_fall_with_n(self, fraction):
+        # the kernel is in residual units, so a larger sample sharpens the
+        # estimate: per-component median |cos| to the truth over four seeds
+        # may not fall by more than 0.01 from one n to the next (a kernel
+        # sized by the data norm fell by 0.01-0.08 at 5% and at 30%)
+        truth = sym_evd(DEMO_SCATTER).vectors
+        medians = [
+            np.median([np.abs(np.sum(fit(outlier_data(n, fraction=fraction, seed=seed)).components * truth,
+                                     axis=0)) for seed in range(4)], axis=0)
+            for n in (400, 4000, 20000)
+        ]
+        assert np.all(np.diff(medians, axis=0) >= -0.01), medians
+
     def test_first_step_underflow_keeps_last_fixed_point(self, monkeypatch):
-        # sigma0 = 0.5, eta = 0.3: long steps of component 1 underflow and are
-        # discarded, until a unit step underflows on its first step, at the
-        # extrapolated start; the component keeps the last accepted fixed point
+        # by symmetry e1 is the fixed point at every sigma, and the rows
+        # (2, +-0.1, 0) nearest it have residual 0.1; at sigma0 = 1, eta = 0.3
+        # every weight underflows on the first step of the sixth round, at
+        # sigma = 0.3^5, so component 1 keeps the fixed point of the fifth
         rounds = record_rounds(monkeypatch)
-        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
-                                                  nu=15.0, seed=0))
-        res = fit(X, MCPIConfig(sigma0=0.5, eta=0.3, n_decay=30))
-        *earlier, (_, _, start, _, steps, _, underflow) = per_component(rounds)[0]
-        assert underflow and steps == 0
-        accepted = [round_ for round_ in earlier if not round_[6]]
-        assert len(accepted) >= 3 and len(accepted) < len(earlier)
-        assert all(round_[5] for round_ in accepted)
-        _, sigma_last, _, u_last, _, _, _ = accepted[-1]
+        X = np.array([[2.0, 0.1, 0.0], [2.0, -0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        res = fit(np.vstack([X, -X]), MCPIConfig(sigma0=1.0, eta=0.3, n_decay=30))
+        *earlier, (_, _, start, u, steps, converged, underflow) = per_component(rounds)[0]
+        assert underflow and not converged and steps == 0 and len(earlier) == 5
+        assert all(round_[5] and not round_[6] for round_ in earlier)
+        _, sigma_last, _, u_last, _, _, _ = earlier[-1]
+        assert np.array_equal(start, u_last) and np.array_equal(u, u_last)
         d = res.diagnostics[0]
         assert d.sigma_underflow and not d.converged and d.final_sigma == sigma_last
-        v = res.components[:, 0]  # the complement of no components is the identity
-        assert np.array_equal(v, fix_sign(u_last))
-        assert np.max(np.abs(v - fix_sign(start))) > 1e-3
-
-    @pytest.mark.parametrize("seed", [3, 5])
-    def test_adaptive_steps_skip_most_of_the_grid(self, monkeypatch, seed):
-        # a default fit visits at most 16 of the 65 grid points per component
-        rounds = record_rounds(monkeypatch)
-        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
-                                                  nu=15.0, seed=seed))
-        res = fit(X)
-        assert all(d.converged for d in res.diagnostics)
-        counts = [len(component) for component in per_component(rounds)]
-        assert len(counts) == 2 and max(counts) <= 16
-
-    def test_failed_long_step_retried_shorter(self, monkeypatch):
-        # with outer_max_iter = 7, component 1's long step to the last grid
-        # point stops short of outer_tol; it is discarded and retried at a
-        # grid point in between, and only the accepted rounds decide
-        # ``converged``; every step taken is counted
-        rounds = record_rounds(monkeypatch)
-        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
-                                                  nu=15.0, seed=4))
-        cfg = MCPIConfig(outer_max_iter=7)
-        d = fit(X, cfg).diagnostics[0]
-        component = per_component(rounds)[0]
-        k = next(k for k, round_ in enumerate(component) if not round_[5])
-        (_, sigma_accepted, *_), failed, retry = component[k - 1:k + 2]
-        assert failed[4] == cfg.outer_max_iter and not failed[6]
-        assert failed[1] < retry[1] < sigma_accepted
-        assert all(round_[5] for round_ in component[:k] + component[k + 1:])
-        assert d.converged and d.final_sigma == component[-1][1]
-        assert d.outer_iterations == sum(round_[4] for round_ in component)
+        assert np.array_equal(res.components[:, 0], fix_sign(u_last))
+        assert np.array_equal(np.abs(u_last), [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "data, n_decay, stopped",
@@ -594,20 +603,20 @@ class TestFit:
 
     def test_orthonormal_components(self):
         X = clean_data(seed=8)
-        res = fit(X, MCPIConfig(n_decay=10))
+        res = fit(X)
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
 
     def test_apriori_eigenvalues_sorted(self):
         X = clean_data(seed=9)
-        res = fit(X, MCPIConfig(n_decay=5))
+        res = fit(X)
         assert np.all(np.diff(res.apriori_eigenvalues) <= 0)
 
     def test_p1_degenerate(self):
         # the only component is the complement of none, for either sign of X
         X = np.abs(np.random.default_rng(10).standard_normal((20, 1))) + 0.5
         for data in (X, -X):
-            res = fit(data, MCPIConfig(n_decay=3))
+            res = fit(data)
             assert np.array_equal(res.components, [[1.0]])
             assert [d.method for d in res.diagnostics] == ["null_space"]
 
@@ -621,7 +630,7 @@ class TestFit:
 
     def test_deterministic(self):
         X = clean_data(seed=12)
-        cfg = MCPIConfig(n_decay=8)
+        cfg = MCPIConfig()
         r1 = fit(X, cfg)
         r2 = fit(X, cfg)
         assert r1.components.tobytes() == r2.components.tobytes()
@@ -629,17 +638,17 @@ class TestFit:
 
     def test_sigma_schedule_is_geometric(self):
         X = clean_data(seed=13)
-        cfg = MCPIConfig(n_decay=7)
+        cfg = MCPIConfig(eta=0.5, n_decay=7)
         res = fit(X, cfg)
-        n = X.shape[0]
+        apriori = sym_evd(X.T @ X / X.shape[0]).vectors
         for i in range(2):  # iterated components only
-            sigma0 = np.sqrt(n * res.apriori_eigenvalues[i])
+            sigma0 = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
             expected_final = sigma0 * cfg.eta ** (cfg.n_decay - 1)
             assert res.diagnostics[i].final_sigma == pytest.approx(expected_final, rel=1e-12)
 
     def test_last_component_via_null_space(self):
         X = clean_data(seed=14)
-        res = fit(X, MCPIConfig(n_decay=5))
+        res = fit(X)
         assert res.diagnostics[-1].method == "null_space"
         v_last = res.components[:, -1]
         assert np.linalg.norm(res.components[:, :2].T @ v_last) <= 1e-8
@@ -662,8 +671,8 @@ class TestFit:
     def test_centering_flag(self):
         rng = np.random.default_rng(15)
         X = clean_data(seed=16) + 50.0
-        res = fit(X, MCPIConfig(n_decay=3, center=True))
-        ref = fit(X - X.mean(axis=0), MCPIConfig(n_decay=3))
+        res = fit(X, MCPIConfig(center=True))
+        ref = fit(X - X.mean(axis=0))
         assert np.allclose(res.components, ref.components)
 
     def test_weight_recompute_matches_algorithm(self):

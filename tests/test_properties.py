@@ -1,5 +1,5 @@
-"""Invariances of ``fit`` under row order, row signs, data scale and
-rotations, checked with hypothesis on small contaminated samples."""
+"""Invariances of ``fit`` under row order, row signs, repeated rows, data
+scale and rotations, checked with hypothesis on small contaminated samples."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,6 +33,14 @@ def test_row_permutation(X, perm_seed):
 def test_row_sign_flips(X, flip_seed):
     D = np.random.default_rng(flip_seed).choice([-1.0, 1.0], size=(X.shape[0], 1))
     assert np.max(np.abs(fit(D * X).components - fit(X).components)) <= TOL
+
+
+@few
+@given(X=samples)
+def test_stacked_rows(X):
+    # every row twice: the same empirical distribution, so the same kernel
+    # sizes and fixed points for any n
+    assert np.max(np.abs(fit(np.vstack([X, X])).components - fit(X).components)) <= TOL
 
 
 @few
