@@ -22,7 +22,7 @@ from .linalg import sym_evd
 from .mcpi import DegenerateInputError, MCPIConfig, PCAResult, fit, standard_pca
 from .metrics import component_alignment
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Demo default scatter for p=3; distinct eigenvalues, off-axis eigenvectors.
 DEFAULT_SCATTER_3D = np.array(
@@ -71,12 +71,6 @@ def _result_dict(result: PCAResult) -> dict:
     }
 
 
-def _config(args) -> MCPIConfig:
-    cfg = MCPIConfig(eta=args.eta, n_decay=args.n_decay, center=args.center)
-    cfg.validate()
-    return cfg
-
-
 def _experiment(args) -> ExperimentSpec:
     """The checked experiment of ``synth`` and ``demo``, with the scatter read
     from ``--scatter-csv`` or the default one for ``--p``."""
@@ -97,19 +91,16 @@ def _experiment(args) -> ExperimentSpec:
 
 def cmd_fit(args) -> int:
     try:
-        cfg = _config(args)
         X = _read_matrix_csv(args.input, args.header)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    result = fit(X, cfg)
+    result = fit(X, MCPIConfig(center=args.center))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "config": {
-            "eta": cfg.eta,
-            "n_decay": cfg.n_decay,
-            "center": cfg.center,
+            "center": args.center,
             "input": args.input,
         },
         "n": int(X.shape[0]),
@@ -163,12 +154,12 @@ def _write_plot_csv(path, X, idx, eigvals, V_true, V_mcpi, V_pca) -> None:
 def cmd_demo(args) -> int:
     try:
         spec = _experiment(args)
-        cfg = _config(args)
         if args.replicates < 1:
             raise ValueError(f"--replicates must be >= 1, got {args.replicates}")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    cfg = MCPIConfig(center=args.center)
     truth = sym_evd(spec.scatter)
     V_true = truth.vectors
 
@@ -205,9 +196,7 @@ def cmd_demo(args) -> int:
             "p": args.p,
             "outlier_fraction": args.outlier_frac,
             "nu": args.nu,
-            "eta": cfg.eta,
-            "n_decay": cfg.n_decay,
-            "center": cfg.center,
+            "center": args.center,
             "seed": args.seed,
             "replicates": args.replicates,
             "outlier_basis": args.outlier_basis,
@@ -237,12 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The MCPIConfig options shared by fit and demo, with its defaults.
-    defaults = MCPIConfig()
-    schedule = argparse.ArgumentParser(add_help=False)
-    schedule.add_argument("--eta", type=float, default=defaults.eta)
-    schedule.add_argument("--n-decay", type=int, default=defaults.n_decay)
-    schedule.add_argument("--center", action="store_true")
+    # The MCPIConfig option shared by fit and demo.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--center", action="store_true")
 
     # The ExperimentSpec options shared by synth and demo (besides --n, --p
     # and --seed, whose defaults differ).
@@ -253,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--scatter-csv", default=None, help="override the p x p scatter")
 
     p_fit = sub.add_parser(
-        "fit", parents=[schedule], help="fit a CSV dataset and write a JSON report"
+        "fit", parents=[config], help="fit a CSV dataset and write a JSON report"
     )
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--output", default="-")
@@ -261,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_demo = sub.add_parser(
-        "demo", parents=[schedule, data], help="synthetic comparison against plain PCA"
+        "demo", parents=[config, data], help="synthetic comparison against plain PCA"
     )
     p_demo.add_argument("--n", type=int, default=400)
     p_demo.add_argument("--p", type=int, default=3)

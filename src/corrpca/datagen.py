@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_symmetric, sym_evd
+from .linalg import check_integer, check_symmetric, sym_evd
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -31,8 +31,9 @@ class ExperimentSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (self.n >= 1 and self.p >= 1):
-            raise ValueError("n and p must be positive")
+        check_integer("n", self.n, 1)
+        check_integer("p", self.p, 1)
+        check_integer("seed", self.seed, 0)
         scatter = np.asarray(self.scatter, dtype=float)
         if scatter.shape != (self.p, self.p):
             raise ValueError(f"scatter must be {self.p} x {self.p}, got {scatter.shape}")

@@ -32,6 +32,12 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0.0 else v
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """ValueError unless ``value`` is an integer (numpy's too) >= ``minimum``."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_unit(v: np.ndarray) -> np.ndarray:
     """v as a float array, or ValueError unless it has unit norm (to 1e-8);
     a NaN entry fails."""

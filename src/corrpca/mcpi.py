@@ -13,17 +13,18 @@ Two layers:
   a-priori vector (the scale of the reconstruction errors whose correntropy
   the fit maximises, as in He et al., "Robust Principal Component Analysis
   Based on Maximum Correntropy Criterion", IEEE TIP 2011), the kernel
-  shrinks along the geometric grid sigma_0 eta^r, r < n_decay, and the last
-  component is the one-column complement basis of the others.
+  shrinks in n_decay geometric rounds from sigma_0 to sigma_0 KERNEL_SPAN,
+  and the last component is the one-column complement basis of the others.
 
-With the defaults (eta = 0.04, n_decay = 2) a component takes two rounds, at
-30 and at 1.2 times its median residual norm; both sizes are per-sample
+With the default n_decay = 2 a component takes two rounds, at 30 and at 1.2
+times its median residual norm; more rounds only subdivide that span, so a
+schedule never ends below the residual scale.  Both sizes are per-sample
 quantities, so the fit is the same for any n drawn from one distribution
-(stacking X on itself leaves it unchanged).  Only the fixed point at the
-last grid point is the answer, so every earlier round stops once a step
-moves the direction by at most sqrt(outer_tol) (1e-4 by default) and the
-last runs to outer_tol (1e-8).  Each round starts from the fixed point of
-the round before and iterates the map u -> top eigenvector of the weighted
+(stacking X on itself leaves it unchanged).  Only the fixed point of the
+last round is the answer, so every earlier round stops once a step moves
+the direction by at most sqrt(outer_tol) (1e-4 by default) and the last
+runs to outer_tol (1e-8).  Each round starts from the fixed point of the
+round before and iterates the map u -> top eigenvector of the weighted
 scatter at u, accelerated by a depth-1 Anderson (secant) step: each step
 mixes the last two images along their difference by one scalar, and takes
 the plain image when the secant model of the map does not contract.  It
@@ -32,11 +33,12 @@ returns that image, so every direction it returns is an eigenvector of a
 weighted scatter.  A component is ``converged`` when each round met its own
 tolerance within outer_max_iter outer iterations.  The schedule stops early
 when the kernel no longer carries information: at the last grid point above
-the floor 2 sigma^2 <= eps max ||y||^2, or when every sample weight
-underflows in a round.  The component then keeps the direction reached so
-far, reports ``sigma_underflow=True`` and ``converged=False``.  The
-iteration keeps whatever sign its steps produce; the sign convention of
-``linalg.fix_sign`` is applied once, to the direction a component reports.
+the floor 2 sigma^2 <= eps max ||y||^2 (only a small ``sigma0`` gets
+there), or when every sample weight underflows in a round.  The component
+then keeps the direction reached so far, reports ``sigma_underflow=True``
+and ``converged=False``.  The iteration keeps whatever sign its steps
+produce; the sign convention of ``linalg.fix_sign`` is applied once, to the
+direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
 components, set up once per component and shared by its rounds: an
@@ -78,6 +80,7 @@ import numpy as np
 from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     SingularDirectionError,
+    check_integer,
     check_orthonormal,
     check_unit,
     complement_basis,
@@ -88,9 +91,10 @@ from .linalg import (
 
 
 # sigma_0 of a component, in units of the median residual norm at its
-# a-priori vector; with the default eta and n_decay the last round runs at
-# 1.2 times that median.
+# a-priori vector, and the last round's kernel size over sigma_0: every
+# schedule ends at 1.2 times that median, where many samples keep weight.
 KERNEL_SCALE = 30.0
+KERNEL_SPAN = 0.04
 
 
 class NumericalSingularityError(RuntimeError):
@@ -106,16 +110,16 @@ class DegenerateInputError(ValueError):
 class MCPIConfig:
     """Loop tolerance and the kernel-shrinking schedule.
 
-    ``fit`` runs one round at each point of the kernel-size grid
-    sigma_0 eta^r, r < n_decay, for each component: the last at
-    ``outer_tol``, every earlier one at sqrt(outer_tol).
+    ``fit`` runs ``n_decay`` rounds for each component, at the kernel sizes
+    sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay (one round at
+    sigma_0 when n_decay is 1): the last at ``outer_tol``, every earlier one
+    at sqrt(outer_tol).  n_decay only subdivides the fixed span.
     ``mcpi_ith_component`` runs its single kernel size to ``outer_tol``.
     sigma_0 is ``KERNEL_SCALE`` times the component's median residual norm
     at its a-priori vector; ``sigma0`` overrides it for every component when
     set (used to freeze sigma large and recover plain PCA).
     """
 
-    eta: float = 0.04
     n_decay: int = 2
     outer_tol: float = 1e-8
     outer_max_iter: int = 200
@@ -124,13 +128,12 @@ class MCPIConfig:
 
     def validate(self) -> None:
         """ValueError unless every field is in range; NaN is out of every range,
-        and ``n_decay`` and ``outer_max_iter`` must be integers (numpy's too)."""
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError(f"eta must be in (0,1), got {self.eta}")
-        for name in ("n_decay", "outer_max_iter"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        ``n_decay`` and ``outer_max_iter`` must be integers and ``center`` a
+        bool (numpy's too)."""
+        check_integer("n_decay", self.n_decay, 1)
+        check_integer("outer_max_iter", self.outer_max_iter, 1)
+        if not isinstance(self.center, (bool, np.bool_)):
+            raise ValueError(f"center must be a bool, got {self.center!r}")
         if not (0.0 < self.outer_tol < np.inf):
             raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
         if self.sigma0 is not None and not (0.0 < self.sigma0 < np.inf):
@@ -340,13 +343,14 @@ def _kernel_size(cs: _Complement, u: np.ndarray) -> float:
 
 
 def _shrinking_rounds(X, components, v, cfg):
-    """Rounds along the kernel-size grid sigma_r = sigma_0 eta^r, r < n_decay,
-    sharing one complement set-up, from ``v`` projected onto the complement.
+    """Rounds at the kernel sizes sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)),
+    r < n_decay, sharing one complement set-up, from ``v`` projected onto the
+    complement.
 
     sigma_0 is ``cfg.sigma0`` when set, else ``_kernel_size`` at that start.
     Each round starts from the fixed point of the one before and is solved by
-    ``_fixed_point``, to sqrt(outer_tol) before the last grid point and to
-    ``outer_tol`` at it.  The iteration keeps the sign its steps produce;
+    ``_fixed_point``, to sqrt(outer_tol) before the last round and to
+    ``outer_tol`` in it.  The iteration keeps the sign its steps produce;
     ``fix_sign`` is applied once, to the direction the component reports.
 
     The schedule stops, with ``sigma_underflow``, at the last grid point
@@ -355,24 +359,25 @@ def _shrinking_rounds(X, components, v, cfg):
     """
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
-    sigma = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u)
+    sigma0 = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u)
     floor = np.finfo(float).eps * cs.e_max  # the kernel-size floor, on 2 sigma^2
-    final_sigma = sigma
+    last = cfg.n_decay - 1
+    final_sigma = sigma0
     outer_total = 0
     converged = True
     underflow = False
     for r in range(cfg.n_decay):
+        sigma = sigma0 * KERNEL_SPAN ** (r / max(last, 1))
         if 2.0 * sigma * sigma <= floor:
             underflow = True
             break
-        tol = cfg.outer_tol if r == cfg.n_decay - 1 else np.sqrt(cfg.outer_tol)
+        tol = cfg.outer_tol if r == last else np.sqrt(cfg.outer_tol)
         u, outer, round_converged, underflow = _fixed_point(cs, sigma, u, tol, cfg.outer_max_iter)
         outer_total += outer
         if underflow:
             break
         final_sigma = sigma
         converged = converged and round_converged
-        sigma *= cfg.eta
     return fix_sign(cs.B @ u), ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,

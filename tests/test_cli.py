@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from corrpca.cli import main
-from corrpca.mcpi import MCPIConfig
 
 
 def run(args):
@@ -44,12 +43,11 @@ class TestFit:
         run(["synth", "--n", 120, "--p", 3, "--seed", 5, "--output", data])
         assert run(["fit", "--input", data, "--output", report]) == 0
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["n"] == 120 and doc["p"] == 3
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
-        assert doc["config"]["eta"] == MCPIConfig().eta
-        assert doc["config"]["n_decay"] == MCPIConfig().n_decay
+        assert doc["config"] == {"center": False, "input": str(data)}
 
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -76,16 +74,20 @@ class TestFit:
         assert "drop or combine collinear columns" in capsys.readouterr().err
 
     def test_tiny_sigma_schedule_reports_underflow(self, tmp_path):
-        # rows along the coordinate axes: rows along a fixed point keep weight
-        # 1 at any sigma, so only the kernel-size floor ends the schedule
+        # 60 rows within 1e-13 of the e1 axis and 40 in the (e2, e3) plane:
+        # in the complement of e1 the median residual is ~1e-13, so
+        # component 2's kernel size starts below the kernel-size floor
         rng = np.random.default_rng(0)
-        X = np.vstack([np.outer(rng.uniform(2.0, 3.0, 30), e) for e in np.eye(3)])
+        near_axis = np.column_stack([rng.choice([-1.0, 1.0], 60) * rng.uniform(2.0, 3.0, 60),
+                                     1e-13 * rng.standard_normal((60, 2))])
+        plane = np.column_stack([np.zeros(40), rng.standard_normal((40, 2))])
         data = tmp_path / "data.csv"
-        np.savetxt(data, X * np.repeat([3.0, 2.0, 1.0], 30)[:, None], delimiter=",")
+        np.savetxt(data, np.vstack([near_axis, plane]), delimiter=",", fmt="%.17g")
         report = tmp_path / "r.json"
-        assert run(["fit", "--input", data, "--eta", 0.3, "--n-decay", 800, "--output", report]) == 0
+        assert run(["fit", "--input", data, "--output", report]) == 0
         doc = json.loads(report.read_text())
-        assert [(d["sigma_underflow"], d["converged"]) for d in doc["diagnostics"][:2]] == [(True, False)] * 2
+        d = doc["diagnostics"][1]
+        assert d["sigma_underflow"] and not d["converged"]
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
 
@@ -122,7 +124,9 @@ class TestDemo:
                     "mcpi_mean_abs_cos", "pca_mean_abs_cos"):
             assert len(agg[key]) == 3
         assert len(doc["replicates"]) == 2
+        assert doc["schema_version"] == 3
         assert doc["config"]["seed"] == 0
+        assert "eta" not in doc["config"] and "n_decay" not in doc["config"]
         lines = plot.read_text().strip().splitlines()
         # header + 80 samples + 3 direction sets x 3 components
         assert len(lines) == 1 + 80 + 9
@@ -182,8 +186,8 @@ def row(command, flags, code, name=None):
 
 EXIT_TABLE = [
     *(row(c, f, 2) for c in ("synth", "demo")
-      for f in (["--outlier-frac", 2], ["--nu", -1], ["--nu", "nan"], ["--n", 0], ["--p", 0])),
-    *(row(c, f, 2) for c in ("fit", "demo") for f in (["--eta", 2], ["--n-decay", 0])),
+      for f in (["--outlier-frac", 2], ["--nu", -1], ["--nu", "nan"], ["--n", 0], ["--p", 0],
+                ["--seed", -1])),
     row("demo", ["--replicates", 0], 2),
     row("demo", ["--replicates", -1], 2),
     row("demo", ["--n", 2, "--p", 3], 3),

@@ -135,3 +135,16 @@ class TestGenerateExperiment:
         for nu in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="nu must be positive and finite"):
                 ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, nu=nu).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n": 2.5}, {"n": 10.0}, {"n": "10"}, {"p": 3.0}, {"seed": 1.5}, {"seed": -1}, {"seed": None}],
+    )
+    def test_spec_rejects_non_integer_counts(self, kwargs):
+        spec = ExperimentSpec(**{"n": 10, "p": 3, "scatter": DEMO_SCATTER, **kwargs})
+        with pytest.raises(ValueError, match="must be an integer"):
+            spec.validate()
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = ExperimentSpec(n=np.int64(10), p=np.int32(3), scatter=DEMO_SCATTER, seed=np.uint8(4))
+        assert generate_experiment(spec)[0].shape == (10, 3)

@@ -43,6 +43,24 @@ def axis_rows(seed=0):
     return X * np.repeat([3.0, 2.0, 1.0], 30)[:, None]
 
 
+def symmetric_rows():
+    """The rows (2, +-0.1, 0), (0, 1, 0), (0, 0, 1) and their negatives: by
+    symmetry e1 is the fixed point at every sigma, where the four rows
+    nearest it have residual 0.1 and every weight underflows once
+    0.01 / 2 sigma^2 > -log(1e-300), at sigma < 0.0027."""
+    X = np.array([[2.0, 0.1, 0.0], [2.0, -0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return np.vstack([X, -X])
+
+
+def with_rows_along_second_apriori(X, k=5, scale=3.0):
+    """X with k rows of +-scale v2 appended, v2 its second a-priori
+    eigenvector.  They leave v2 an eigenvector of X^T X in its place, so at
+    component 2's start these rows have residual ~1e-15, and they keep
+    weight ~1 at any sigma above the floor."""
+    v2 = sym_evd(X.T @ X / X.shape[0]).vectors[:, 1]
+    return np.vstack([X, np.outer(np.tile([scale, -scale], k), v2)])
+
+
 def plain_fixed_point(cs, sigma, u, tol, max_iter):
     """Oracle for ``mcpi._fixed_point`` without the secant step: the plain
     loop u <- top eigenvector of the weighted scatter at u, with the same
@@ -76,18 +94,19 @@ def kernel_size_reference(X, components, v):
 def every_round_reference(X, cfg):
     """Per-round reference for the schedule of ``fit``: each decay round is
     one ``mcpi_ith_component`` call started at the previous round's (signed)
-    result, every one solved to ``outer_tol``, from the kernel size of
-    ``kernel_size_reference`` at the a-priori vector.  It runs the production
-    corrector; ``TestSecantCorrector`` checks that against the plain loop.
-    Returns the iterated components as columns."""
+    result, every one solved to ``outer_tol``, at the ``n_decay`` kernel
+    sizes geometrically spaced from sigma_0, that of
+    ``kernel_size_reference`` at the a-priori vector, to sigma_0
+    ``KERNEL_SPAN``.  It runs the production corrector;
+    ``TestSecantCorrector`` checks that against the plain loop.  Returns the
+    iterated components as columns."""
     pairs = sym_evd(X.T @ X / X.shape[0])
     components = []
     for i in range(X.shape[1] - 1):
         v = pairs.vectors[:, i]
-        sigma = kernel_size_reference(X, components, v)
-        for _ in range(cfg.n_decay):
+        sigma0 = kernel_size_reference(X, components, v)
+        for sigma in np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay):
             v, _ = mcpi_ith_component(X, components, sigma, v, cfg)
-            sigma *= cfg.eta
         components.append(v)
     return np.column_stack(components)
 
@@ -407,7 +426,7 @@ class TestFit:
         for tol in (np.sqrt(cfg.outer_tol), cfg.outer_tol):
             v, diag = mcpi_ith_component(X, [], sigma, v, replace(cfg, outer_tol=tol))
             rounds.append(diag.converged)
-            sigma *= cfg.eta
+            sigma *= mcpi.KERNEL_SPAN
         assert rounds == [False, True]
         assert not fit(X, cfg).diagnostics[0].converged
 
@@ -447,7 +466,7 @@ class TestFit:
         # first from the a-priori vector
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
                                                   nu=15.0, seed=5))
-        cfg = MCPIConfig(eta=0.2, n_decay=n_decay)
+        cfg = MCPIConfig(n_decay=n_decay)
         ref = every_round_reference(X, cfg)
         V = fit(X, cfg).components
         assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
@@ -456,13 +475,13 @@ class TestFit:
         # every grid point is visited, in order, and hands its fixed point on
         rounds = record_rounds(monkeypatch)
         X = outlier_data(seed=3)
-        cfg = MCPIConfig(eta=0.2, n_decay=4)
+        cfg = MCPIConfig(n_decay=4)
         res = fit(X, cfg)
         components = per_component(rounds)
         assert [len(component) for component in components] == [cfg.n_decay] * 2
         for component, d in zip(components, res.diagnostics):
             for before, after in zip(component, component[1:]):
-                assert after[1] == before[1] * cfg.eta
+                assert after[1] < before[1]
                 assert np.array_equal(after[2], before[3])
             assert d.final_sigma == component[-1][1]
             assert d.outer_iterations == sum(round_[4] for round_ in component)
@@ -510,15 +529,14 @@ class TestFit:
         assert np.all(np.diff(medians, axis=0) >= -0.01), medians
 
     def test_first_step_underflow_keeps_last_fixed_point(self, monkeypatch):
-        # by symmetry e1 is the fixed point at every sigma, and the rows
-        # (2, +-0.1, 0) nearest it have residual 0.1; at sigma0 = 1, eta = 0.3
-        # every weight underflows on the first step of the sixth round, at
-        # sigma = 0.3^5, so component 1 keeps the fixed point of the fifth
+        # sigma_r = 0.0125 KERNEL_SPAN^(r / 5): the rounds at r = 0, 1, 2 keep
+        # weights (sigma >= 0.0034), every weight underflows on the first step
+        # of the fourth round (sigma = 0.0018), so component 1 keeps the
+        # fixed point of the third
         rounds = record_rounds(monkeypatch)
-        X = np.array([[2.0, 0.1, 0.0], [2.0, -0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        res = fit(np.vstack([X, -X]), MCPIConfig(sigma0=1.0, eta=0.3, n_decay=30))
+        res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125, n_decay=6))
         *earlier, (_, _, start, u, steps, converged, underflow) = per_component(rounds)[0]
-        assert underflow and not converged and steps == 0 and len(earlier) == 5
+        assert underflow and not converged and steps == 0 and len(earlier) == 3
         assert all(round_[5] and not round_[6] for round_ in earlier)
         _, sigma_last, _, u_last, _, _, _ = earlier[-1]
         assert np.array_equal(start, u_last) and np.array_equal(u, u_last)
@@ -532,46 +550,53 @@ class TestFit:
         [("clean", 200, [1]), ("axis", 400, [0, 1]), ("outliers", 200, [1])],
     )
     def test_floor_stop_reports_last_grid_sigma_above_floor(self, data, n_decay, stopped):
-        # sigma_r = sigma0 eta^r, built by repeated multiplication
-        if data == "outliers":
-            X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
-                                                      nu=15.0, seed=0))
+        # a grid from 1e-6 to 4e-8 straddles the floor sqrt(eps max e / 2)
+        # ~ 1e-7; rows along the fixed point keep their weight down to it
+        # (on the axis data exactly, elsewhere rows along the second
+        # a-priori vector), while on the clean and outlier data every weight
+        # of component 1 underflows at once
+        if data == "axis":
+            X = axis_rows()
         else:
-            X = clean_data(seed=9) if data == "clean" else axis_rows()
-        cfg = MCPIConfig(sigma0=1.0, eta=0.3, n_decay=n_decay)
+            X = clean_data(seed=9) if data == "clean" else outlier_data(fraction=0.05, seed=0)
+            X = with_rows_along_second_apriori(X)
+        cfg = MCPIConfig(sigma0=1e-6, n_decay=n_decay)
         res = fit(X, cfg)
+        grid = cfg.sigma0 * mcpi.KERNEL_SPAN ** (np.arange(n_decay) / (n_decay - 1))
         for i in stopped:
             floor = np.finfo(float).eps * mcpi._Complement.of(X, list(res.components[:, :i].T)).e_max
-            grid = [cfg.sigma0]
-            while 2.0 * grid[-1] * grid[-1] > floor:
-                grid.append(grid[-1] * cfg.eta)
+            above = grid[2.0 * grid * grid > floor]
+            assert 0 < len(above) < n_decay
             d = res.diagnostics[i]
-            assert d.sigma_underflow and not d.converged and d.final_sigma == grid[-2]
+            assert d.sigma_underflow and not d.converged and d.final_sigma == above[-1]
 
     @pytest.mark.parametrize("data", ["demo", "axis"])
     def test_tiny_sigma_ends_as_underflow(self, data):
-        # n_decay = 400 would take sigma below 1e-162, where 2 sigma^2 is 0
-        # and a row along u would get weight 0/0; on the axis data such rows
-        # keep weight 1 at any sigma, so only the floor stops the schedule
+        # at sigma0 = 1e-170, 2 sigma^2 is 0 and a row along u would get
+        # weight 0/0; on the axis data such rows keep weight 1 at any sigma,
+        # so only the floor stops the schedule
         if data == "demo":
             X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, seed=9))
         else:
             X = axis_rows()
-        res = fit(X, MCPIConfig(sigma0=1.0, eta=0.3, n_decay=400))
+        res = fit(X, MCPIConfig(sigma0=1e-170))
         assert all(d.sigma_underflow and not d.converged for d in res.diagnostics[:2])
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
 
     def test_floor_stops_schedule_on_clean_data(self):
-        # rows whose e - t^2 rounds to <= 0 keep weight 1 at any sigma, so
-        # without the floor component 2 shrinks on to sigma ~ 1e-104 and
-        # reports convergence, its direction set by those few rows alone
-        X = clean_data(seed=9)
-        res = fit(X, MCPIConfig(sigma0=1.0, eta=0.3, n_decay=200))
+        # the rows along the second a-priori vector have e - t^2 at rounding
+        # level, so they would keep weight below the floor too and the round
+        # at 4e-8 would report convergence, its direction set by those rows
+        # and the rounding of e - t^2 alone; the floor stops the schedule
+        X = with_rows_along_second_apriori(clean_data(seed=9))
+        res = fit(X, MCPIConfig(sigma0=1e-6))
         d = res.diagnostics[1]
-        assert d.sigma_underflow and not d.converged
-        e = np.sum(X * X, axis=1) - (X @ res.components[:, 0]) ** 2  # energies in the complement
-        assert d.final_sigma >= np.sqrt(np.finfo(float).eps * e.max() / 2.0)
+        assert d.sigma_underflow and not d.converged and d.final_sigma == 1e-6
+        cs = mcpi._Complement.of(X, [res.components[:, 0]])
+        assert 2.0 * (1e-6 * mcpi.KERNEL_SPAN) ** 2 <= np.finfo(float).eps * cs.e_max
+        w = rank_one_weights(cs.e, cs.Y @ cs.coordinates(res.components[:, 1]), 1e-6 * mcpi.KERNEL_SPAN)
+        assert not all_underflowed(w)
 
     def test_underflow_reported(self):
         res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=3))
@@ -580,14 +605,46 @@ class TestFit:
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
 
     def test_underflow_after_finished_rounds_not_converged(self):
-        # rounds at sigma = 1, 0.1, ... finish until every weight underflows;
-        # the direction is then converged only to sqrt(outer_tol)
-        res = fit(clean_data(seed=9), MCPIConfig(sigma0=1.0, eta=0.1, n_decay=30))
+        # the round at sigma0 finishes to sqrt(outer_tol), every weight
+        # underflows in the last one, at 0.04 sigma0; the direction is then
+        # converged only to sqrt(outer_tol)
+        res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125))
         d = res.diagnostics[0]
-        assert d.sigma_underflow and d.final_sigma < 1.0
+        assert d.sigma_underflow and d.final_sigma == 0.0125 and d.outer_iterations > 0
         assert not d.converged
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
+
+    @pytest.mark.parametrize("n_decay", [3, 4, 10])
+    @pytest.mark.parametrize("fraction", [0.0, 0.05])
+    def test_longer_schedules_end_at_the_residual_scale(self, fraction, n_decay):
+        # more rounds only subdivide the span: every component still ends
+        # converged at KERNEL_SPAN sigma_0, where the final weights spread
+        # over many rows, and at the default fit's answer
+        X = clean_data(seed=13) if fraction == 0.0 else outlier_data(fraction=fraction, seed=5)
+        res = fit(X, MCPIConfig(n_decay=n_decay))
+        apriori = sym_evd(X.T @ X / X.shape[0]).vectors
+        for i, d in enumerate(res.diagnostics[:-1]):
+            assert d.converged and not d.sigma_underflow
+            found = list(res.components[:, :i].T)
+            sigma0 = kernel_size_reference(X, found, apriori[:, i])
+            assert d.final_sigma == pytest.approx(sigma0 * mcpi.KERNEL_SPAN, rel=1e-12)
+            w = residual_weights(X, np.eye(3) - res.components[:, :i + 1] @ res.components[:, :i + 1].T,
+                                 d.final_sigma)
+            assert np.sum(w) ** 2 / np.sum(w * w) >= X.shape[0] / 4
+        assert np.max(np.abs(res.components - fit(X).components)) <= 1e-6
+
+    def test_longer_schedules_keep_robustness(self):
+        # median over 40 seeds of the worst |cos| to the truth at 30% outliers
+        truth = sym_evd(DEMO_SCATTER).vectors
+        data = [outlier_data(fraction=0.3, seed=seed) for seed in range(40, 80)]
+
+        def median_min_cos(cfg):
+            return np.median([np.min(np.abs(np.sum(fit(X, cfg).components * truth, axis=0))) for X in data])
+
+        default = median_min_cos(MCPIConfig())
+        for n_decay in (3, 4, 10):
+            assert median_min_cos(MCPIConfig(n_decay=n_decay)) >= default - 0.01, n_decay
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -636,15 +693,18 @@ class TestFit:
         assert r1.components.tobytes() == r2.components.tobytes()
         assert r1.apriori_eigenvalues.tobytes() == r2.apriori_eigenvalues.tobytes()
 
-    def test_sigma_schedule_is_geometric(self):
+    def test_sigma_schedule_is_geometric(self, monkeypatch):
+        # n_decay sizes geometrically spaced from sigma_0 to KERNEL_SPAN sigma_0
+        rounds = record_rounds(monkeypatch)
         X = clean_data(seed=13)
-        cfg = MCPIConfig(eta=0.5, n_decay=7)
+        cfg = MCPIConfig(n_decay=7)
         res = fit(X, cfg)
         apriori = sym_evd(X.T @ X / X.shape[0]).vectors
-        for i in range(2):  # iterated components only
+        for i, component in enumerate(per_component(rounds)):  # iterated components only
             sigma0 = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
-            expected_final = sigma0 * cfg.eta ** (cfg.n_decay - 1)
-            assert res.diagnostics[i].final_sigma == pytest.approx(expected_final, rel=1e-12)
+            expected = np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay)
+            assert [round_[1] for round_ in component] == pytest.approx(expected, rel=1e-12)
+            assert res.diagnostics[i].final_sigma == pytest.approx(expected[-1], rel=1e-12)
 
     def test_last_component_via_null_space(self):
         X = clean_data(seed=14)
@@ -733,13 +793,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"eta": 0.0},
-            {"eta": 1.0},
             {"n_decay": 0},
             {"outer_tol": 0.0},
             {"outer_max_iter": 0},
             {"sigma0": -1.0},
-            {"eta": np.nan},
             {"n_decay": np.nan},
             {"outer_tol": np.nan},
             {"outer_tol": np.inf},
@@ -749,11 +806,18 @@ class TestConfigValidation:
             {"n_decay": 3.0},
             {"outer_max_iter": 3.5},
             {"outer_max_iter": "10"},
+            {"center": "no"},
+            {"center": 1},
+            {"center": None},
+            {"center": np.int64(0)},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             MCPIConfig(**kwargs).validate()
+
+    def test_accepts_numpy_bool_center(self):
+        MCPIConfig(center=np.bool_(True)).validate()
 
     def test_accepts_numpy_integers(self):
         cfg = MCPIConfig(n_decay=np.int64(3), outer_max_iter=np.int32(50))
