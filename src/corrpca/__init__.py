@@ -16,7 +16,6 @@ from .mcpi import (
     PCAResult,
     build_deflated_operator,
     fit,
-    mcpi_ith_component,
     standard_pca,
     woodbury_update,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "gaussian_kernel",
     "generate_experiment",
     "inject_outliers",
-    "mcpi_ith_component",
     "null_space_vector",
     "power_iteration",
     "reconstruction_error",

@@ -1,20 +1,17 @@
-"""Correntropy power-iteration PCA solvers.
+"""Correntropy power-iteration PCA: ``fit`` and the plain-PCA baseline.
 
-Two layers:
-
-* ``mcpi_ith_component`` -- fixed-point loop for one component at one kernel
-  size (a one-round schedule): freeze the sample weights, take the top
-  eigenvector of the weighted scatter compressed to the complement of the
-  components already found, (I - P) S (I - P), refresh the weights, repeat.
-  With no components found this is the leading component.
-* ``fit`` -- full decomposition: an a-priori eigendecomposition of
-  X^T X / n seeds each component, its kernel size sigma_0 is
-  ``KERNEL_SCALE`` times the median residual norm of the samples at that
-  a-priori vector (the scale of the reconstruction errors whose correntropy
-  the fit maximises, as in He et al., "Robust Principal Component Analysis
-  Based on Maximum Correntropy Criterion", IEEE TIP 2011), the kernel
-  shrinks in n_decay geometric rounds from sigma_0 to sigma_0 KERNEL_SPAN,
-  and the last component is the one-column complement basis of the others.
+``fit`` finds the components one at a time.  An a-priori eigendecomposition
+of X^T X / n seeds each component, its kernel size sigma_0 is
+``KERNEL_SCALE`` times the median residual norm of the samples at that
+a-priori vector (the scale of the reconstruction errors whose correntropy
+the fit maximises, as in He et al., "Robust Principal Component Analysis
+Based on Maximum Correntropy Criterion", IEEE TIP 2011), the kernel shrinks
+in n_decay geometric rounds from sigma_0 to sigma_0 KERNEL_SPAN, and the
+last component is the one-column complement basis of the others.  Each
+round is a fixed-point loop at one kernel size: freeze the sample weights,
+take the top eigenvector of the weighted scatter compressed to the
+complement of the components already found, (I - P) S (I - P), refresh the
+weights, repeat.
 
 With the default n_decay = 2 a component takes two rounds, at 30 and at 1.2
 times its median residual norm; more rounds only subdivide that span, so a
@@ -22,23 +19,23 @@ schedule never ends below the residual scale.  Both sizes are per-sample
 quantities, so the fit is the same for any n drawn from one distribution
 (stacking X on itself leaves it unchanged).  Only the fixed point of the
 last round is the answer, so every earlier round stops once a step moves
-the direction by at most sqrt(outer_tol) (1e-4 by default) and the last
-runs to outer_tol (1e-8).  Each round starts from the fixed point of the
-round before and iterates the map u -> top eigenvector of the weighted
-scatter at u, accelerated by a depth-1 Anderson (secant) step: each step
-mixes the last two images along their difference by one scalar, and takes
-the plain image when the secant model of the map does not contract.  It
-stops once the map moves its iterate by at most the round's tolerance and
-returns that image, so every direction it returns is an eigenvector of a
-weighted scatter.  A component is ``converged`` when each round met its own
-tolerance within outer_max_iter outer iterations.  The schedule stops early
-when the kernel no longer carries information: at the last grid point above
-the floor 2 sigma^2 <= eps max ||y||^2 (only a small ``sigma0`` gets
-there), or when every sample weight underflows in a round.  The component
-then keeps the direction reached so far, reports ``sigma_underflow=True``
-and ``converged=False``.  The iteration keeps whatever sign its steps
-produce; the sign convention of ``linalg.fix_sign`` is applied once, to the
-direction a component reports.
+the direction by at most sqrt(``OUTER_TOL``) (1e-4) and the last runs to
+``OUTER_TOL`` (1e-8).  Each round starts from the fixed point of the round
+before and iterates the map u -> top eigenvector of the weighted scatter at
+u, accelerated by a depth-1 Anderson (secant) step: each step mixes the last
+two images along their difference by one scalar, and takes the plain image
+when the secant model of the map does not contract.  It stops once the map
+moves its iterate by at most the round's tolerance and returns that image,
+so every direction it returns is an eigenvector of a weighted scatter.  A
+component is ``converged`` when each round met its own tolerance within
+``OUTER_MAX_ITER`` (200) outer iterations.  The schedule stops early when
+the kernel no longer carries information: at the last grid point above the
+floor 2 sigma^2 <= eps max ||y||^2 (only a small ``sigma0`` gets there), or
+when every sample weight underflows in a round.  The component then keeps
+the direction reached so far, reports ``sigma_underflow=True`` and
+``converged=False``, and its ``final_sigma`` is NaN when no round finished.
+The iteration keeps whatever sign its steps produce; the sign convention of
+``linalg.fix_sign`` is applied once, to the direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
 components, set up once per component and shared by its rounds: an
@@ -73,7 +70,7 @@ kept as that paper-literal reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,8 +78,6 @@ from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     SingularDirectionError,
     check_integer,
-    check_orthonormal,
-    check_unit,
     complement_basis,
     fix_sign,
     null_space_vector,
@@ -95,6 +90,10 @@ from .linalg import (
 # schedule ends at 1.2 times that median, where many samples keep weight.
 KERNEL_SCALE = 30.0
 KERNEL_SPAN = 0.04
+# The step size at which the last round of a schedule stops (every earlier
+# round stops at its square root), and the outer iterations a round may take.
+OUTER_TOL = 1e-8
+OUTER_MAX_ITER = 200
 
 
 class NumericalSingularityError(RuntimeError):
@@ -108,34 +107,28 @@ class DegenerateInputError(ValueError):
 
 @dataclass
 class MCPIConfig:
-    """Loop tolerance and the kernel-shrinking schedule.
+    """The kernel-shrinking schedule and the centring of the input.
 
     ``fit`` runs ``n_decay`` rounds for each component, at the kernel sizes
     sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay (one round at
-    sigma_0 when n_decay is 1): the last at ``outer_tol``, every earlier one
-    at sqrt(outer_tol).  n_decay only subdivides the fixed span.
-    ``mcpi_ith_component`` runs its single kernel size to ``outer_tol``.
-    sigma_0 is ``KERNEL_SCALE`` times the component's median residual norm
-    at its a-priori vector; ``sigma0`` overrides it for every component when
-    set (used to freeze sigma large and recover plain PCA).
+    sigma_0 when n_decay is 1): the last to ``OUTER_TOL``, every earlier one
+    to sqrt(``OUTER_TOL``), each within ``OUTER_MAX_ITER`` outer iterations.
+    n_decay only subdivides the fixed span.  sigma_0 is ``KERNEL_SCALE``
+    times the component's median residual norm at its a-priori vector;
+    ``sigma0`` overrides it for every component when set (used to freeze
+    sigma large and recover plain PCA).  ``center`` subtracts the column
+    means first.
     """
 
     n_decay: int = 2
-    outer_tol: float = 1e-8
-    outer_max_iter: int = 200
     center: bool = False
     sigma0: float | None = None
 
     def validate(self) -> None:
-        """ValueError unless every field is in range; NaN is out of every range,
-        ``n_decay`` and ``outer_max_iter`` must be integers and ``center`` a
-        bool (numpy's too)."""
+        """ValueError unless ``n_decay`` is an integer >= 1 (numpy's too) and
+        ``sigma0``, when set, is positive and finite (NaN is neither).
+        ``center`` is checked with the input, by ``_scatter_evd``."""
         check_integer("n_decay", self.n_decay, 1)
-        check_integer("outer_max_iter", self.outer_max_iter, 1)
-        if not isinstance(self.center, (bool, np.bool_)):
-            raise ValueError(f"center must be a bool, got {self.center!r}")
-        if not (0.0 < self.outer_tol < np.inf):
-            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
         if self.sigma0 is not None and not (0.0 < self.sigma0 < np.inf):
             raise ValueError(f"sigma0 must be positive and finite when set, got {self.sigma0}")
 
@@ -184,10 +177,11 @@ def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
 class ComponentDiagnostics:
     """How one component was found.  For an iterated component,
     ``outer_iterations`` counts the outer steps of all its rounds and
-    ``final_sigma`` is the kernel size of its last finished round.
-    ``converged`` is true when the schedule ran to its end and every round
-    met its own tolerance within ``outer_max_iter`` outer iterations,
-    sqrt(outer_tol) before the last grid point and ``outer_tol`` at it.
+    ``final_sigma`` is the kernel size of its last finished round, NaN when
+    the schedule stopped before any round finished.  ``converged`` is true
+    when the schedule ran to its end and every round met its own tolerance
+    within ``OUTER_MAX_ITER`` outer iterations, sqrt(``OUTER_TOL``) before
+    the last grid point and ``OUTER_TOL`` at it.
     ``sigma_underflow`` marks a schedule stopped early, at the kernel-size
     floor or when every weight underflowed."""
 
@@ -305,36 +299,14 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     return u, max_iter, False, False
 
 
-def mcpi_ith_component(X, components, sigma, v0, cfg: MCPIConfig):
-    """Next robust component, orthogonal to the unit vectors in ``components``:
-    a one-round schedule at kernel size ``sigma``, solved to ``outer_tol``.
-
-    Each outer iteration weights the samples by the kernel of their residual
-    (I - P - v v^T) x and moves v to the top eigenvector of the weighted
-    scatter compressed to the complement of range(P).  A ``sigma`` at the
-    kernel-size floor or an underflow is reported, not raised.  ``X`` gets
-    ``fit``'s input checks but the rank test, and ``sigma`` those of ``sigma0``;
-    ValueError unless ``v0`` is a unit vector and ``components`` (possibly
-    empty) are orthonormal to 1e-8, all of length X's column count.
-    """
-    cfg = replace(cfg, n_decay=1, sigma0=sigma)
-    cfg.validate()
-    X, _ = _scatter_evd(X, center=False)
-    p = X.shape[1]
-    if np.shape(v0) != (p,):
-        raise ValueError(f"v0 must have length {p} (the columns of X), got shape {np.shape(v0)}")
-    if any(np.shape(c) != (p,) for c in components):
-        raise ValueError(f"components must have length {p} (the columns of X), got shapes "
-                         f"{[np.shape(c) for c in components]}")
-    check_orthonormal(_columns(components, p), 1e-8)
-    return _shrinking_rounds(X, components, check_unit(v0), cfg)
-
-
-def _kernel_size(cs: _Complement, u: np.ndarray) -> float:
-    """``KERNEL_SCALE`` times the median residual norm sqrt(max(e - t^2, 0)),
-    t = Y u, of the rows at ``u``; the RMS residual when over half the rows
-    have residual 0 (the rank test keeps the RMS positive)."""
-    r2 = np.maximum(cs.e - (cs.Y @ u) ** 2, 0.0)
+def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
+    """``KERNEL_SCALE`` times the median residual norm sqrt(e - t^2), t = Y u,
+    of the rows at ``u``, with squared residuals at or below the rounding
+    ``floor`` counted as 0; the RMS residual when over half the rows have
+    residual 0 (the RMS is 0 only when every row has, and the floor then
+    stops the schedule)."""
+    r2 = cs.e - (cs.Y @ u) ** 2
+    r2[r2 <= floor] = 0.0
     r = np.sqrt(r2)
     mid = [(len(r) - 1) // 2, len(r) // 2]
     r.partition(mid)  # the median; np.median loads numpy.ma (1 MB) on first use
@@ -343,26 +315,28 @@ def _kernel_size(cs: _Complement, u: np.ndarray) -> float:
 
 
 def _shrinking_rounds(X, components, v, cfg):
-    """Rounds at the kernel sizes sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)),
-    r < n_decay, sharing one complement set-up, from ``v`` projected onto the
-    complement.
+    """One component: rounds at the kernel sizes sigma_0
+    ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, sharing one complement
+    set-up, from ``v`` projected onto the complement of ``components``.
 
     sigma_0 is ``cfg.sigma0`` when set, else ``_kernel_size`` at that start.
     Each round starts from the fixed point of the one before and is solved by
-    ``_fixed_point``, to sqrt(outer_tol) before the last round and to
-    ``outer_tol`` in it.  The iteration keeps the sign its steps produce;
-    ``fix_sign`` is applied once, to the direction the component reports.
+    ``_fixed_point`` within ``OUTER_MAX_ITER`` outer iterations, to
+    sqrt(``OUTER_TOL``) before the last round and to ``OUTER_TOL`` in it.
+    The iteration keeps the sign its steps produce; ``fix_sign`` is applied
+    once, to the direction the component reports.
 
     The schedule stops, with ``sigma_underflow``, at the last grid point
     above the floor 2 sigma^2 <= eps max e, or within a round in which every
-    weight underflows; the component keeps the direction reached so far.
+    weight underflows; the component keeps the direction reached so far, and
+    its ``final_sigma`` is NaN when no round finished.
     """
     cs = _Complement.of(X, components)
     u = cs.coordinates(v)
-    sigma0 = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u)
-    floor = np.finfo(float).eps * cs.e_max  # the kernel-size floor, on 2 sigma^2
+    floor = np.finfo(float).eps * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
+    sigma0 = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u, floor)
     last = cfg.n_decay - 1
-    final_sigma = sigma0
+    final_sigma = float("nan")
     outer_total = 0
     converged = True
     underflow = False
@@ -371,8 +345,8 @@ def _shrinking_rounds(X, components, v, cfg):
         if 2.0 * sigma * sigma <= floor:
             underflow = True
             break
-        tol = cfg.outer_tol if r == last else np.sqrt(cfg.outer_tol)
-        u, outer, round_converged, underflow = _fixed_point(cs, sigma, u, tol, cfg.outer_max_iter)
+        tol = OUTER_TOL if r == last else np.sqrt(OUTER_TOL)
+        u, outer, round_converged, underflow = _fixed_point(cs, sigma, u, tol, OUTER_MAX_ITER)
         outer_total += outer
         if underflow:
             break
@@ -388,8 +362,11 @@ def _shrinking_rounds(X, components, v, cfg):
 
 def _scatter_evd(X, center: bool):
     """The checked input as floats (centred when asked) and the eigenpairs of
-    X^T X / n.  Raises DegenerateInputError unless X is n x p with
-    n >= p >= 1 and finite, and X^T X fits in float64."""
+    X^T X / n.  Raises ValueError unless ``center`` is a bool (numpy's too),
+    and DegenerateInputError unless X is n x p with n >= p >= 1 and finite,
+    and X^T X fits in float64."""
+    if not isinstance(center, (bool, np.bool_)):
+        raise ValueError(f"center must be a bool, got {center!r}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DegenerateInputError(f"expected an n x p matrix, got shape {X.shape}")

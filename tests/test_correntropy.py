@@ -11,7 +11,8 @@ from corrpca.correntropy import (
     weighted_scatter,
 )
 from corrpca.linalg import sym_evd
-from corrpca.mcpi import MCPIConfig, mcpi_ith_component
+from corrpca import mcpi
+from corrpca.mcpi import MCPIConfig
 
 
 class TestGaussianKernel:
@@ -142,7 +143,9 @@ def stops_at_floor(Y, sigma, u):
     """Whether a one-step schedule from u at this sigma reports underflow.
     Some row of Y has e - t^2 <= 0 at u, so its weight on that step is
     exactly 1 and only the kernel-size floor can stop the schedule."""
-    return mcpi_ith_component(Y, [], sigma, u, MCPIConfig(outer_max_iter=1))[1].sigma_underflow
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mcpi, "OUTER_MAX_ITER", 1)
+        return mcpi._shrinking_rounds(Y, [], u, MCPIConfig(n_decay=1, sigma0=sigma))[1].sigma_underflow
 
 
 class TestExponentOverflows:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from corrpca.mcpi import (
     NumericalSingularityError,
     build_deflated_operator,
     fit,
-    mcpi_ith_component,
     standard_pca,
     woodbury_update,
 )
@@ -91,10 +88,23 @@ def kernel_size_reference(X, components, v):
     return mcpi.KERNEL_SCALE * (scale if scale > 0.0 else np.sqrt(np.mean(norms**2)))
 
 
+def ith_component(X, components, sigma, v):
+    """The next component after the unit vectors in ``components``: a
+    one-round schedule at kernel size ``sigma`` from ``v``, solved to
+    ``mcpi.OUTER_TOL``.  Returns (direction, diagnostics)."""
+    return mcpi._shrinking_rounds(X, components, v, MCPIConfig(n_decay=1, sigma0=sigma))
+
+
+def one_step(monkeypatch, X, components, sigma, v):
+    """The direction after a single outer iteration of ``ith_component``."""
+    monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 1)
+    return ith_component(X, components, sigma, v)[0]
+
+
 def every_round_reference(X, cfg):
     """Per-round reference for the schedule of ``fit``: each decay round is
-    one ``mcpi_ith_component`` call started at the previous round's (signed)
-    result, every one solved to ``outer_tol``, at the ``n_decay`` kernel
+    one ``ith_component`` call started at the previous round's (signed)
+    result, every one solved to ``OUTER_TOL``, at the ``n_decay`` kernel
     sizes geometrically spaced from sigma_0, that of
     ``kernel_size_reference`` at the a-priori vector, to sigma_0
     ``KERNEL_SPAN``.  It runs the production corrector;
@@ -106,7 +116,7 @@ def every_round_reference(X, cfg):
         v = pairs.vectors[:, i]
         sigma0 = kernel_size_reference(X, components, v)
         for sigma in np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay):
-            v, _ = mcpi_ith_component(X, components, sigma, v, cfg)
+            v, _ = ith_component(X, components, sigma, v)
         components.append(v)
     return np.column_stack(components)
 
@@ -207,7 +217,7 @@ class TestFirstComponent:
         c = 3.0
         X = np.array([[c, 0.0], [-c, 0.0], [c, 0.0], [-c, 0.0]])
         v0 = np.array([1.0, 1.0]) / np.sqrt(2)
-        v, diag = mcpi_ith_component(X, [], 1.0, v0, MCPIConfig())
+        v, diag = ith_component(X, [], 1.0, v0)
         assert diag.converged
         assert np.allclose(np.abs(v), [1.0, 0.0], atol=1e-8)
 
@@ -215,13 +225,13 @@ class TestFirstComponent:
         X = clean_data(seed=3)
         top = sym_evd(X.T @ X).vectors[:, 0]
         v0 = np.array([1.0, 0.0, 0.0])
-        v, diag = mcpi_ith_component(X, [], huge_sigma(X), v0, MCPIConfig())
+        v, diag = ith_component(X, [], huge_sigma(X), v0)
         assert diag.converged
         assert abs_cos(v, top) >= 1.0 - 1e-6
 
     def test_sign_fixed_and_unit(self):
         X = clean_data(seed=4)
-        v, _ = mcpi_ith_component(X, [], 5.0, np.array([0.0, 1.0, 0.0]), MCPIConfig())
+        v, _ = ith_component(X, [], 5.0, np.array([0.0, 1.0, 0.0]))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert v[np.argmax(np.abs(v))] > 0
 
@@ -231,7 +241,7 @@ class TestIthComponent:
         X = clean_data(seed=6)
         pairs = sym_evd(X.T @ X)
         v0 = pairs.vectors[:, 1]
-        v, diag = mcpi_ith_component(X, [pairs.vectors[:, 0]], huge_sigma(X), v0, MCPIConfig())
+        v, diag = ith_component(X, [pairs.vectors[:, 0]], huge_sigma(X), v0)
         assert diag.converged
         assert abs_cos(v, pairs.vectors[:, 1]) >= 1.0 - 1e-4
 
@@ -239,14 +249,16 @@ class TestIthComponent:
         X = clean_data(seed=7)
         pairs = sym_evd(X.T @ X)
         prior = pairs.vectors[:, 0]
-        v, _ = mcpi_ith_component(X, [prior], 2.0, pairs.vectors[:, 1], MCPIConfig())
+        v, _ = ith_component(X, [prior], 2.0, pairs.vectors[:, 1])
         assert abs_cos(v, prior) <= 1e-8
 
     def test_tiny_sigma_raises_underflow(self):
-        # far below the floor: reported before any step, at the start vector
+        # far below the floor: reported before any step, at the start vector,
+        # with no round finished
         v0 = np.array([0.0, -1.0, 0.0])
-        v, diag = mcpi_ith_component(axis_rows(), [], 1e-170, v0, MCPIConfig())
+        v, diag = ith_component(axis_rows(), [], 1e-170, v0)
         assert diag.sigma_underflow and not diag.converged and diag.outer_iterations == 0
+        assert np.isnan(diag.final_sigma)
         assert np.array_equal(v, fix_sign(v0))
 
     def test_underflow_carries_direction_in_original_coordinates(self):
@@ -255,45 +267,15 @@ class TestIthComponent:
         pairs = sym_evd(X.T @ X)
         prior = pairs.vectors[:, 0]
         v0 = np.ones(3) / np.sqrt(3.0)
-        v, diag = mcpi_ith_component(X, [prior], 1e-6, v0, MCPIConfig())
-        assert diag.sigma_underflow and not diag.converged
+        v, diag = ith_component(X, [prior], 1e-6, v0)
+        assert diag.sigma_underflow and not diag.converged and np.isnan(diag.final_sigma)
         assert np.max(np.abs(v - fix_sign(orthogonalize_against(v0, [prior])))) <= 1e-12
-
-    def test_non_finite_input_rejected(self):
-        X = clean_data(seed=7)
-        X[3, 1] = np.nan
-        with pytest.raises(DegenerateInputError, match="non-finite"):
-            mcpi_ith_component(X, [], 2.0, np.array([1.0, 0.0, 0.0]), MCPIConfig())
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(DegenerateInputError, match="n x p"):
-            mcpi_ith_component(np.arange(5.0), [], 2.0, np.array([1.0]), MCPIConfig())
+            fit(np.arange(5.0))
 
-    def test_nan_start_rejected(self):
-        with pytest.raises(ValueError, match="unit vector"):
-            mcpi_ith_component(clean_data(seed=7), [], 3.0, np.array([np.nan, 0.0, 0.0]), MCPIConfig())
-
-    @pytest.mark.parametrize("prior", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]], ids=["nan", "not-unit"])
-    def test_bad_components_rejected(self, prior):
-        with pytest.raises(ValueError, match="not orthonormal"):
-            mcpi_ith_component(clean_data(seed=7), [np.array(prior)], 3.0, np.array([0.0, 1.0, 0.0]),
-                               MCPIConfig())
-
-    @pytest.mark.parametrize(
-        "prior, v0, name",
-        [([], [0.0, 1.0], "v0"), ([[1.0, 0.0]], [0.0, 1.0, 0.0], "components")],
-        ids=["v0", "components"],
-    )
-    def test_wrong_length_named(self, prior, v0, name):
-        with pytest.raises(ValueError, match=f"{name} must have length 3"):
-            mcpi_ith_component(clean_data(seed=7), [np.array(c) for c in prior], 3.0, np.array(v0), MCPIConfig())
-
-    def test_config_validated(self):
-        X = clean_data(seed=7)
-        with pytest.raises(ValueError, match="outer_tol"):
-            mcpi_ith_component(X, [], 2.0, np.array([1.0, 0.0, 0.0]), MCPIConfig(outer_tol=-1.0))
-
-    def test_eigen_step_matches_deflated_operator_reference(self):
+    def test_eigen_step_matches_deflated_operator_reference(self, monkeypatch):
         # one outer iteration of the production solver against power
         # iteration on the paper's shifted Woodbury operator, from the state
         # after component 1; for this seed the shift makes the complement
@@ -304,7 +286,7 @@ class TestIthComponent:
         v0 = pairs.vectors[:, 1] - float(pairs.vectors[:, 1] @ v1) * v1
         v0 /= np.linalg.norm(v0)
         sigma = float(np.sqrt(X.shape[0] * pairs.values[1]))
-        v, _ = mcpi_ith_component(X, [v1], sigma, v0, MCPIConfig(outer_max_iter=1))
+        v = one_step(monkeypatch, X, [v1], sigma, v0)
 
         state = DeflationState.initial(3)
         state.add(v1)
@@ -320,7 +302,7 @@ class TestComplementStep:
     then the top eigenvector of (I - P) S (I - P)."""
 
     @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (3, 2), (10, 3)])
-    def test_one_step_matches_projected_scatter(self, p, k):
+    def test_one_step_matches_projected_scatter(self, monkeypatch, p, k):
         rng = np.random.default_rng(21 + p + k)
         scatter = np.diag(np.arange(p, 0, -1, dtype=float))
         X, _ = generate_experiment(ExperimentSpec(n=300, p=p, scatter=scatter, outlier_fraction=0.05,
@@ -329,7 +311,7 @@ class TestComplementStep:
         v0 = rng.standard_normal(p)
         v0 /= np.linalg.norm(v0)
         sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
-        v, _ = mcpi_ith_component(X, components, sigma, v0, MCPIConfig(outer_max_iter=1))
+        v = one_step(monkeypatch, X, components, sigma, v0)
 
         C = np.eye(p)
         v_ref = v0
@@ -414,21 +396,18 @@ class TestFit:
         cos = np.abs(np.sum(V * standard_pca(X).components, axis=0))
         assert np.all(cos >= 0.99)
 
-    def test_unconverged_earlier_round_reported(self):
-        # round 1 stops at outer_max_iter short of even sqrt(outer_tol),
-        # round 2 converges to outer_tol from where it left off; the
+    def test_unconverged_earlier_round_reported(self, monkeypatch):
+        # round 1 stops at OUTER_MAX_ITER short of even sqrt(OUTER_TOL),
+        # round 2 converges to OUTER_TOL from where it left off; the
         # component must not report convergence
         X, _ = generate_experiment(ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1,
                                                   nu=15.0, seed=4))
         pairs = sym_evd(X.T @ X / X.shape[0])
-        cfg = MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2, outer_max_iter=12)
-        v, sigma, rounds = pairs.vectors[:, 0], cfg.sigma0, []
-        for tol in (np.sqrt(cfg.outer_tol), cfg.outer_tol):
-            v, diag = mcpi_ith_component(X, [], sigma, v, replace(cfg, outer_tol=tol))
-            rounds.append(diag.converged)
-            sigma *= mcpi.KERNEL_SPAN
-        assert rounds == [False, True]
-        assert not fit(X, cfg).diagnostics[0].converged
+        monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 12)
+        rounds = record_rounds(monkeypatch)
+        res = fit(X, MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2))
+        assert [round_[5] for round_ in per_component(rounds)[0]] == [False, True]
+        assert not res.diagnostics[0].converged
 
     def test_result_is_fixed_point_at_final_sigma(self):
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
@@ -436,7 +415,7 @@ class TestFit:
         res = fit(X)
         for i, d in enumerate(res.diagnostics[:-1]):
             v = res.components[:, i]
-            v_next, _ = mcpi_ith_component(X, list(res.components[:, :i].T), d.final_sigma, v, MCPIConfig())
+            v_next, _ = ith_component(X, list(res.components[:, :i].T), d.final_sigma, v)
             assert np.max(np.abs(v_next - v)) <= 1e-7
 
     @pytest.mark.parametrize(
@@ -451,7 +430,7 @@ class TestFit:
         ],
     )
     def test_matches_every_round_at_outer_tol(self, p, fraction, basis):
-        # reference: every decay round solved to outer_tol
+        # reference: every decay round solved to OUTER_TOL
         scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
         X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=fraction,
                                                   nu=15.0, seed=5), basis)
@@ -604,10 +583,16 @@ class TestFit:
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
 
+    def test_no_finished_round_reports_nan_sigma(self):
+        # every weight of component 1 underflows on the first step at 1e-6,
+        # so no round finishes and no kernel size is reported
+        d = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6)).diagnostics[0]
+        assert d.sigma_underflow and d.outer_iterations == 0 and np.isnan(d.final_sigma)
+
     def test_underflow_after_finished_rounds_not_converged(self):
-        # the round at sigma0 finishes to sqrt(outer_tol), every weight
+        # the round at sigma0 finishes to sqrt(OUTER_TOL), every weight
         # underflows in the last one, at 0.04 sigma0; the direction is then
-        # converged only to sqrt(outer_tol)
+        # converged only to sqrt(OUTER_TOL)
         res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125))
         d = res.diagnostics[0]
         assert d.sigma_underflow and d.final_sigma == 0.0125 and d.outer_iterations > 0
@@ -781,6 +766,15 @@ class TestStandardPCA:
         with pytest.raises(DegenerateInputError):
             standard_pca(np.empty((5, 0)))
 
+    @pytest.mark.parametrize("center", ["no", 1, None])
+    def test_bad_center_rejected(self, center):
+        # the same check, and message, as fit's
+        X = clean_data(seed=18)
+        with pytest.raises(ValueError, match="center must be a bool"):
+            standard_pca(X, center)
+        with pytest.raises(ValueError, match="center must be a bool"):
+            fit(X, MCPIConfig(center=center))
+
     def test_recovers_demo_directions_within_sampling_error(self):
         X = clean_data(n=4000, seed=19)
         truth = sym_evd(DEMO_SCATTER).vectors
@@ -794,18 +788,18 @@ class TestConfigValidation:
         "kwargs",
         [
             {"n_decay": 0},
-            {"outer_tol": 0.0},
-            {"outer_max_iter": 0},
+            {"sigma0": 0.0},
+            {"sigma0": -np.inf},
             {"sigma0": -1.0},
             {"n_decay": np.nan},
-            {"outer_tol": np.nan},
-            {"outer_tol": np.inf},
+            {"n_decay": None},
+            {"n_decay": np.inf},
             {"sigma0": np.nan},
             {"sigma0": np.inf},
             {"n_decay": 2.5},
             {"n_decay": 3.0},
-            {"outer_max_iter": 3.5},
-            {"outer_max_iter": "10"},
+            {"n_decay": "2"},
+            {"center": 0},
             {"center": "no"},
             {"center": 1},
             {"center": None},
@@ -814,12 +808,15 @@ class TestConfigValidation:
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
-            MCPIConfig(**kwargs).validate()
+            fit(clean_data(n=20, seed=1), MCPIConfig(**kwargs))
 
     def test_accepts_numpy_bool_center(self):
-        MCPIConfig(center=np.bool_(True)).validate()
+        X = clean_data(seed=16) + 50.0
+        assert np.array_equal(fit(X, MCPIConfig(center=np.bool_(True))).components,
+                              fit(X, MCPIConfig(center=True)).components)
+        assert np.array_equal(standard_pca(X, np.bool_(True)).components, standard_pca(X, True).components)
 
     def test_accepts_numpy_integers(self):
-        cfg = MCPIConfig(n_decay=np.int64(3), outer_max_iter=np.int32(50))
+        cfg = MCPIConfig(n_decay=np.int64(3))
         cfg.validate()
         assert fit(clean_data(seed=1), cfg).diagnostics[0].final_sigma > 0.0
