@@ -3,7 +3,7 @@ iterations, with a plain-PCA baseline, synthetic data generation, and
 alignment metrics."""
 
 from .correntropy import gaussian_kernel, residual_weights, weighted_scatter
-from .datagen import ExperimentSpec, cholesky, generate_experiment, inject_outliers, sample_mvn
+from .datagen import ExperimentSpec, cholesky, generate_experiment, sample_mvn
 from .linalg import (
     EigenPairs,
     null_space_vector,
@@ -34,7 +34,6 @@ __all__ = [
     "fit",
     "gaussian_kernel",
     "generate_experiment",
-    "inject_outliers",
     "null_space_vector",
     "power_iteration",
     "reconstruction_error",

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datagen import ExperimentSpec, cholesky, generate_experiment
+from .datagen import ExperimentSpec, generate_experiment
 from .linalg import sym_evd
 from .mcpi import DegenerateInputError, MCPIConfig, PCAResult, fit, standard_pca
 from .metrics import component_alignment
@@ -37,7 +37,7 @@ EXIT_IO = 4
 
 def _default_scatter(p: int) -> np.ndarray:
     if p == 3:
-        return DEFAULT_SCATTER_3D.copy()
+        return DEFAULT_SCATTER_3D
     return np.diag(np.arange(p, 0, -1, dtype=float))
 
 
@@ -72,21 +72,11 @@ def _result_dict(result: PCAResult) -> dict:
 
 
 def _experiment(args) -> ExperimentSpec:
-    """The checked experiment of ``synth`` and ``demo``, with the scatter read
-    from ``--scatter-csv`` or the default one for ``--p``."""
-    scatter = _default_scatter(args.p)
-    if args.scatter_csv:
-        try:
-            scatter = _read_matrix_csv(args.scatter_csv)
-            if scatter.shape != (args.p, args.p):
-                raise ValueError(f"scatter must be {args.p} x {args.p}, got {scatter.shape}")
-            cholesky(scatter)  # rejects non-finite, non-symmetric and non-PD scatters
-        except ValueError as err:
-            raise ValueError(f"bad scatter matrix: {err}") from err
-    spec = ExperimentSpec(n=args.n, p=args.p, scatter=scatter, outlier_fraction=args.outlier_frac,
-                          nu=args.nu, seed=args.seed)
-    spec.validate()
-    return spec
+    """The experiment of ``synth`` and ``demo`` (checked as it is built), with
+    the scatter read from ``--scatter-csv`` or the default one for ``--p``."""
+    scatter = _read_matrix_csv(args.scatter_csv) if args.scatter_csv else _default_scatter(args.p)
+    return ExperimentSpec(n=args.n, p=args.p, scatter=scatter, outlier_fraction=args.outlier_frac,
+                          nu=args.nu, seed=args.seed, outlier_basis=args.outlier_basis)
 
 
 def cmd_fit(args) -> int:
@@ -117,7 +107,7 @@ def cmd_synth(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    X, idx = generate_experiment(spec, args.outlier_basis)
+    X, idx = generate_experiment(spec)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "command": "synth",
@@ -127,7 +117,7 @@ def cmd_synth(args) -> int:
         "scatter_rows": spec.scatter.tolist(),
         "outlier_fraction": spec.outlier_fraction,
         "nu": spec.nu,
-        "outlier_basis": args.outlier_basis,
+        "outlier_basis": spec.outlier_basis,
         "outlier_indices": idx.tolist(),
     }
     np.savetxt(args.output, X, delimiter=",", fmt="%.17g")
@@ -169,7 +159,7 @@ def cmd_demo(args) -> int:
     first = None
     for r in range(args.replicates):
         rep_spec = replace(spec, seed=args.seed + r)
-        X, idx = generate_experiment(rep_spec, args.outlier_basis)
+        X, idx = generate_experiment(rep_spec)
         res_m = fit(X, cfg)
         res_p = standard_pca(X, cfg.center)
         a_m = component_alignment(res_m.components, V_true)

@@ -9,21 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import check_positive
+
 # Below this, exp() has underflowed to zero for every practical purpose;
 # an all-underflow weight vector means the kernel size shrank too far.
 UNDERFLOW_FLOOR = 1e-300
 
 
-def _check_sigma(sigma: float) -> float:
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise ValueError(f"kernel size must be a positive finite real, got {sigma!r}")
-    return sigma
-
-
 def gaussian_kernel(e: np.ndarray, sigma: float) -> float:
     """exp(-||e||^2 / (2 sigma^2)); equals 1 exactly when e = 0."""
-    sigma = _check_sigma(sigma)
+    sigma = check_positive("kernel size", sigma)
     e = np.asarray(e, dtype=float)
     if not np.all(np.isfinite(e)):
         raise ValueError("error vector has non-finite entries")
@@ -37,7 +32,7 @@ def residual_weights(X: np.ndarray, R: np.ndarray, sigma: float) -> np.ndarray:
     length-n vector with entries in (0, 1]; entries can underflow to
     exactly 0 for tiny sigma, which callers detect via all_underflowed.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_positive("kernel size", sigma)
     X = np.asarray(X, dtype=float)
     R = np.asarray(R, dtype=float)
     resid = X @ R.T  # row k is R x_k
@@ -54,7 +49,7 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
     weight above 1.  Equals ``residual_weights(Y, I - u u^T, sigma)`` up to
     an exponent error of about eps ||y_k||^2 / (2 sigma^2).
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_positive("kernel size", sigma)
     # One temporary, updated in place.  t^2 - e = -(e - t^2) exactly, so
     # exp(min(t^2 - e, 0) / 2 sigma^2) equals exp(-max(e - t^2, 0) / 2 sigma^2)
     # bit for bit.

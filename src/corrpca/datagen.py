@@ -1,47 +1,71 @@
 """Seeded synthetic data: Gaussian samples with a given scatter matrix and
 i.i.d. outlier replacement.
 
-All randomness for one dataset comes from a single PCG64 stream seeded by
-the spec, drawn in a fixed order: the n x p sample block (row-major), then
-the replacement indices, then the outlier block.  Normal deviates use
-numpy's ziggurat via ``Generator.standard_normal``, so a seed pins the
-dataset bit-for-bit within this implementation.
+An ``ExperimentSpec`` describes one dataset completely and is checked when
+it is built; ``generate_experiment`` draws it.  All randomness for one
+dataset comes from a single PCG64 stream seeded by the spec, drawn in a
+fixed order: the n x p sample block (row-major), then the replacement
+indices, then the outlier block.  Normal deviates use numpy's ziggurat via
+``Generator.standard_normal``, so a seed pins the dataset bit-for-bit within
+this implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_integer, check_symmetric, sym_evd
+from .linalg import check_integer, check_positive, check_symmetric, is_real, sym_evd
 
 
 class NotPositiveDefiniteError(ValueError):
     """Cholesky found the matrix not positive definite."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
+    """One synthetic dataset, frozen and checked on construction (and so on
+    ``dataclasses.replace``): each bad field raises ``ValueError``.
+
+    ``n`` rows are drawn from N(0, ``scatter``), a p x p symmetric positive
+    definite matrix kept as a read-only float copy, and round(
+    ``outlier_fraction`` * n) of them are replaced by outliers, all from the
+    stream seeded by ``seed``.  ``outlier_basis="literal"`` draws outliers
+    from N(0, nu diag(eigvals)), the scatter's eigenvalues on the data axes;
+    ``"rotated"`` from N(0, nu scatter).
+    """
+
     n: int
     p: int
     scatter: np.ndarray
     outlier_fraction: float = 0.0
     nu: float = 15.0
     seed: int = 0
+    outlier_basis: str = "literal"
+
+    def __post_init__(self) -> None:
+        scatter = np.array(self.scatter, dtype=float)
+        scatter.flags.writeable = False
+        object.__setattr__(self, "scatter", scatter)
+        self.validate()
 
     def validate(self) -> None:
         check_integer("n", self.n, 1)
         check_integer("p", self.p, 1)
         check_integer("seed", self.seed, 0)
-        scatter = np.asarray(self.scatter, dtype=float)
-        if scatter.shape != (self.p, self.p):
-            raise ValueError(f"scatter must be {self.p} x {self.p}, got {scatter.shape}")
-        check_symmetric(scatter)
-        if not (0.0 <= self.outlier_fraction <= 1.0):
-            raise ValueError("outlier_fraction must be in [0, 1]")
-        if not (0.0 < self.nu < np.inf):
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        try:
+            if self.scatter.shape != (self.p, self.p):
+                raise ValueError(f"must be {self.p} x {self.p}, got {self.scatter.shape}")
+            cholesky(self.scatter)  # rejects non-finite, non-symmetric and non-PD scatters
+        except ValueError as err:
+            raise ValueError(f"bad scatter matrix: {err}") from err
+        if not (is_real(self.outlier_fraction) and 0.0 <= self.outlier_fraction <= 1.0):
+            raise ValueError(f"outlier_fraction must be in [0, 1], got {self.outlier_fraction!r}")
+        check_positive("nu", self.nu)
+        if self.outlier_basis not in ("literal", "rotated"):
+            raise ValueError(
+                f"outlier_basis must be 'literal' or 'rotated', got {self.outlier_basis!r}")
 
     @property
     def n_outliers(self) -> int:
@@ -59,58 +83,23 @@ def cholesky(A: np.ndarray) -> np.ndarray:
 
 def sample_mvn(spec: ExperimentSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """n rows drawn from N(0, scatter): each row is L z with z standard normal."""
-    spec.validate()
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    L = cholesky(np.asarray(spec.scatter, dtype=float))
-    Z = rng.standard_normal((spec.n, spec.p))
-    return Z @ L.T
+    return rng.standard_normal((spec.n, spec.p)) @ np.linalg.cholesky(spec.scatter).T
 
 
-def inject_outliers(
-    X: np.ndarray,
-    spec: ExperimentSpec,
-    true_eigvals: np.ndarray,
-    rng: np.random.Generator | None = None,
-    basis: str = "literal",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replace round(fraction * n) rows with draws from the outlier law.
-
-    ``basis="literal"`` draws from N(0, nu * diag(eigvals)) in data
-    coordinates; ``basis="rotated"`` uses the full covariance nu * scatter
-    instead.  Returns (new matrix, sorted replaced indices); untouched rows
-    are bit-identical to the input.
-    """
-    spec.validate()
-    if basis not in ("literal", "rotated"):
-        raise ValueError(f"basis must be 'literal' or 'rotated', got {basis!r}")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    X = np.asarray(X, dtype=float)
-    eigvals = np.asarray(true_eigvals, dtype=float)
-    if np.any(eigvals <= 0):
-        raise ValueError("true eigenvalues must be positive")
-
-    k = spec.n_outliers
-    out = X.copy()
-    if k == 0:
-        return out, np.empty(0, dtype=int)
-    idx = np.sort(rng.choice(X.shape[0], size=k, replace=False))
-    Z = rng.standard_normal((k, spec.p))
-    if basis == "literal":
-        eps = Z * np.sqrt(spec.nu * eigvals)[None, :]
-    else:
-        eps = Z @ cholesky(spec.nu * np.asarray(spec.scatter, dtype=float)).T
-    out[idx] = eps
-    return out, idx
-
-
-def generate_experiment(
-    spec: ExperimentSpec, basis: str = "literal"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Samples plus outliers from one seeded stream; returns (X, outlier idx)."""
-    spec.validate()
+def generate_experiment(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset of ``spec`` and the sorted indices of its outlier rows;
+    every other row equals ``sample_mvn(spec)`` bit for bit."""
     rng = np.random.default_rng(spec.seed)
     X = sample_mvn(spec, rng)
-    eigvals = sym_evd(np.asarray(spec.scatter, dtype=float)).values
-    return inject_outliers(X, spec, eigvals, rng, basis)
+    k = spec.n_outliers
+    if k == 0:
+        return X, np.empty(0, dtype=int)
+    idx = np.sort(rng.choice(spec.n, size=k, replace=False))
+    Z = rng.standard_normal((k, spec.p))
+    if spec.outlier_basis == "literal":
+        X[idx] = Z * np.sqrt(spec.nu * sym_evd(spec.scatter).values)
+    else:
+        X[idx] = Z @ cholesky(spec.nu * spec.scatter).T
+    return X, idx

@@ -13,6 +13,7 @@ regression-testable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,23 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0.0 else v
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real scalar other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_integer(name: str, value, minimum: int) -> None:
-    """ValueError unless ``value`` is an integer (numpy's too) >= ``minimum``."""
-    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+    """ValueError unless ``value`` is a non-bool integer (numpy's too) >= ``minimum``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float, or ValueError unless it is a positive finite real
+    scalar (``is_real``; NaN is not positive)."""
+    if not (is_real(value) and 0.0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def check_unit(v: np.ndarray) -> np.ndarray:

@@ -78,6 +78,7 @@ from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     SingularDirectionError,
     check_integer,
+    check_positive,
     complement_basis,
     fix_sign,
     null_space_vector,
@@ -105,9 +106,10 @@ class DegenerateInputError(ValueError):
     non-finite entries."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MCPIConfig:
-    """The kernel-shrinking schedule and the centring of the input.
+    """The kernel-shrinking schedule and the centring of the input; frozen,
+    and checked on construction (and so on ``dataclasses.replace``).
 
     ``fit`` runs ``n_decay`` rounds for each component, at the kernel sizes
     sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay (one round at
@@ -124,13 +126,16 @@ class MCPIConfig:
     center: bool = False
     sigma0: float | None = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """ValueError unless ``n_decay`` is an integer >= 1 (numpy's too) and
-        ``sigma0``, when set, is positive and finite (NaN is neither).
-        ``center`` is checked with the input, by ``_scatter_evd``."""
+        """ValueError unless ``n_decay`` is an integer >= 1 and ``sigma0``,
+        when set, a positive finite real (neither a bool).  ``center`` is
+        checked with the input, by ``_scatter_evd``."""
         check_integer("n_decay", self.n_decay, 1)
-        if self.sigma0 is not None and not (0.0 < self.sigma0 < np.inf):
-            raise ValueError(f"sigma0 must be positive and finite when set, got {self.sigma0}")
+        if self.sigma0 is not None:
+            check_positive("sigma0", self.sigma0)
 
 
 @dataclass
@@ -387,7 +392,6 @@ def _scatter_evd(X, center: bool):
 
 
 def _prepare(X, cfg: MCPIConfig):
-    cfg.validate()
     X, apriori = _scatter_evd(X, cfg.center)
     lo, hi = apriori.values[-1], apriori.values[0]
     if lo <= 1e-10 * hi:

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "fit",
     "gaussian_kernel",
     "generate_experiment",
-    "inject_outliers",
     "null_space_vector",
     "power_iteration",
     "reconstruction_error",

@@ -42,7 +42,7 @@ class TestGaussianKernel:
             assert gaussian_kernel(1.5 * e, sigma) <= k
 
     def test_rejects_bad_sigma(self):
-        for sigma in (0.0, -1.0, np.inf, np.nan):
+        for sigma in (0.0, -1.0, np.inf, np.nan, "1", True):
             with pytest.raises(ValueError):
                 gaussian_kernel(np.ones(2), sigma)
 
@@ -135,8 +135,9 @@ class TestRankOneWeights:
             assert rank_one_weights(e, t, sigma).tobytes() == expected.tobytes()
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            rank_one_weights(np.ones(2), np.zeros(2), 0.0)
+        for sigma in (0.0, "1", True):
+            with pytest.raises(ValueError):
+                rank_one_weights(np.ones(2), np.zeros(2), sigma)
 
 
 def stops_at_floor(Y, sigma, u):

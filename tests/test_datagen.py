@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from corrpca.datagen import (
     NotPositiveDefiniteError,
     cholesky,
     generate_experiment,
-    inject_outliers,
     sample_mvn,
 )
 from corrpca.linalg import sym_evd
@@ -51,34 +52,30 @@ class TestSampleMvn:
 
 
 class TestInjectOutliers:
-    def eigvals(self):
-        return sym_evd(DEMO_SCATTER).values
+    """The outlier replacement of ``generate_experiment``."""
 
     def test_zero_fraction_unchanged(self):
         spec = ExperimentSpec(n=40, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.0, seed=2)
-        X = sample_mvn(spec)
-        Y, idx = inject_outliers(X, spec, self.eigvals())
-        assert np.array_equal(X, Y)
+        Y, idx = generate_experiment(spec)
+        assert np.array_equal(sample_mvn(spec), Y)
         assert idx.size == 0
 
     def test_full_replacement(self):
         spec = ExperimentSpec(n=40, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.0, seed=3)
-        X = sample_mvn(spec)
-        Y, idx = inject_outliers(X, spec, self.eigvals())
+        Y, idx = generate_experiment(spec)
         assert idx.size == 40
-        assert not np.any(np.all(X == Y, axis=1))
+        assert not np.any(np.all(sample_mvn(spec) == Y, axis=1))
 
     def test_five_percent_of_400_is_20(self):
         spec = ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05, seed=4)
-        X = sample_mvn(spec)
-        Y, idx = inject_outliers(X, spec, self.eigvals())
+        _, idx = generate_experiment(spec)
         assert idx.size == 20
         assert np.unique(idx).size == 20
 
     def test_untouched_rows_bit_identical(self):
         spec = ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1, seed=5)
         X = sample_mvn(spec)
-        Y, idx = inject_outliers(X, spec, self.eigvals())
+        Y, idx = generate_experiment(spec)
         keep = np.setdiff1d(np.arange(200), idx)
         assert np.array_equal(X[keep], Y[keep])
         assert Y.shape == X.shape
@@ -87,9 +84,8 @@ class TestInjectOutliers:
         spec = ExperimentSpec(
             n=100_000, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.0, nu=15.0, seed=6
         )
-        X = sample_mvn(spec)
-        lam = self.eigvals()
-        Y, idx = inject_outliers(X, spec, lam)
+        lam = sym_evd(DEMO_SCATTER).values
+        Y, idx = generate_experiment(spec)
         emp = Y.T @ Y / spec.n
         target = spec.nu * np.diag(lam)
         diag_rel = np.abs(np.diag(emp) - np.diag(target)) / np.diag(target)
@@ -97,18 +93,27 @@ class TestInjectOutliers:
 
     def test_outlier_covariance_rotated(self):
         spec = ExperimentSpec(
-            n=100_000, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.0, nu=15.0, seed=7
+            n=100_000, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.0, nu=15.0, seed=7,
+            outlier_basis="rotated",
         )
-        X = sample_mvn(spec)
-        Y, _ = inject_outliers(X, spec, self.eigvals(), basis="rotated")
+        Y, _ = generate_experiment(spec)
         emp = Y.T @ Y / spec.n
         target = spec.nu * DEMO_SCATTER
         assert np.max(np.abs(emp - target) / np.abs(target)) <= 0.05
 
     def test_rejects_bad_basis(self):
-        spec = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, seed=8)
-        with pytest.raises(ValueError):
-            inject_outliers(sample_mvn(spec), spec, self.eigvals(), basis="sideways")
+        with pytest.raises(ValueError, match="outlier_basis"):
+            ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, seed=8, outlier_basis="sideways")
+
+    def test_outliers_continue_the_sample_stream(self):
+        # samples, then replacement indices, then outlier normals, all from one stream
+        spec = ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05, seed=7)
+        Y, idx = generate_experiment(spec)
+        rng = np.random.default_rng(7)
+        rng.standard_normal((400, 3))
+        assert np.array_equal(idx, np.sort(rng.choice(400, size=20, replace=False)))
+        Z = rng.standard_normal((20, 3))
+        assert np.array_equal(Y[idx], Z * np.sqrt(spec.nu * sym_evd(DEMO_SCATTER).values))
 
 
 class TestGenerateExperiment:
@@ -132,19 +137,43 @@ class TestGenerateExperiment:
             ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.5).validate()
         with pytest.raises(ValueError):
             ExperimentSpec(n=10, p=2, scatter=DEMO_SCATTER).validate()
-        for nu in (-1.0, np.nan, np.inf):
+        for nu in (-1.0, np.nan, np.inf, "2", True):
             with pytest.raises(ValueError, match="nu must be positive and finite"):
                 ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, nu=nu).validate()
+        for fraction in ("0.1", True, np.nan):
+            with pytest.raises(ValueError, match="outlier_fraction"):
+                ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=fraction)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n": 2.5}, {"n": 10.0}, {"n": "10"}, {"p": 3.0}, {"seed": 1.5}, {"seed": -1}, {"seed": None}],
+        [{"n": 2.5}, {"n": 10.0}, {"n": "10"}, {"p": 3.0}, {"seed": 1.5}, {"seed": -1}, {"seed": None},
+         {"n": True}, {"seed": False}],
     )
     def test_spec_rejects_non_integer_counts(self, kwargs):
-        spec = ExperimentSpec(**{"n": 10, "p": 3, "scatter": DEMO_SCATTER, **kwargs})
         with pytest.raises(ValueError, match="must be an integer"):
-            spec.validate()
+            ExperimentSpec(**{"n": 10, "p": 3, "scatter": DEMO_SCATTER, **kwargs}).validate()
 
     def test_spec_accepts_numpy_integers(self):
         spec = ExperimentSpec(n=np.int64(10), p=np.int32(3), scatter=DEMO_SCATTER, seed=np.uint8(4))
         assert generate_experiment(spec)[0].shape == (10, 3)
+
+    @pytest.mark.parametrize("kind", ["non_pd", "non_symmetric", "nan", "wrong_shape"])
+    def test_bad_scatter_rejected_at_construction(self, kind):
+        scatter = {
+            "non_pd": [[1.0, 2.0], [2.0, 1.0]],
+            "non_symmetric": [[2.0, 1.0], [0.0, 2.0]],
+            "nan": [[2.0, 0.0], [0.0, np.nan]],
+            "wrong_shape": np.eye(3),
+        }[kind]
+        with pytest.raises(ValueError, match="^bad scatter matrix: "):
+            ExperimentSpec(n=10, p=2, scatter=scatter)
+
+    def test_frozen_and_checked_on_replace(self):
+        spec = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.nu = 2.0
+        with pytest.raises(ValueError):  # the scatter is a read-only copy
+            spec.scatter[0, 0] = 1.0
+        with pytest.raises(ValueError, match="nu must be positive"):
+            dataclasses.replace(spec, nu=-1.0)
+        assert dataclasses.replace(spec, seed=3).seed == 3

@@ -3,6 +3,8 @@ import pytest
 
 from corrpca.linalg import (
     SingularDirectionError,
+    check_integer,
+    check_positive,
     fix_sign,
     null_space_vector,
     power_iteration,
@@ -15,6 +17,25 @@ DEMO_SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
 def random_orthonormal(p, rng):
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     return q
+
+
+class TestScalarChecks:
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int8(2), np.float64(1e300)])
+    def test_positive_accepts_reals(self, value):
+        assert check_positive("x", value) == float(value)
+        assert type(check_positive("x", value)) is float
+
+    @pytest.mark.parametrize(
+        "value", [0, -1.0, np.inf, np.nan, True, np.bool_(True), "1", None, np.array(1.0), [1.0]]
+    )
+    def test_positive_rejects(self, value):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            check_positive("x", value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 1.0, "1", None, -1])
+    def test_integer_rejects(self, value):
+        with pytest.raises(ValueError, match="x must be an integer >= 0"):
+            check_integer("x", value, 0)
 
 
 class TestSymEvd:

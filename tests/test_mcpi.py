@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -433,7 +435,7 @@ class TestFit:
         # reference: every decay round solved to OUTER_TOL
         scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
         X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=fraction,
-                                                  nu=15.0, seed=5), basis)
+                                                  nu=15.0, seed=5, outlier_basis=basis))
         cfg = MCPIConfig()
         ref = every_round_reference(X, cfg)
         V = fit(X, cfg).components
@@ -804,11 +806,22 @@ class TestConfigValidation:
             {"center": 1},
             {"center": None},
             {"center": np.int64(0)},
+            {"sigma0": "1"},
+            {"sigma0": True},
+            {"sigma0": np.bool_(True)},
+            {"n_decay": True},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             fit(clean_data(n=20, seed=1), MCPIConfig(**kwargs))
+
+    def test_frozen_and_checked_on_replace(self):
+        cfg = MCPIConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_decay = 3
+        with pytest.raises(ValueError, match="sigma0"):
+            dataclasses.replace(cfg, sigma0=-1.0)
 
     def test_accepts_numpy_bool_center(self):
         X = clean_data(seed=16) + 50.0
