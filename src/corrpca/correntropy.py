@@ -40,7 +40,8 @@ def residual_weights(X: np.ndarray, R: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
-def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
+def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Kernel weight of each residual y_k - t_k u for a unit vector u.
 
     ``e`` holds the energies ||y_k||^2 and ``t`` the projections y_k . u, so
@@ -48,12 +49,16 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
     is nearly parallel to u; it is clamped at 0 so rounding cannot push a
     weight above 1.  Equals ``residual_weights(Y, I - u u^T, sigma)`` up to
     an exponent error of about eps ||y_k||^2 / (2 sigma^2).
+
+    ``out``, a float array of t's shape (it may be ``t`` itself), receives
+    the weights and is returned; without it a new array is.  Both give the
+    same bits, since every step is elementwise and in place.
     """
     sigma = check_positive("kernel size", sigma)
     # One temporary, updated in place.  t^2 - e = -(e - t^2) exactly, so
     # exp(min(t^2 - e, 0) / 2 sigma^2) equals exp(-max(e - t^2, 0) / 2 sigma^2)
     # bit for bit.
-    w = t * t
+    w = np.multiply(t, t, out=out)
     w -= e
     np.minimum(w, 0.0, out=w)
     w /= 2.0 * sigma * sigma
@@ -65,10 +70,17 @@ def all_underflowed(w: np.ndarray) -> bool:
     return bool(w.max() < UNDERFLOW_FLOOR)
 
 
-def weighted_scatter(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w_k x_k x_k^T, i.e. X^T diag(w) X.  Symmetric PSD."""
+def weighted_scatter(X: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k x_k x_k^T, i.e. X^T diag(w) X.  Symmetric PSD.
+
+    ``out``, a float array of X's shape, receives the scaled rows w_k x_k,
+    and a new p x p matrix is returned either way.  The product's bits
+    depend on the layout of those rows: ``w[:, None] * X`` takes X's, so an
+    ``out`` in the same order (Fortran for a column-major X) gives the bits
+    of a call without it.
+    """
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.shape != (X.shape[0],):
         raise ValueError(f"need one weight per row: {w.shape} vs {X.shape}")
-    return (w[:, None] * X).T @ X
+    return np.multiply(w[:, None], X, out=out).T @ X

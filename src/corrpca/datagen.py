@@ -12,6 +12,7 @@ this implementation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ class ExperimentSpec:
     stream seeded by ``seed``.  ``outlier_basis="literal"`` draws outliers
     from N(0, nu diag(eigvals)), the scatter's eigenvalues on the data axes;
     ``"rotated"`` from N(0, nu scatter).
+
+    Specs compare and hash by value, ``scatter`` by its shape and bytes.  The
+    scatter's Cholesky factor, computed by the check, and the literal
+    outlier law's scales, computed on the first draw, are kept for later
+    draws; they take no part in comparison, hashing or ``repr``.
     """
 
     n: int
@@ -45,9 +51,7 @@ class ExperimentSpec:
     outlier_basis: str = "literal"
 
     def __post_init__(self) -> None:
-        scatter = np.array(self.scatter, dtype=float)
-        scatter.flags.writeable = False
-        object.__setattr__(self, "scatter", scatter)
+        object.__setattr__(self, "scatter", _read_only(np.array(self.scatter, dtype=float)))
         self.validate()
 
     def validate(self) -> None:
@@ -57,7 +61,7 @@ class ExperimentSpec:
         try:
             if self.scatter.shape != (self.p, self.p):
                 raise ValueError(f"must be {self.p} x {self.p}, got {self.scatter.shape}")
-            cholesky(self.scatter)  # rejects non-finite, non-symmetric and non-PD scatters
+            self._scatter_factor  # cholesky rejects non-finite, non-symmetric and non-PD scatters
         except ValueError as err:
             raise ValueError(f"bad scatter matrix: {err}") from err
         if not (is_real(self.outlier_fraction) and 0.0 <= self.outlier_fraction <= 1.0):
@@ -70,6 +74,34 @@ class ExperimentSpec:
     @property
     def n_outliers(self) -> int:
         return int(round(self.outlier_fraction * self.n))
+
+    def _key(self) -> tuple:
+        return (self.n, self.p, self.scatter.shape, self.scatter.tobytes(), self.outlier_fraction,
+                self.nu, self.seed, self.outlier_basis)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @functools.cached_property
+    def _scatter_factor(self) -> np.ndarray:
+        """L with L L^T = scatter, read-only."""
+        return _read_only(cholesky(self.scatter))
+
+    @functools.cached_property
+    def _literal_scales(self) -> np.ndarray:
+        """sqrt(nu * eigvals): the literal outlier law's standard deviations."""
+        return _read_only(np.sqrt(self.nu * sym_evd(self.scatter).values))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, no longer writeable: a spec shares its arrays with every draw."""
+    a.flags.writeable = False
+    return a
 
 
 def cholesky(A: np.ndarray) -> np.ndarray:
@@ -85,7 +117,7 @@ def sample_mvn(spec: ExperimentSpec, rng: np.random.Generator | None = None) -> 
     """n rows drawn from N(0, scatter): each row is L z with z standard normal."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    return rng.standard_normal((spec.n, spec.p)) @ np.linalg.cholesky(spec.scatter).T
+    return rng.standard_normal((spec.n, spec.p)) @ spec._scatter_factor.T
 
 
 def generate_experiment(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +131,7 @@ def generate_experiment(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     idx = np.sort(rng.choice(spec.n, size=k, replace=False))
     Z = rng.standard_normal((k, spec.p))
     if spec.outlier_basis == "literal":
-        X[idx] = Z * np.sqrt(spec.nu * sym_evd(spec.scatter).values)
+        X[idx] = Z * spec._literal_scales
     else:
         X[idx] = Z @ cholesky(spec.nu * spec.scatter).T
     return X, idx

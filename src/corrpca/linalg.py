@@ -155,7 +155,9 @@ def orthogonalize_against(v: np.ndarray, basis: list[np.ndarray] | np.ndarray) -
 def complement_basis(F: np.ndarray) -> np.ndarray:
     """Orthonormal p x (p - k) basis of the complement of range(F), for a
     p x k matrix F of full column rank: the trailing columns of its complete
-    QR.  The identity when k = 0."""
+    QR.  The identity when k = 0, which is what that QR gives, bit for bit."""
+    if F.shape[1] == 0:
+        return np.eye(F.shape[0])
     return np.linalg.qr(F, mode="complete")[0][:, F.shape[1]:]
 
 

@@ -139,6 +139,21 @@ class TestRankOneWeights:
             with pytest.raises(ValueError):
                 rank_one_weights(np.ones(2), np.zeros(2), sigma)
 
+    def test_out_buffer_gives_same_bits(self):
+        rng = np.random.default_rng(14)
+        Y = rng.standard_normal((60, 3))
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        e = np.einsum("ij,ij->i", Y, Y)
+        for sigma in (1e-8, 0.3, 2.0):
+            expected = rank_one_weights(e, Y @ u, sigma).tobytes()
+            out = np.full(60, np.nan)
+            assert rank_one_weights(e, Y @ u, sigma, out=out) is out
+            assert out.tobytes() == expected
+            t = Y @ u  # the projections themselves as the buffer
+            assert rank_one_weights(e, t, sigma, out=t) is t
+            assert t.tobytes() == expected
+
 
 def stops_at_floor(Y, sigma, u):
     """Whether a one-step schedule from u at this sigma reports underflow.
@@ -217,3 +232,15 @@ class TestWeightedScatter:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             weighted_scatter(np.ones((4, 2)), np.ones(3))
+        with pytest.raises(ValueError):
+            weighted_scatter(np.ones((4, 2)), np.ones(3), out=np.empty((4, 2)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_buffer_gives_same_bits(self, order):
+        rng = np.random.default_rng(15)
+        X = np.asarray(rng.standard_normal((400, 3)), order=order)
+        w = rng.uniform(0.0, 1.0, 400)
+        out = np.full(X.shape, np.nan, order=order)
+        S = weighted_scatter(X, w, out=out)
+        assert S.tobytes() == weighted_scatter(X, w).tobytes()
+        assert out.tobytes() == (w[:, None] * X).tobytes()

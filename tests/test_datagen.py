@@ -177,3 +177,35 @@ class TestGenerateExperiment:
         with pytest.raises(ValueError, match="nu must be positive"):
             dataclasses.replace(spec, nu=-1.0)
         assert dataclasses.replace(spec, seed=3).seed == 3
+
+    @pytest.mark.parametrize("basis", ["literal", "rotated"])
+    def test_cached_factors_keep_draws_bit_identical(self, basis):
+        kwargs = dict(n=300, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1, seed=12,
+                      outlier_basis=basis)
+        spec = ExperimentSpec(**kwargs)
+        first, second = generate_experiment(spec)[0], generate_experiment(spec)[0]
+        fresh = generate_experiment(ExperimentSpec(**kwargs))[0]
+        assert first.tobytes() == second.tobytes() == fresh.tobytes()
+        assert sample_mvn(spec).tobytes() == sample_mvn(ExperimentSpec(**kwargs)).tobytes()
+
+
+class TestSpecEquality:
+    def test_equal_arguments_equal_hashes(self):
+        a = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1, seed=4)
+        b = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER.tolist(), outlier_fraction=0.1, seed=4)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_scatter_or_seed_unequal(self):
+        a = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, seed=4)
+        assert a != ExperimentSpec(n=10, p=3, scatter=2.0 * DEMO_SCATTER, seed=4)
+        assert a != dataclasses.replace(a, seed=5)
+        assert a != (10, 3, DEMO_SCATTER, 0.0, 15.0, 4, "literal")
+
+    def test_drawn_spec_equals_fresh_one(self):
+        kwargs = dict(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.3, seed=4)
+        drawn = ExperimentSpec(**kwargs)
+        generate_experiment(drawn)
+        fresh = ExperimentSpec(**kwargs)
+        assert drawn == fresh and hash(drawn) == hash(fresh)
+        assert repr(drawn) == repr(fresh)

@@ -5,6 +5,7 @@ from corrpca.linalg import (
     SingularDirectionError,
     check_integer,
     check_positive,
+    complement_basis,
     fix_sign,
     null_space_vector,
     power_iteration,
@@ -201,3 +202,12 @@ class TestNullSpaceVector:
         # p=1 with zero columns is the only way to drive every residual to 0
         with pytest.raises(ValueError):
             null_space_vector(np.ones((2, 1)))
+
+
+class TestComplementBasis:
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_no_columns_is_the_identity(self, p):
+        # the complete QR of a p x 0 matrix, which the short cut replaces
+        empty = np.empty((p, 0))
+        assert complement_basis(empty).tobytes() == np.eye(p).tobytes()
+        assert np.linalg.qr(empty, mode="complete")[0].tobytes() == np.eye(p).tobytes()

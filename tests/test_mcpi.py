@@ -325,6 +325,27 @@ class TestComplementStep:
         assert 1.0 - abs_cos(v, ref) <= 1e-12
 
 
+    @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (3, 2), (10, 3)])
+    def test_fixed_point_step_is_the_plain_eigen_step_bit_for_bit(self, p, k):
+        # one buffered step of _fixed_point, tolerance 0, against the same
+        # step written with the allocating calls
+        rng = np.random.default_rng(31 + p + k)
+        scatter = np.diag(np.arange(p, 0, -1, dtype=float))
+        X, _ = generate_experiment(ExperimentSpec(n=300, p=p, scatter=scatter, outlier_fraction=0.05,
+                                                  nu=15.0, seed=32))
+        components = list(np.linalg.qr(rng.standard_normal((p, p)))[0][:, :k].T)
+        cs = mcpi._Complement.of(X, components)
+        u = cs.coordinates(rng.standard_normal(p))
+        sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
+        g, steps, _, underflow = mcpi._fixed_point(cs, sigma, u, 0.0, 1)
+
+        ref = np.linalg.eigh(weighted_scatter(cs.Y, rank_one_weights(cs.e, cs.Y @ u, sigma)))[1][:, -1]
+        if float(ref @ u) < 0.0:
+            ref = -ref
+        assert (steps, underflow) == (1, False)
+        assert g.tobytes() == ref.tobytes()
+
+
 def outlier_data(n=400, p=3, fraction=0.05, seed=5):
     scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
     return generate_experiment(ExperimentSpec(n=n, p=p, scatter=scatter, outlier_fraction=fraction,
