@@ -10,7 +10,6 @@ write (an ``OSError`` once the inputs are read), both decided in ``main``.
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import sys
 import warnings
@@ -29,11 +28,6 @@ SCHEMA_VERSION = 3
 DEFAULT_SCATTER_3D = np.array(
     [[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]]
 )
-
-# Rows formatted per string operation by ``synth``: a block of 1024 rows of
-# p=3 is ~80 KB of text, while the whole file at once would hold every row's
-# text in memory together.
-CSV_BLOCK_ROWS = 1024
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,17 +52,6 @@ def _read_matrix_csv(path: str, header: bool = False) -> np.ndarray:
     if X.size == 0:
         raise ValueError(f"cannot parse {path}: empty input")
     return X
-
-
-def _write_matrix_csv(path: str, X: np.ndarray) -> None:
-    """X as ``np.savetxt(path, X, delimiter=",", fmt="%.17g")`` writes it,
-    byte for byte (gzipped when ``path`` ends in ``.gz``, as there), but
-    formatted ``CSV_BLOCK_ROWS`` rows per ``%`` operation instead of one."""
-    row = ",".join(["%.17g"] * X.shape[1]) + "\n"
-    with (gzip.open if path.endswith(".gz") else open)(path, "wt") as fh:
-        for start in range(0, X.shape[0], CSV_BLOCK_ROWS):
-            block = X[start:start + CSV_BLOCK_ROWS]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -137,7 +120,7 @@ def cmd_synth(args) -> int:
         "outlier_basis": spec.outlier_basis,
         "outlier_indices": idx.tolist(),
     }
-    _write_matrix_csv(args.output, X)
+    np.savetxt(args.output, X, delimiter=",", fmt="%.17g")
     _write_json(args.output + ".meta.json", sidecar)
     return EXIT_OK
 

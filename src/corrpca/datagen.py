@@ -24,7 +24,7 @@ class NotPositiveDefiniteError(ValueError):
     """Cholesky found the matrix not positive definite."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """One synthetic dataset, frozen and checked on construction (and so on
     ``dataclasses.replace``): each bad field raises ``ValueError``.
@@ -36,10 +36,8 @@ class ExperimentSpec:
     from N(0, nu diag(eigvals)), the scatter's eigenvalues on the data axes;
     ``"rotated"`` from N(0, nu scatter).
 
-    Specs compare and hash by value, ``scatter`` by its shape and bytes.  The
-    scatter's Cholesky factor, computed by the check, and the literal
-    outlier law's scales, computed on the first draw, are kept for later
-    draws; they take no part in comparison, hashing or ``repr``.
+    Specs compare and hash by identity.  The scatter's Cholesky factor,
+    computed by the check, is kept for the draws.
     """
 
     n: int
@@ -75,27 +73,10 @@ class ExperimentSpec:
     def n_outliers(self) -> int:
         return int(round(self.outlier_fraction * self.n))
 
-    def _key(self) -> tuple:
-        return (self.n, self.p, self.scatter.shape, self.scatter.tobytes(), self.outlier_fraction,
-                self.nu, self.seed, self.outlier_basis)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     @functools.cached_property
     def _scatter_factor(self) -> np.ndarray:
         """L with L L^T = scatter, read-only."""
         return _read_only(cholesky(self.scatter))
-
-    @functools.cached_property
-    def _literal_scales(self) -> np.ndarray:
-        """sqrt(nu * eigvals): the literal outlier law's standard deviations."""
-        return _read_only(np.sqrt(self.nu * sym_evd(self.scatter).values))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -131,7 +112,7 @@ def generate_experiment(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     idx = np.sort(rng.choice(spec.n, size=k, replace=False))
     Z = rng.standard_normal((k, spec.p))
     if spec.outlier_basis == "literal":
-        X[idx] = Z * spec._literal_scales
+        X[idx] = Z * np.sqrt(spec.nu * sym_evd(spec.scatter).values)
     else:
         X[idx] = Z @ cholesky(spec.nu * spec.scatter).T
     return X, idx

@@ -1,10 +1,9 @@
-import gzip
 import json
 
 import numpy as np
 import pytest
 
-from corrpca.cli import _write_matrix_csv, main
+from corrpca.cli import main
 
 
 def run(args):
@@ -35,24 +34,6 @@ class TestSynth:
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", a])
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", b])
         assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (1025, 2), (2049, 3)])
-    def test_csv_bytes_match_savetxt(self, tmp_path, shape):
-        rng = np.random.default_rng(shape[0])
-        X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-        special = [-0.0, 5e-324, -1.7976931348623157e308, 0.1, -2.5]
-        X.flat[:len(special)] = special[:X.size]
-        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
-        _write_matrix_csv(str(ours), X)
-        np.savetxt(theirs, X, delimiter=",", fmt="%.17g")
-        assert ours.read_bytes() == theirs.read_bytes()
-
-    def test_gz_output_is_gzipped_like_savetxt(self, tmp_path):
-        X = np.random.default_rng(4).standard_normal((30, 3))
-        ours, theirs = tmp_path / "ours.csv.gz", tmp_path / "theirs.csv.gz"
-        _write_matrix_csv(str(ours), X)
-        np.savetxt(theirs, X, delimiter=",", fmt="%.17g")
-        assert gzip.decompress(ours.read_bytes()) == gzip.decompress(theirs.read_bytes())
 
 
 class TestFit:

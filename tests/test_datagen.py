@@ -190,22 +190,10 @@ class TestGenerateExperiment:
 
 
 class TestSpecEquality:
-    def test_equal_arguments_equal_hashes(self):
-        a = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1, seed=4)
-        b = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER.tolist(), outlier_fraction=0.1, seed=4)
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    def test_different_scatter_or_seed_unequal(self):
-        a = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, seed=4)
-        assert a != ExperimentSpec(n=10, p=3, scatter=2.0 * DEMO_SCATTER, seed=4)
-        assert a != dataclasses.replace(a, seed=5)
-        assert a != (10, 3, DEMO_SCATTER, 0.0, 15.0, 4, "literal")
-
-    def test_drawn_spec_equals_fresh_one(self):
+    def test_compare_and_hash_by_identity(self):
         kwargs = dict(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.3, seed=4)
-        drawn = ExperimentSpec(**kwargs)
-        generate_experiment(drawn)
-        fresh = ExperimentSpec(**kwargs)
-        assert drawn == fresh and hash(drawn) == hash(fresh)
-        assert repr(drawn) == repr(fresh)
+        a, b = ExperimentSpec(**kwargs), ExperimentSpec(**kwargs)
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+        generate_experiment(a)
+        assert hash(a) == hash(a) and repr(a) == repr(b)
