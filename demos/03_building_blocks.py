@@ -2,16 +2,17 @@
 
 Walks through the pieces one at a time: the symmetric eigensolver, the
 correntropy weights and weighted scatter, the paper's deflated operator with
-its rank-one inverse update (the reference that the fit's direct eigen-step
-is equivalent to), the fit's step in the coordinates of the complement of
-the found component, and the null-space extraction of the last component.
+its rank-one inverse update (from ``corrpca.reference``, the paper-literal
+steps that the fit's direct eigen-step is equivalent to), the fit's step in
+the coordinates of the complement of the found component, and the
+null-space extraction of the last component.
 """
 
 import numpy as np
 
 import corrpca as cp
 from corrpca.correntropy import rank_one_weights
-from corrpca.mcpi import DeflationState, build_deflated_operator
+from corrpca.reference import DeflationState, build_deflated_operator, power_iteration, residual_weights
 
 SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
 
@@ -30,7 +31,7 @@ def main():
     X[0] *= 10.0  # plant one wild row
     v = pairs.vectors[:, 0]
     R = np.eye(3) - np.outer(v, v)
-    w = cp.residual_weights(X, R, sigma=3.0)
+    w = residual_weights(X, R, sigma=3.0)
     for k, (wk, row) in enumerate(zip(w, X)):
         print(f"  sample {k}: |residual|={np.linalg.norm(R @ row):6.2f}  weight={wk:.4f}")
     S = cp.weighted_scatter(X, w)
@@ -41,7 +42,7 @@ def main():
     state.add(v)
     print("(I+P) Q - I max deviation:", np.max(np.abs((np.eye(3) + state.P) @ state.Q - np.eye(3))))
     K = build_deflated_operator(S, state)
-    res = cp.power_iteration(K, np.array([0.0, 1.0, 0.0]), tol=1e-12, max_iter=1000)
+    res = power_iteration(K, np.array([0.0, 1.0, 0.0]), tol=1e-12, max_iter=1000)
     print(f"power iteration on the shifted operator: {res.iterations} steps, converged={res.converged}")
     print("next direction:", np.round(res.vector, 4))
     print("orthogonality to first component:", abs(float(res.vector @ v)))
@@ -55,7 +56,7 @@ def main():
     u = B.T @ np.array([0.0, 1.0, 0.0])
     u /= np.linalg.norm(u)
     w_c = rank_one_weights(np.einsum("ij,ij->i", Y, Y), Y @ u, sigma=3.0)
-    w_ref = cp.residual_weights(X, C - np.outer(B @ u, B @ u), sigma=3.0)
+    w_ref = residual_weights(X, C - np.outer(B @ u, B @ u), sigma=3.0)
     print("complement weights vs residual_weights, max |diff|:", float(np.max(np.abs(w_c - w_ref))))
     step = B @ np.linalg.eigh(cp.weighted_scatter(Y, w_c))[1][:, -1]
     S_ref = cp.weighted_scatter(X, w_ref)

@@ -1,25 +1,21 @@
 """Robust principal component analysis via correntropy-weighted power
-iterations, with a plain-PCA baseline, synthetic data generation, and
-alignment metrics."""
+iterations, with a plain-PCA baseline, synthetic data generation, alignment
+metrics, and the paper-literal reference (``corrpca.reference``) that the
+fit is tested against."""
 
-from .correntropy import gaussian_kernel, residual_weights, weighted_scatter
+from .correntropy import weighted_scatter
 from .datagen import ExperimentSpec, cholesky, generate_experiment, sample_mvn
-from .linalg import (
-    EigenPairs,
-    null_space_vector,
-    power_iteration,
-    sym_evd,
-)
-from .mcpi import (
+from .linalg import EigenPairs, null_space_vector, sym_evd
+from .mcpi import MCPIConfig, PCAResult, fit, standard_pca
+from .metrics import AlignmentReport, component_alignment, reconstruction_error
+from .reference import (
     DeflationState,
-    MCPIConfig,
-    PCAResult,
     build_deflated_operator,
-    fit,
-    standard_pca,
+    gaussian_kernel,
+    power_iteration,
+    residual_weights,
     woodbury_update,
 )
-from .metrics import AlignmentReport, component_alignment, reconstruction_error
 
 __all__ = [
     "AlignmentReport",

@@ -1,8 +1,11 @@
-"""Gaussian correntropy kernel, per-sample weights, and the weighted scatter.
+"""Correntropy weights of the samples, and the weighted scatter.
 
-Only the isotropic kernel exp(-||e||^2 / 2 sigma^2) is implemented; the
-weight of a sample is the kernel of its projection residual, and the
-weighted scatter sum_k w_k x_k x_k^T is what the eigen-step acts on.
+The weight of a sample is the isotropic Gaussian kernel
+exp(-||r||^2 / 2 sigma^2) of its residual r off the current direction.
+``rank_one_weights`` computes it for every row at once from the row energies
+and projections, ``all_underflowed`` tells when the kernel has shrunk past
+every sample, and the weighted scatter sum_k w_k x_k x_k^T is what the
+eigen-step acts on.
 """
 
 from __future__ import annotations
@@ -10,34 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import check_positive
+from .reference import residual_weights  # bench/tracing.py resolves it here
 
 # Below this, exp() has underflowed to zero for every practical purpose;
 # an all-underflow weight vector means the kernel size shrank too far.
 UNDERFLOW_FLOOR = 1e-300
-
-
-def gaussian_kernel(e: np.ndarray, sigma: float) -> float:
-    """exp(-||e||^2 / (2 sigma^2)); equals 1 exactly when e = 0."""
-    sigma = check_positive("kernel size", sigma)
-    e = np.asarray(e, dtype=float)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("error vector has non-finite entries")
-    return float(np.exp(-float(e @ e) / (2.0 * sigma * sigma)))
-
-
-def residual_weights(X: np.ndarray, R: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel weight of each row's residual R x_k.
-
-    R is the p x p residual operator (e.g. I - P - v v^T).  Returns a
-    length-n vector with entries in (0, 1]; entries can underflow to
-    exactly 0 for tiny sigma, which callers detect via all_underflowed.
-    """
-    sigma = check_positive("kernel size", sigma)
-    X = np.asarray(X, dtype=float)
-    R = np.asarray(R, dtype=float)
-    resid = X @ R.T  # row k is R x_k
-    sq = np.einsum("ij,ij->i", resid, resid)
-    return np.exp(-sq / (2.0 * sigma * sigma))
 
 
 def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float,
@@ -47,8 +27,8 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float,
     ``e`` holds the energies ||y_k||^2 and ``t`` the projections y_k . u, so
     the squared residual is e_k - t_k^2.  That difference cancels when y_k
     is nearly parallel to u; it is clamped at 0 so rounding cannot push a
-    weight above 1.  Equals ``residual_weights(Y, I - u u^T, sigma)`` up to
-    an exponent error of about eps ||y_k||^2 / (2 sigma^2).
+    weight above 1.  Equals the kernel of (I - u u^T) y_k computed directly, up
+    to an exponent error of about eps ||y_k||^2 / (2 sigma^2).
 
     ``out``, a float array of t's shape (it may be ``t`` itself), receives
     the weights and is returned; without it a new array is.  Both give the

@@ -1,14 +1,12 @@
-"""Dense symmetric eigensolver, power iteration, and complement bases.
+"""Dense symmetric eigensolver, complement bases, and argument checks.
 
 ``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
 descending order and a sign convention.  ``complement_basis`` is the one
 source of orthonormal complements: ``mcpi`` iterates in it and
-``null_space_vector`` reads the last component off it.  ``power_iteration``
-is the paper-literal reference for the deflated eigen-step that ``mcpi.fit``
-solves directly.  All eigenvector outputs follow a single sign convention:
-each vector is flipped so that its entry of largest absolute value is
-positive (lowest index wins ties), which makes results deterministic and
-regression-testable.
+``null_space_vector`` reads the last component off it.  All eigenvector
+outputs follow a single sign convention: each vector is flipped so that its
+entry of largest absolute value is positive (lowest index wins ties), which
+makes results deterministic and regression-testable.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ SYMMETRY_TOL = 1e-9
 
 
 class SingularDirectionError(ValueError):
-    """Power iteration hit K v = 0, or a start vector lies in the span of the
-    found components; the next direction is undefined."""
+    """A start vector lies in the span of the found components; the next
+    direction is undefined."""
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
@@ -50,15 +48,6 @@ def check_positive(name: str, value) -> float:
     if not (is_real(value) and 0.0 < value < np.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
-
-
-def check_unit(v: np.ndarray) -> np.ndarray:
-    """v as a float array, or ValueError unless it has unit norm (to 1e-8);
-    a NaN entry fails."""
-    v = np.asarray(v, dtype=float)
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
-        raise ValueError("v0 must be a unit vector")
-    return v
 
 
 def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
@@ -109,49 +98,6 @@ def sym_evd(A: np.ndarray) -> EigenPairs:
     return EigenPairs(values=values[order], vectors=V)
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    vector: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def power_iteration(
-    K: np.ndarray, v0: np.ndarray, tol: float, max_iter: int
-) -> PowerIterationResult:
-    """Iterate v <- K v / ||K v|| from a unit start vector.
-
-    Stops when the displacement ||v_new - v_old|| falls below ``tol``.
-    K need not be symmetric.
-    """
-    K = np.asarray(K, dtype=float)
-    v = check_unit(v0)
-    if not np.all(np.isfinite(K)):
-        raise ValueError("K has non-finite entries")
-
-    for it in range(1, max_iter + 1):
-        w = K @ v
-        nrm = np.linalg.norm(w)
-        if nrm <= 1e-300:
-            raise SingularDirectionError("K v vanished; direction undefined")
-        v_new = w / nrm
-        if np.linalg.norm(v_new - v) <= tol:
-            return PowerIterationResult(v_new, it, True)
-        v = v_new
-    return PowerIterationResult(v, max_iter, False)
-
-
-def orthogonalize_against(v: np.ndarray, basis: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """One Gram-Schmidt pass of v against a set of unit vectors, renormalized."""
-    v = np.asarray(v, dtype=float).copy()
-    for b in list(basis):
-        v -= float(v @ b) * b
-    nrm = np.linalg.norm(v)
-    if nrm <= 1e-300:
-        raise SingularDirectionError("vector vanished after orthogonalization")
-    return v / nrm
-
-
 def complement_basis(F: np.ndarray) -> np.ndarray:
     """Orthonormal p x (p - k) basis of the complement of range(F), for a
     p x k matrix F of full column rank: the trailing columns of its complete
@@ -168,3 +114,12 @@ def null_space_vector(V: np.ndarray) -> np.ndarray:
     if m != p - 1:
         raise ValueError(f"expected p x (p-1) matrix, got {V.shape}")
     return fix_sign(complement_basis(check_orthonormal(V, 1e-8))[:, 0])
+
+
+def __getattr__(name):
+    # bench/tracing.py resolves these two reference names on this module;
+    # imported on use, since reference imports this module.
+    if name in ("power_iteration", "orthogonalize_against"):
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -55,7 +55,6 @@ exponent is off by at most about eps ||y||^2 / 2 sigma^2, and the clamp at 0
 keeps every weight in (0, 1].  At the floor that error reaches about 1 for
 the largest exponent, so the weights are rounding noise; the floor also lies
 far above the sizes at which an exponent overflows or 2 sigma^2 is 0.
-``correntropy.residual_weights`` remains the reference for these weights.
 
 At n = 400 and m <= 3 each of those steps is a few microseconds of
 arithmetic, so ``_fixed_point`` keeps numpy's per-call cost down: each round
@@ -66,21 +65,13 @@ Fortran-ordered array that receives the scaled rows w_k y_k (the layout
 step norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``.  Every
 iterate is bit for bit that of the allocating calls.
 
-The paper removes found components through the shifted operator
-K = Q (S - P S - S P) + theta I with Q = (I + P)^-1 kept by rank-one
-Woodbury updates.  For the orthogonal projector P that ``fit`` builds,
-Q = I - P/2 and K acts as (I - P) S on the complement of range(P), so its
-intended fixed point is the eigenvector ``fit`` computes directly.
-``DeflationState``, ``woodbury_update`` and ``build_deflated_operator`` are
-kept as that paper-literal reference.
-
 ``standard_pca`` provides the plain eigendecomposition baseline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +85,8 @@ from .linalg import (
     null_space_vector,
     sym_evd,
 )
+# Reference names that bench/tracing.py and tests/test_acceptance.py read here.
+from .reference import DeflationState, build_deflated_operator, woodbury_update
 
 
 # sigma_0 of a component, in units of the median residual norm at its
@@ -105,10 +98,6 @@ KERNEL_SPAN = 0.04
 # round stops at its square root), and the outer iterations a round may take.
 OUTER_TOL = 1e-8
 OUTER_MAX_ITER = 200
-
-
-class NumericalSingularityError(RuntimeError):
-    """Woodbury denominator collapsed; deflation state is corrupted."""
 
 
 class DegenerateInputError(ValueError):
@@ -149,46 +138,6 @@ class MCPIConfig:
 
 
 @dataclass
-class DeflationState:
-    """Projection P onto found components, its companion Q = (I+P)^-1,
-    and the components themselves (the paper's deflation bookkeeping)."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    components: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def initial(cls, p: int) -> "DeflationState":
-        return cls(P=np.zeros((p, p)), Q=np.eye(p), components=[])
-
-    def add(self, v: np.ndarray) -> None:
-        v = np.asarray(v, dtype=float)
-        self.Q = woodbury_update(self.Q, v)
-        self.P = self.P + np.outer(v, v)
-        self.components.append(v)
-
-
-def woodbury_update(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rank-one inverse update: from (I+P)^-1 to (I + P + v v^T)^-1."""
-    Q = np.asarray(Q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    q = Q @ v
-    denom = 1.0 + float(v @ q)
-    if denom <= 1e-12:
-        raise NumericalSingularityError(f"update denominator {denom:g} <= 1e-12")
-    return Q - np.outer(q, q) / denom
-
-
-def build_deflated_operator(S: np.ndarray, state: DeflationState) -> np.ndarray:
-    """K = Q (S - P S - S P), shifted by max |diag K| so the dominant
-    eigenvalue in magnitude is the most positive one."""
-    S = np.asarray(S, dtype=float)
-    K = state.Q @ (S - state.P @ S - S @ state.P)
-    theta = float(np.max(np.abs(np.diag(K))))
-    return K + theta * np.eye(K.shape[0])
-
-
-@dataclass
 class ComponentDiagnostics:
     """How one component was found.  For an iterated component,
     ``outer_iterations`` counts the outer steps of all its rounds and
@@ -216,7 +165,7 @@ class ComponentDiagnostics:
             "final_sigma": self.final_sigma,
             "outer_iterations": self.outer_iterations,
             # The eigen-step is a direct solve, so there are no inner
-            # iterations; the key stays so report readers keep working.
+            # iterations; the key stays because bench/run.py reads it.
             "inner_iterations": 0,
             "converged": self.converged,
             "sigma_underflow": self.sigma_underflow,
@@ -396,7 +345,7 @@ def _scatter_evd(X, center: bool):
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")
     if center:
         X = X - X.mean(axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the sums is NaN
         S = X.T @ X / n
     if not np.all(np.isfinite(S)):
         raise DegenerateInputError(

@@ -60,10 +60,11 @@ class TestFit:
         assert run(["fit", "--input", short, "--output", tmp_path / "r.json"]) == 3
 
     def test_overflowing_scatter_exit_3(self, tmp_path, capsys):
-        huge = tmp_path / "huge.csv"
-        np.savetxt(huge, 1e160 * np.random.default_rng(1).standard_normal((50, 3)), delimiter=",")
-        assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
-        assert "overflows" in capsys.readouterr().err
+        for n in (50, 400):
+            huge = tmp_path / f"huge{n}.csv"
+            np.savetxt(huge, 1e160 * np.random.default_rng(1).standard_normal((n, 3)), delimiter=",")
+            assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
+            assert "overflows" in capsys.readouterr().err
 
     def test_collinear_columns_exit_3(self, tmp_path, capsys):
         X = np.random.default_rng(2).standard_normal((50, 3))

@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from corrpca.correntropy import (
-    all_underflowed,
-    gaussian_kernel,
-    rank_one_weights,
-    residual_weights,
-    weighted_scatter,
-)
+from corrpca.correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from corrpca.linalg import sym_evd
 from corrpca import mcpi
 from corrpca.mcpi import MCPIConfig
+from corrpca.reference import gaussian_kernel, residual_weights
 
 
 class TestGaussianKernel:

@@ -8,9 +8,9 @@ from corrpca.linalg import (
     complement_basis,
     fix_sign,
     null_space_vector,
-    power_iteration,
     sym_evd,
 )
+from corrpca.reference import power_iteration
 
 DEMO_SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
 
