@@ -50,9 +50,6 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scatter", _read_only(np.array(self.scatter, dtype=float)))
-        self.validate()
-
-    def validate(self) -> None:
         check_integer("n", self.n, 1)
         check_integer("p", self.p, 1)
         check_integer("seed", self.seed, 0)

@@ -2,8 +2,9 @@
 
 ``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
 descending order and a sign convention.  ``complement_basis`` is the one
-source of orthonormal complements: ``mcpi`` iterates in it and
-``null_space_vector`` reads the last component off it.  All eigenvector
+source of orthonormal complements: ``mcpi`` steps its chain of complements
+with it, one found component at a time, and ``null_space_vector`` gives the
+unit vector orthogonal to p - 1 given orthonormal columns.  All eigenvector
 outputs follow a single sign convention: each vector is flipped so that its
 entry of largest absolute value is positive (lowest index wins ties), which
 makes results deterministic and regression-testable.

@@ -7,9 +7,9 @@ a-priori vector (the scale of the reconstruction errors whose correntropy
 the fit maximises, as in He et al., "Robust Principal Component Analysis
 Based on Maximum Correntropy Criterion", IEEE TIP 2011), the kernel shrinks
 in n_decay geometric rounds from sigma_0 to sigma_0 KERNEL_SPAN, and the
-last component is the one-column complement basis of the others.  Each
-round is a fixed-point loop at one kernel size: freeze the sample weights,
-take the top eigenvector of the weighted scatter compressed to the
+last component is the one direction left in the complement of the others.
+Each round is a fixed-point loop at one kernel size: freeze the sample
+weights, take the top eigenvector of the weighted scatter compressed to the
 complement of the components already found, (I - P) S (I - P), refresh the
 weights, repeat.
 
@@ -38,11 +38,15 @@ The iteration keeps whatever sign its steps produce; the sign convention of
 ``linalg.fix_sign`` is applied once, to the direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
-components, set up once per component and shared by its rounds: an
-orthonormal p x m basis B of that complement (m = p - k;
-``linalg.complement_basis``, the trailing columns of a complete QR of the
-found components), Y = X B stored column-major, and the row energies
-e = ||y||^2.  For v = B u the residual (I - P - v v^T) x is y - (y.u) u, so
+components, shared by a component's rounds: an orthonormal p x m basis B of
+that complement (m = p - k), Y = X B stored column-major, and the row
+energies e = ||y||^2.  Complements nest: that of k + 1 components is the
+complement of one unit vector inside that of the first k.  So ``fit`` walks
+one chain, as He et al. deflate: it starts at B = I, Y = X, and after a
+component found at coordinates u it steps to H = ``linalg.complement_basis``
+of the one column u, B <- B H and Y <- Y H, and recomputes e.  The component
+is B u, and once the chain reaches m = 1 the last component is the one
+column of B.  For v = B u the residual (I - P - v v^T) x is y - (y.u) u, so
 with t = Y u each outer iteration is
 
     w = exp(-max(e - t^2, 0) / 2 sigma^2),   u <- top eigenvector of Y^T diag(w) Y,
@@ -82,7 +86,6 @@ from .linalg import (
     check_positive,
     complement_basis,
     fix_sign,
-    null_space_vector,
     sym_evd,
 )
 # Reference names that bench/tracing.py and tests/test_acceptance.py read here.
@@ -126,9 +129,6 @@ class MCPIConfig:
     sigma0: float | None = None
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         """ValueError unless ``n_decay`` is an integer >= 1 and ``sigma0``,
         when set, a positive finite real (neither a bool).  ``center`` is
         checked with the input, by ``_scatter_evd``."""
@@ -183,11 +183,6 @@ class PCAResult:
     diagnostics: list[ComponentDiagnostics]
 
 
-def _columns(components, p: int) -> np.ndarray:
-    """The found components as the columns of a p x k matrix (k may be 0)."""
-    return np.column_stack(components) if len(components) else np.empty((p, 0))
-
-
 @dataclass(frozen=True)
 class _Complement:
     """Coordinates of the samples in the complement of the found components.
@@ -195,6 +190,8 @@ class _Complement:
     ``B`` is an orthonormal p x m basis of that complement (m = p - k),
     ``Y = X B`` is stored column-major for the weighted scatter, ``e``
     holds the row energies ||y_k||^2 and ``e_max`` the largest of them.
+    ``fit`` starts its chain at ``of(I, X)``, and ``without`` steps from
+    the complement of k components to that of k + 1.
     """
 
     B: np.ndarray
@@ -203,11 +200,16 @@ class _Complement:
     e_max: float
 
     @classmethod
-    def of(cls, X: np.ndarray, components) -> "_Complement":
-        B = complement_basis(_columns(components, X.shape[1]))
-        Y = np.asfortranarray(X @ B)
+    def of(cls, B: np.ndarray, Y: np.ndarray) -> "_Complement":
+        Y = np.asfortranarray(Y)
         e = np.einsum("ij,ij->i", Y, Y)
         return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
+
+    def without(self, u: np.ndarray) -> "_Complement":
+        """The complement of the unit coordinates ``u`` inside this one:
+        with H the one-column complement basis of u, B H and Y H."""
+        H = complement_basis(u[:, None])
+        return self.of(self.B @ H, self.Y @ H)
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Unit vector of the projection of v onto the complement, in B."""
@@ -282,24 +284,23 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     return KERNEL_SCALE * (scale if scale > 0.0 else float(np.sqrt(np.mean(r2))))
 
 
-def _shrinking_rounds(X, components, v, cfg):
+def _shrinking_rounds(cs: _Complement, v, cfg):
     """One component: rounds at the kernel sizes sigma_0
-    ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, sharing one complement
-    set-up, from ``v`` projected onto the complement of ``components``.
+    ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, in the complement
+    ``cs`` of the components already found, from ``v`` projected onto it.
 
     sigma_0 is ``cfg.sigma0`` when set, else ``_kernel_size`` at that start.
     Each round starts from the fixed point of the one before and is solved by
     ``_fixed_point`` within ``OUTER_MAX_ITER`` outer iterations, to
     sqrt(``OUTER_TOL``) before the last round and to ``OUTER_TOL`` in it.
-    The iteration keeps the sign its steps produce; ``fix_sign`` is applied
-    once, to the direction the component reports.
+    Returns the direction reached, in the coordinates of ``cs``, with the
+    sign its steps produced, and the component's diagnostics.
 
     The schedule stops, with ``sigma_underflow``, at the last grid point
     above the floor 2 sigma^2 <= eps max e, or within a round in which every
     weight underflows; the component keeps the direction reached so far, and
     its ``final_sigma`` is NaN when no round finished.
     """
-    cs = _Complement.of(X, components)
     u = cs.coordinates(v)
     floor = np.finfo(float).eps * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
     sigma0 = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u, floor)
@@ -320,7 +321,7 @@ def _shrinking_rounds(X, components, v, cfg):
             break
         final_sigma = sigma
         converged = converged and round_converged
-    return fix_sign(cs.B @ u), ComponentDiagnostics(
+    return u, ComponentDiagnostics(
         final_sigma=final_sigma,
         outer_iterations=outer_total,
         converged=converged and not underflow,
@@ -332,7 +333,8 @@ def _scatter_evd(X, center: bool):
     """The checked input as floats (centred when asked) and the eigenpairs of
     X^T X / n.  Raises ValueError unless ``center`` is a bool (numpy's too),
     and DegenerateInputError unless X is n x p with n >= p >= 1 and finite,
-    and X^T X fits in float64."""
+    and X^T X neither overflows float64 nor underflows to a zero diagonal
+    entry in a column that is not all zero."""
     if not isinstance(center, (bool, np.bool_)):
         raise ValueError(f"center must be a bool, got {center!r}")
     X = np.asarray(X, dtype=float)
@@ -348,10 +350,13 @@ def _scatter_evd(X, center: bool):
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the sums is NaN
         S = X.T @ X / n
     if not np.all(np.isfinite(S)):
-        raise DegenerateInputError(
-            f"X^T X overflows float64 (max |x| = {np.max(np.abs(X)):g}); rescale the input"
-        )
-    return X, sym_evd(S)
+        fault = "overflows"
+    elif np.any(X[:, np.diag(S) == 0.0]):  # a nonzero column whose squares all underflow
+        fault = "underflows"
+    else:
+        return X, sym_evd(S)
+    raise DegenerateInputError(
+        f"X^T X {fault} float64 (max |x| = {np.max(np.abs(X)):g}); rescale the input")
 
 
 def _prepare(X, cfg: MCPIConfig):
@@ -371,17 +376,19 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     cfg = cfg if cfg is not None else MCPIConfig()
     X, apriori = _prepare(X, cfg)
     p = X.shape[1]
+    cs = _Complement.of(np.eye(p), X)
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
     for i in range(p - 1):
         # Start at the a-priori eigenvector, with the kernel in units of the
         # residuals there, so the schedule ends at the same place for any n.
-        v, diag = _shrinking_rounds(X, components, apriori.vectors[:, i], cfg)
-        components.append(v)
+        u, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg)
+        components.append(fix_sign(cs.B @ u))
         diags.append(diag)
+        cs = cs.without(u)
 
-    components.append(null_space_vector(_columns(components, p)))
+    components.append(fix_sign(cs.B[:, 0]))
     diags.append(ComponentDiagnostics.direct("null_space"))
 
     return PCAResult(

@@ -13,12 +13,14 @@ Each piece, and the production step that replaces it:
   eigenvector.  ``fit`` takes the top eigenvector of the small weighted
   scatter directly, with ``numpy.linalg.eigh``.
 - ``orthogonalize_against`` is one Gram-Schmidt pass against the found
-  components.  ``fit`` projects onto the complement instead, with the basis
-  of ``linalg.complement_basis``.
+  components.  ``fit`` projects onto the complement instead, in the basis
+  its chain of complements has reached.
 - ``DeflationState``, ``woodbury_update`` and ``build_deflated_operator``
   are the paper's deflation, and ``NumericalSingularityError`` their failure.
   ``fit`` works in the coordinates of the complement of the found
-  components (``mcpi._Complement``) instead.
+  components (``mcpi._Complement``) instead, and steps from one complement
+  to the next by removing the component just found, with the one-column
+  ``linalg.complement_basis`` of its coordinates.
 
 The paper removes found components through the shifted operator
 K = Q (S - P S - S P) + theta I with Q = (I + P)^-1 kept by rank-one

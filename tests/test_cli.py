@@ -66,6 +66,12 @@ class TestFit:
             assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
             assert "overflows" in capsys.readouterr().err
 
+    def test_underflowing_scatter_exit_3(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.csv"
+        np.savetxt(tiny, 1e-200 * np.random.default_rng(1).standard_normal((400, 3)), delimiter=",")
+        assert run(["fit", "--input", tiny, "--output", tmp_path / "r.json"]) == 3
+        assert "underflows" in capsys.readouterr().err
+
     def test_collinear_columns_exit_3(self, tmp_path, capsys):
         X = np.random.default_rng(2).standard_normal((50, 3))
         X[:, 2] = X[:, 0] + X[:, 1]

@@ -156,7 +156,8 @@ def stops_at_floor(Y, sigma, u):
     exactly 1 and only the kernel-size floor can stop the schedule."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcpi, "OUTER_MAX_ITER", 1)
-        return mcpi._shrinking_rounds(Y, [], u, MCPIConfig(n_decay=1, sigma0=sigma))[1].sigma_underflow
+        cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
+        return mcpi._shrinking_rounds(cs, u, MCPIConfig(n_decay=1, sigma0=sigma))[1].sigma_underflow
 
 
 class TestExponentOverflows:

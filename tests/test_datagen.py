@@ -134,12 +134,12 @@ class TestGenerateExperiment:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.5).validate()
+            ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=1.5)
         with pytest.raises(ValueError):
-            ExperimentSpec(n=10, p=2, scatter=DEMO_SCATTER).validate()
+            ExperimentSpec(n=10, p=2, scatter=DEMO_SCATTER)
         for nu in (-1.0, np.nan, np.inf, "2", True):
             with pytest.raises(ValueError, match="nu must be positive and finite"):
-                ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, nu=nu).validate()
+                ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, nu=nu)
         for fraction in ("0.1", True, np.nan):
             with pytest.raises(ValueError, match="outlier_fraction"):
                 ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=fraction)
@@ -151,7 +151,7 @@ class TestGenerateExperiment:
     )
     def test_spec_rejects_non_integer_counts(self, kwargs):
         with pytest.raises(ValueError, match="must be an integer"):
-            ExperimentSpec(**{"n": 10, "p": 3, "scatter": DEMO_SCATTER, **kwargs}).validate()
+            ExperimentSpec(**{"n": 10, "p": 3, "scatter": DEMO_SCATTER, **kwargs})
 
     def test_spec_accepts_numpy_integers(self):
         spec = ExperimentSpec(n=np.int64(10), p=np.int32(3), scatter=DEMO_SCATTER, seed=np.uint8(4))

@@ -6,7 +6,7 @@ import pytest
 from corrpca.datagen import ExperimentSpec, generate_experiment, sample_mvn
 from corrpca.correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from corrpca import mcpi
-from corrpca.linalg import fix_sign, sym_evd
+from corrpca.linalg import complement_basis, fix_sign, sym_evd
 from corrpca.mcpi import DegenerateInputError, MCPIConfig, fit, standard_pca
 from corrpca.reference import (
     DeflationState,
@@ -90,11 +90,21 @@ def kernel_size_reference(X, components, v):
     return mcpi.KERNEL_SCALE * (scale if scale > 0.0 else np.sqrt(np.mean(norms**2)))
 
 
+def complement_of(X, components):
+    """The complement of the unit vectors in ``components``, built from
+    scratch: the trailing columns B of a complete QR of the found set, and
+    Y = X B."""
+    B = complement_basis(np.column_stack(components)) if len(components) else np.eye(X.shape[1])
+    return mcpi._Complement.of(B, X @ B)
+
+
 def ith_component(X, components, sigma, v):
     """The next component after the unit vectors in ``components``: a
     one-round schedule at kernel size ``sigma`` from ``v``, solved to
     ``mcpi.OUTER_TOL``.  Returns (direction, diagnostics)."""
-    return mcpi._shrinking_rounds(X, components, v, MCPIConfig(n_decay=1, sigma0=sigma))
+    cs = complement_of(X, components)
+    u, diag = mcpi._shrinking_rounds(cs, v, MCPIConfig(n_decay=1, sigma0=sigma))
+    return fix_sign(cs.B @ u), diag
 
 
 def one_step(monkeypatch, X, components, sigma, v):
@@ -334,7 +344,7 @@ class TestComplementStep:
         X, _ = generate_experiment(ExperimentSpec(n=300, p=p, scatter=scatter, outlier_fraction=0.05,
                                                   nu=15.0, seed=32))
         components = list(np.linalg.qr(rng.standard_normal((p, p)))[0][:, :k].T)
-        cs = mcpi._Complement.of(X, components)
+        cs = complement_of(X, components)
         u = cs.coordinates(rng.standard_normal(p))
         sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
         g, steps, _, underflow = mcpi._fixed_point(cs, sigma, u, 0.0, 1)
@@ -394,11 +404,43 @@ class TestSecantCorrector:
         X = outlier_data(p=p, seed=3)
         res = fit(X)
         for i, d in enumerate(res.diagnostics[:-1]):
-            cs = mcpi._Complement.of(X, list(res.components[:, :i].T))
+            cs = complement_of(X, list(res.components[:, :i].T))
             v = res.components[:, i]
             u, steps, _, underflow = plain_fixed_point(cs, d.final_sigma, cs.coordinates(v), 0.0, 1)
             assert steps == 1 and not underflow
             assert np.max(np.abs(cs.B @ u - v)) <= 1e-7
+
+
+class TestComplementChain:
+    """``fit`` steps from the complement of k components to that of k + 1
+    inside it; the same loop with every complement built from scratch from
+    the found set gives the same components and diagnostics."""
+
+    @staticmethod
+    def from_scratch_fit(X, cfg):
+        apriori = sym_evd(X.T @ X / X.shape[0]).vectors
+        components, diags = [], []
+        for i in range(X.shape[1] - 1):
+            cs = complement_of(X, components)
+            u, diag = mcpi._shrinking_rounds(cs, apriori[:, i], cfg)
+            components.append(fix_sign(cs.B @ u))
+            diags.append(diag)
+        components.append(fix_sign(complement_of(X, components).B[:, 0]))
+        return np.column_stack(components), diags
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_matches_complements_from_scratch(self, p):
+        X = outlier_data(p=p, seed=3)
+        cfg = MCPIConfig()
+        V, diags = self.from_scratch_fit(X, cfg)
+        res = fit(X, cfg)
+        assert np.max(np.abs(res.components - V)) <= 1e-12
+        # the iterated components' diagnostics; sigma_0 is a median taken in
+        # another basis of the same complement, so final_sigma may differ by
+        # rounding
+        for got, want in zip(res.diagnostics, diags):
+            assert {**got.as_dict(), "final_sigma": None} == {**want.as_dict(), "final_sigma": None}
+            assert got.final_sigma == pytest.approx(want.final_sigma, rel=1e-12)
 
 
 # Spectrum (100, 2, 1) in a rotated basis: the max |diag K| shift of the
@@ -566,7 +608,7 @@ class TestFit:
         res = fit(X, cfg)
         grid = cfg.sigma0 * mcpi.KERNEL_SPAN ** (np.arange(n_decay) / (n_decay - 1))
         for i in stopped:
-            floor = np.finfo(float).eps * mcpi._Complement.of(X, list(res.components[:, :i].T)).e_max
+            floor = np.finfo(float).eps * complement_of(X, list(res.components[:, :i].T)).e_max
             above = grid[2.0 * grid * grid > floor]
             assert 0 < len(above) < n_decay
             d = res.diagnostics[i]
@@ -595,7 +637,7 @@ class TestFit:
         res = fit(X, MCPIConfig(sigma0=1e-6))
         d = res.diagnostics[1]
         assert d.sigma_underflow and not d.converged and d.final_sigma == 1e-6
-        cs = mcpi._Complement.of(X, [res.components[:, 0]])
+        cs = complement_of(X, [res.components[:, 0]])
         assert 2.0 * (1e-6 * mcpi.KERNEL_SPAN) ** 2 <= np.finfo(float).eps * cs.e_max
         w = rank_one_weights(cs.e, cs.Y @ cs.coordinates(res.components[:, 1]), 1e-6 * mcpi.KERNEL_SPAN)
         assert not all_underflowed(w)
@@ -668,11 +710,16 @@ class TestFit:
             with pytest.raises(DegenerateInputError, match="overflows"):
                 fit(X)
 
+    @pytest.mark.parametrize("c", [1e-170, 1e-200, 1e-300])
+    def test_underflowing_scatter_rejected(self, c):
+        # X^T X / n of nonzero data is exactly 0: not a rank problem
+        with pytest.raises(DegenerateInputError, match=r"underflows float64 \(max \|x\| = "):
+            fit(c * outlier_data(seed=1))
+
     def test_orthonormal_components(self):
-        X = clean_data(seed=8)
-        res = fit(X)
-        V = res.components
-        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
+        for scatter in (DEMO_SCATTER, np.diag(np.arange(10, 0, -1, dtype=float))):
+            V = fit(clean_data(seed=8, scatter=scatter)).components
+            assert np.max(np.abs(V.T @ V - np.eye(len(scatter)))) <= 1e-12
 
     def test_apriori_eigenvalues_sorted(self):
         X = clean_data(seed=9)
@@ -724,9 +771,10 @@ class TestFit:
         assert np.linalg.norm(res.components[:, :2].T @ v_last) <= 1e-8
 
     def test_rank_deficient_rejected(self):
-        X = np.ones((10, 3))
-        with pytest.raises(DegenerateInputError):
-            fit(X, MCPIConfig())
+        # all-zero data underflow nothing, so they fail the rank check too
+        for X in (np.ones((10, 3)), np.zeros((10, 3))):
+            with pytest.raises(DegenerateInputError, match="rank deficient"):
+                fit(X, MCPIConfig())
 
     def test_collinear_columns_rejected_with_ratio(self):
         X = clean_data(seed=8)
@@ -787,6 +835,12 @@ class TestStandardPCA:
             X = 1e160 * np.random.default_rng(1).standard_normal((n, 3))
             with pytest.raises(DegenerateInputError, match="overflows"):
                 standard_pca(X)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-200, 1e-300])
+    def test_underflowing_scatter_rejected(self, c):
+        # a zero scatter would return components far from the unscaled ones
+        with pytest.raises(DegenerateInputError, match="underflows"):
+            standard_pca(c * outlier_data(seed=1))
 
     def test_no_columns_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -855,5 +909,4 @@ class TestConfigValidation:
 
     def test_accepts_numpy_integers(self):
         cfg = MCPIConfig(n_decay=np.int64(3))
-        cfg.validate()
         assert fit(clean_data(seed=1), cfg).diagnostics[0].final_sigma > 0.0
