@@ -8,7 +8,7 @@ the span is cut into.  One round stays at 30 times the residual scale,
 where the kernel weights every sample almost alike, so the fit behaves like
 plain PCA and the outliers drag it.  Every longer schedule ends at the
 residual scale and at the same answer; extra rounds only add outer
-iterations (the secant-accelerated corrector steps of all rounds of the two
+iterations (the Anderson-accelerated corrector steps of all rounds of the two
 iterated components).
 """
 

@@ -22,11 +22,17 @@ last round is the answer, so every earlier round stops once a step moves
 the direction by at most sqrt(``OUTER_TOL``) (1e-4) and the last runs to
 ``OUTER_TOL`` (1e-8).  Each round starts from the fixed point of the round
 before and iterates the map u -> top eigenvector of the weighted scatter at
-u, accelerated by a depth-1 Anderson (secant) step: each step mixes the last
-two images along their difference by one scalar, and takes the plain image
-when the secant model of the map does not contract.  It stops once the map
-moves its iterate by at most the round's tolerance and returns that image,
-so every direction it returns is an eigenvector of a weighted scatter.  A
+u, accelerated by Anderson mixing (Walker & Ni, "Anderson acceleration for
+fixed-point iterations", SIAM J. Numer. Anal. 2011): in a complement of
+m >= 3 coordinates each step mixes the last three images along their two
+differences, and falls back to the depth-1 (secant) mix of the last two
+images, and then to the plain image, when the model of the map a mix rests
+on is ill-conditioned or does not contract.  The iterate lives on the unit
+sphere, whose tangent has m - 1 dimensions, so in a complement of m = 2 the
+one difference already spans it and only the secant mix is used.  The loop
+stops once the map moves its iterate by at most the round's tolerance and
+returns that image, so every direction it returns is an eigenvector of a
+weighted scatter.  A
 component is ``converged`` when each round met its own tolerance within
 ``OUTER_MAX_ITER`` (200) outer iterations.  The schedule stops early when
 the kernel no longer carries information: at the last grid point above the
@@ -104,8 +110,9 @@ OUTER_MAX_ITER = 200
 
 
 class DegenerateInputError(ValueError):
-    """Input matrix is (numerically) rank deficient, too small, or has
-    non-finite entries."""
+    """Input matrix is complex, too small, has non-finite entries, is
+    (numerically) rank deficient, or its scatter X^T X over- or underflows
+    float64."""
 
 
 @dataclass(frozen=True)
@@ -222,17 +229,31 @@ class _Complement:
 
 def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_iter: int):
     """Outer iterations at a fixed kernel size, in complement coordinates,
-    accelerated by a secant step, until the map moves its iterate by at most
-    ``tol``.
+    accelerated by Anderson mixing, until the map moves its iterate by at
+    most ``tol``.
 
     Step k maps the iterate x_k to g_k, the top eigenvector of the weighted
-    scatter at x_k, aligned in sign with x_k.  With f_k = g_k - x_k and
-    df = f_k - f_{k-1}, the next iterate is the depth-1 Anderson (secant)
-    mix g_k - gamma (g_k - g_{k-1}), gamma = df.f_k / df.df, normalised.
-    The first step takes x = g_k, and so does a step with df.df zero or not
-    finite or with gamma >= 1/2: a map that scales f by rho along df has
-    gamma = rho / (rho - 1), so gamma < 1/2 is |rho| < 1, and the mix never
-    extrapolates towards a repelling fixed point.  The loop stops when
+    scatter at x_k, aligned in sign with x_k.  With f_k = g_k - x_k and the
+    differences df_k = f_k - f_{k-1}, the next iterate is, normalised, the
+    first of these that applies:
+
+    - the depth-2 mix g_k - g1 (g_k - g_{k-1}) - g2 (g_{k-1} - g_{k-2}),
+      where (g1, g2) minimise ||f_k - g1 df_k - g2 df_{k-1}||, solved from
+      the 2 x 2 normal equations by Cramer's rule.  It needs m >= 3 and two
+      differences, a Gram determinant above 1e-2 ||df_k||^2 ||df_{k-1}||^2
+      (the differences far from parallel), and g1 < 1 and g1 + g2 < 1/2,
+      the contraction test below over both differences;
+    - the depth-1 (secant) mix g_k - gamma (g_k - g_{k-1}), gamma =
+      df_k.f_k / df_k.df_k, when df_k.df_k is positive and finite and
+      gamma < 1/2: a map that scales f by rho along df_k has gamma =
+      rho / (rho - 1), so gamma < 1/2 is |rho| < 1, and the mix never
+      extrapolates towards a repelling fixed point;
+    - the plain image g_k, as on the first step.
+
+    The iterate is a unit vector, so its steps lie close to the sphere's
+    tangent, which has m - 1 dimensions.  In a complement of m = 2 one
+    difference spans that tangent and a second adds only the curvature
+    term, so there only the secant mix is tried.  The loop stops when
     ||f_k|| <= ``tol`` and returns g_k, so the result is always an
     eigenvector of a weighted scatter, never a mixed iterate.
 
@@ -244,8 +265,9 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     Y = cs.Y
     t = np.empty(Y.shape[0])  # t = Y x, then the weights, in place
     wY = np.empty(Y.shape, order="F")  # the rows w_k y_k, in Y's layout
+    two_tangents = Y.shape[1] >= 3  # the unit sphere's tangent at x has m - 1 dimensions
     x = u
-    u_prev = f_prev = None
+    u_prev = f_prev = df_prev = None
     for outer in range(max_iter):
         np.dot(Y, x, out=t)
         w = rank_one_weights(cs.e, t, sigma, out=t)
@@ -261,11 +283,31 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
         if f_prev is not None:
             df = f - f_prev
             dd = float(df.dot(df))
-            gamma = float(df.dot(f)) / dd if 0.0 < dd < np.inf else np.inf
-            if gamma < 0.5:  # the secant model contracts: |rho| < 1
-                x = u - gamma * (u - u_prev)
-                x = x / math.sqrt(x.dot(x))
-        u_prev, f_prev = u, f
+            c = float(df.dot(f))
+            mixed = False
+            if df_prev is not None:
+                # least squares over both differences: the normal equations
+                # [dd a; a bb] (g1, g2) = (c, c_prev), solved by Cramer's rule
+                # when the two differences are far from parallel
+                a = float(df.dot(df_prev))
+                bb = float(df_prev.dot(df_prev))
+                det = dd * bb - a * a
+                if det > 1e-2 * dd * bb:
+                    c_prev = float(df_prev.dot(f))
+                    g1 = (c * bb - c_prev * a) / det
+                    g2 = (dd * c_prev - a * c) / det
+                    if g1 < 1.0 and g1 + g2 < 0.5:  # the two-difference model contracts
+                        x = u - g1 * (u - u_prev) - g2 * (u_prev - u_prev2)
+                        x = x / math.sqrt(x.dot(x))
+                        mixed = True
+            if not mixed:
+                gamma = c / dd if 0.0 < dd < np.inf else np.inf
+                if gamma < 0.5:  # the secant model contracts: |rho| < 1
+                    x = u - gamma * (u - u_prev)
+                    x = x / math.sqrt(x.dot(x))
+            if two_tangents:
+                df_prev = df
+        u_prev2, u_prev, f_prev = u_prev, u, f
     return u, max_iter, False, False
 
 
@@ -332,11 +374,15 @@ def _shrinking_rounds(cs: _Complement, v, cfg):
 def _scatter_evd(X, center: bool):
     """The checked input as floats (centred when asked) and the eigenpairs of
     X^T X / n.  Raises ValueError unless ``center`` is a bool (numpy's too),
-    and DegenerateInputError unless X is n x p with n >= p >= 1 and finite,
-    and X^T X neither overflows float64 nor underflows to a zero diagonal
-    entry in a column that is not all zero."""
+    and DegenerateInputError unless X is real (a complex dtype is rejected,
+    not cast to its real part), n x p with n >= p >= 1 and finite, and X^T X
+    neither overflows float64 nor underflows to a zero diagonal entry in a
+    column that is not all zero."""
     if not isinstance(center, (bool, np.bool_)):
         raise ValueError(f"center must be a bool, got {center!r}")
+    X = np.asarray(X)
+    if np.iscomplexobj(X):
+        raise DegenerateInputError(f"expected a real matrix, got dtype {X.dtype}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DegenerateInputError(f"expected an n x p matrix, got shape {X.shape}")

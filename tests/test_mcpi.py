@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,37 @@ def plain_fixed_point(cs, sigma, u, tol, max_iter):
         u = u_new
         if step <= tol:
             return u, outer + 1, True, False
+    return u, max_iter, False, False
+
+
+def one_difference_fixed_point(cs, sigma, u, tol, max_iter):
+    """Oracle for ``mcpi._fixed_point`` with the one-difference secant step
+    alone: with f_k = g_k - x_k and df = f_k - f_{k-1}, the next iterate is
+    g_k - gamma (g_k - g_{k-1}), normalised, gamma = df.f_k / df.df, when
+    gamma < 1/2, and g_k otherwise and on the first step.  Same stop rule,
+    sign alignment, underflow rule and return tuple; on a complement with
+    m = 2 ``_fixed_point`` runs this loop."""
+    x = u
+    g_prev = f_prev = None
+    for outer in range(max_iter):
+        w = rank_one_weights(cs.e, cs.Y @ x, sigma)
+        if all_underflowed(w):
+            return u, outer, False, True
+        u = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
+        if float(u @ x) < 0.0:
+            u = -u
+        f = u - x
+        if np.linalg.norm(f) <= tol:
+            return u, outer + 1, True, False
+        x = u
+        if f_prev is not None:
+            df = f - f_prev
+            dd = float(df @ df)
+            gamma = float(df @ f) / dd if 0.0 < dd < np.inf else np.inf
+            if gamma < 0.5:
+                x = u - gamma * (u - g_prev)
+                x = x / np.linalg.norm(x)
+        g_prev, f_prev = u, f
     return u, max_iter, False, False
 
 
@@ -362,30 +394,35 @@ def outlier_data(n=400, p=3, fraction=0.05, seed=5):
                                               nu=15.0, seed=seed))[0]
 
 
+def fit_with(monkeypatch, X, fixed_point):
+    """``fit`` with ``fixed_point`` swapped in for ``mcpi._fixed_point``."""
+    with monkeypatch.context() as m:
+        m.setattr(mcpi, "_fixed_point", fixed_point)
+        return fit(X)
+
+
+def total_outer_iterations(res):
+    return sum(d.outer_iterations for d in res.diagnostics)
+
+
+ORACLE_CASES = [
+    pytest.param(400, 3, 0.05, 5, id="p3-5%"),
+    pytest.param(400, 3, 0.3, 5, id="p3-30%"),
+    pytest.param(400, 10, 0.05, 5, id="p10"),
+    # a small sample on which a secant step taken even where its model does
+    # not contract never converges
+    pytest.param(56, 3, 0.05, 378879, id="n56"),
+]
+
+
 class TestSecantCorrector:
     """``fit`` with the secant-accelerated corrector against ``fit`` with
     the plain fixed-point loop swapped in."""
 
-    @staticmethod
-    def plain_fit(monkeypatch, X):
-        with monkeypatch.context() as m:
-            m.setattr(mcpi, "_fixed_point", plain_fixed_point)
-            return fit(X)
-
-    @pytest.mark.parametrize(
-        "n, p, fraction, seed",
-        [
-            pytest.param(400, 3, 0.05, 5, id="p3-5%"),
-            pytest.param(400, 3, 0.3, 5, id="p3-30%"),
-            pytest.param(400, 10, 0.05, 5, id="p10"),
-            # a small sample on which a secant step taken even where its
-            # model does not contract never converges
-            pytest.param(56, 3, 0.05, 378879, id="n56"),
-        ],
-    )
+    @pytest.mark.parametrize("n, p, fraction, seed", ORACLE_CASES)
     def test_matches_plain_loop(self, monkeypatch, n, p, fraction, seed):
         X = outlier_data(n, p, fraction, seed)
-        ref = self.plain_fit(monkeypatch, X)
+        ref = fit_with(monkeypatch, X, plain_fixed_point)
         res = fit(X)
         assert np.max(np.abs(res.components - ref.components)) <= 1e-6
         assert [d.converged for d in res.diagnostics] == [d.converged for d in ref.diagnostics]
@@ -393,10 +430,9 @@ class TestSecantCorrector:
 
     def test_cuts_outer_iterations(self, monkeypatch):
         X = outlier_data(seed=3)
-        ref = self.plain_fit(monkeypatch, X)
+        ref = fit_with(monkeypatch, X, plain_fixed_point)
         res = fit(X)
-        outer = [sum(d.outer_iterations for d in r.diagnostics) for r in (res, ref)]
-        assert outer[0] <= 0.7 * outer[1]
+        assert total_outer_iterations(res) <= 0.7 * total_outer_iterations(ref)
 
     @pytest.mark.parametrize("p", [3, 10])
     def test_plain_step_keeps_reported_components(self, p):
@@ -409,6 +445,37 @@ class TestSecantCorrector:
             u, steps, _, underflow = plain_fixed_point(cs, d.final_sigma, cs.coordinates(v), 0.0, 1)
             assert steps == 1 and not underflow
             assert np.max(np.abs(cs.B @ u - v)) <= 1e-7
+
+
+class TestTwoDifferenceCorrector:
+    """``fit``, whose corrector mixes along two differences on complements
+    with m >= 3, against ``fit`` with the one-difference loop swapped in."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_dimensional_complement_is_the_one_difference_loop(self, monkeypatch, seed):
+        # p = 2 leaves only m = 2 rounds, whose tangent has one dimension
+        X = outlier_data(p=2, seed=seed)
+        ref = fit_with(monkeypatch, X, one_difference_fixed_point)
+        res = fit(X)
+        assert res.components.tobytes() == ref.components.tobytes()
+        assert res.diagnostics[:-1] == ref.diagnostics[:-1]  # the last one is direct, its final_sigma NaN
+
+    @pytest.mark.parametrize(
+        "n, p, fraction, seed",
+        ORACLE_CASES + [pytest.param(400, 3, 0.3, seed, id=f"p3-30%-seed{seed}") for seed in range(4)],
+    )
+    def test_matches_one_difference_loop(self, monkeypatch, n, p, fraction, seed):
+        X = outlier_data(n, p, fraction, seed)
+        ref = fit_with(monkeypatch, X, one_difference_fixed_point)
+        res = fit(X)
+        assert np.max(np.abs(res.components - ref.components)) <= 1e-6
+        assert [d.converged for d in res.diagnostics] == [d.converged for d in ref.diagnostics]
+
+    def test_cuts_outer_iterations(self, monkeypatch):
+        X = outlier_data(seed=3)
+        ref = fit_with(monkeypatch, X, one_difference_fixed_point)
+        res = fit(X)
+        assert total_outer_iterations(res) <= 0.85 * total_outer_iterations(ref)
 
 
 class TestComplementChain:
@@ -468,7 +535,7 @@ class TestFit:
         X, _ = generate_experiment(ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1,
                                                   nu=15.0, seed=4))
         pairs = sym_evd(X.T @ X / X.shape[0])
-        monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 12)
+        monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 10)
         rounds = record_rounds(monkeypatch)
         res = fit(X, MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2))
         assert [round_[5] for round_ in per_component(rounds)[0]] == [False, True]
@@ -703,6 +770,14 @@ class TestFit:
         with pytest.raises(DegenerateInputError):
             fit(X)
 
+    def test_complex_rejected(self):
+        # rejected before any cast, so no ComplexWarning drops the imaginary part
+        X = clean_data(seed=8) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="complex128"):
+                fit(X)
+
     def test_overflowing_scatter_rejected(self):
         # at n=400 the overflowed products also sum to inf - inf = NaN
         for n in (50, 400):
@@ -829,6 +904,13 @@ class TestStandardPCA:
         X[0, 0] = bad
         with pytest.raises(DegenerateInputError):
             standard_pca(X)
+
+    def test_complex_rejected(self):
+        X = clean_data(seed=18).astype(np.complex64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="complex64"):
+                standard_pca(X)
 
     def test_overflowing_scatter_rejected(self):
         for n in (50, 400):
