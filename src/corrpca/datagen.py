@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_integer, check_positive, check_symmetric, is_real, sym_evd
+from .linalg import as_real, check_integer, check_positive, check_symmetric, is_real, sym_evd
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -49,11 +49,11 @@ class ExperimentSpec:
     outlier_basis: str = "literal"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scatter", _read_only(np.array(self.scatter, dtype=float)))
         check_integer("n", self.n, 1)
         check_integer("p", self.p, 1)
         check_integer("seed", self.seed, 0)
         try:
+            object.__setattr__(self, "scatter", _read_only(np.array(as_real(self.scatter))))
             if self.scatter.shape != (self.p, self.p):
                 raise ValueError(f"must be {self.p} x {self.p}, got {self.scatter.shape}")
             self._scatter_factor  # cholesky rejects non-finite, non-symmetric and non-PD scatters
@@ -84,9 +84,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def cholesky(A: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = A for symmetric positive definite A."""
-    check_symmetric(A)
+    A = check_symmetric(A)
     try:
-        return np.linalg.cholesky(np.asarray(A, dtype=float))
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(str(err)) from err
 

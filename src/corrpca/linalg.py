@@ -61,8 +61,19 @@ def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
     return V
 
 
-def check_symmetric(A: np.ndarray) -> None:
+def as_real(A, error: type[ValueError] = ValueError) -> np.ndarray:
+    """A as a float array, or ``error`` for a complex dtype, raised before
+    the cast, which would keep only the real part."""
     A = np.asarray(A)
+    if np.iscomplexobj(A):
+        raise error(f"expected a real matrix, got dtype {A.dtype}")
+    return np.asarray(A, dtype=float)
+
+
+def check_symmetric(A: np.ndarray) -> np.ndarray:
+    """A as a float array, or ValueError unless it is a real, finite, square
+    matrix with max |A - A^T| <= ``SYMMETRY_TOL``."""
+    A = as_real(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
@@ -70,6 +81,7 @@ def check_symmetric(A: np.ndarray) -> None:
     dev = np.max(np.abs(A - A.T)) if A.size else 0.0
     if dev > SYMMETRY_TOL:
         raise ValueError(f"matrix not symmetric: max |A - A^T| = {dev:g} > {SYMMETRY_TOL:g}")
+    return A
 
 
 @dataclass(frozen=True)
@@ -88,10 +100,10 @@ def sym_evd(A: np.ndarray) -> EigenPairs:
     """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come back in non-increasing order with ties broken by
-    LAPACK's ascending column order, so output is deterministic.
+    LAPACK's ascending column order, so output is deterministic.  A complex
+    matrix is a ValueError, not cast to its real part.
     """
-    check_symmetric(A)
-    values, V = np.linalg.eigh(np.asarray(A, dtype=float))
+    values, V = np.linalg.eigh(check_symmetric(A))
     order = np.argsort(-values, kind="stable")
     V = V[:, order]
     # fix_sign on every column at once: argmax picks the lowest index on ties

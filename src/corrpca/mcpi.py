@@ -75,7 +75,19 @@ Fortran-ordered array that receives the scaled rows w_k y_k (the layout
 step norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``.  Every
 iterate is bit for bit that of the allocating calls.
 
-``standard_pca`` provides the plain eigendecomposition baseline.
+``fit`` and its plain eigendecomposition baseline ``standard_pca`` both work
+at unit scale.  One reduction, max |x|, is the finiteness check and gives
+the exponent e with 2^(e - 1) <= max |x| < 2^e; the input times 2^-e is an
+exact copy in its own layout, every |x| below 1, centred in place when asked.
+So X^T X / n cannot overflow, and no scatter is subnormal merely because the
+data are small: any finite input is fitted.  Scaling by a power of two
+commutes with rounding away from the subnormal range, so for data whose
+X^T X / n is normal every output is bit for bit that of the same arithmetic
+on the unscaled data.  Three values cross the boundary: a user ``sigma0`` is
+multiplied by 2^-e on the way in (a ValueError if that leaves float64; one
+that rounds to 0 stops the schedule at the floor), and on the way out each
+``final_sigma`` by 2^e and the a-priori eigenvalues by 4^e, rounded as IEEE
+does beyond float64's range.
 """
 
 from __future__ import annotations
@@ -88,6 +100,7 @@ import numpy as np
 from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
 from .linalg import (
     SingularDirectionError,
+    as_real,
     check_integer,
     check_positive,
     complement_basis,
@@ -110,9 +123,10 @@ OUTER_MAX_ITER = 200
 
 
 class DegenerateInputError(ValueError):
-    """Input matrix is complex, too small, has non-finite entries, is
-    (numerically) rank deficient, or its scatter X^T X over- or underflows
-    float64."""
+    """Input matrix is complex, too small, has non-finite entries, or is
+    (numerically) rank deficient.  Its scale is never a fault: ``fit`` and
+    ``standard_pca`` work on the input times the power of two that brings
+    max |x| into [1/2, 1), so any finite input is fitted."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +140,9 @@ class MCPIConfig:
     to sqrt(``OUTER_TOL``), each within ``OUTER_MAX_ITER`` outer iterations.
     n_decay only subdivides the fixed span.  sigma_0 is ``KERNEL_SCALE``
     times the component's median residual norm at its a-priori vector;
-    ``sigma0`` overrides it for every component when set (used to freeze
-    sigma large and recover plain PCA).  ``center`` subtracts the column
-    means first.
+    ``sigma0``, in the input's units, overrides it for every component when
+    set (used to freeze sigma large and recover plain PCA).  ``center``
+    subtracts the column means first.
     """
 
     n_decay: int = 2
@@ -183,7 +197,13 @@ class ComponentDiagnostics:
 @dataclass
 class PCAResult:
     """Ordered components (columns), a-priori eigenvalues, and per-component
-    solver diagnostics."""
+    solver diagnostics.
+
+    The fit runs on the input times 2^-e, with 2^(e - 1) <= max |x| < 2^e,
+    and the eigenvalues and each ``final_sigma`` are mapped back to the
+    input's units, times 4^e and 2^e.  Beyond float64's range those values
+    round as IEEE does, to inf above and to a subnormal or 0 below, with no
+    warning; the components are directions and need no mapping."""
 
     components: np.ndarray
     apriori_eigenvalues: np.ndarray
@@ -326,12 +346,15 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     return KERNEL_SCALE * (scale if scale > 0.0 else float(np.sqrt(np.mean(r2))))
 
 
-def _shrinking_rounds(cs: _Complement, v, cfg):
+def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int):
     """One component: rounds at the kernel sizes sigma_0
     ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, in the complement
     ``cs`` of the components already found, from ``v`` projected onto it.
 
-    sigma_0 is ``cfg.sigma0`` when set, else ``_kernel_size`` at that start.
+    ``cs`` holds the input times 2^-``scale``.  sigma_0 is ``cfg.sigma0``
+    2^-``scale`` when set (ValueError when that is beyond float64), else
+    ``_kernel_size`` at that start, and the diagnostics are in the input's
+    units: ``final_sigma`` is the last finished round's size times 2^``scale``.
     Each round starts from the fixed point of the one before and is solved by
     ``_fixed_point`` within ``OUTER_MAX_ITER`` outer iterations, to
     sqrt(``OUTER_TOL``) before the last round and to ``OUTER_TOL`` in it.
@@ -345,7 +368,10 @@ def _shrinking_rounds(cs: _Complement, v, cfg):
     """
     u = cs.coordinates(v)
     floor = np.finfo(float).eps * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
-    sigma0 = float(cfg.sigma0) if cfg.sigma0 is not None else _kernel_size(cs, u, floor)
+    sigma0 = _kernel_size(cs, u, floor) if cfg.sigma0 is None else _ldexp(cfg.sigma0, -scale)
+    if sigma0 == math.inf:
+        raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
+                         f"2^{-scale} to max |x| < 1")
     last = cfg.n_decay - 1
     final_sigma = float("nan")
     outer_total = 0
@@ -364,7 +390,7 @@ def _shrinking_rounds(cs: _Complement, v, cfg):
         final_sigma = sigma
         converged = converged and round_converged
     return u, ComponentDiagnostics(
-        final_sigma=final_sigma,
+        final_sigma=_ldexp(final_sigma, scale),
         outer_iterations=outer_total,
         converged=converged and not underflow,
         sigma_underflow=underflow,
@@ -372,41 +398,57 @@ def _shrinking_rounds(cs: _Complement, v, cfg):
 
 
 def _scatter_evd(X, center: bool):
-    """The checked input as floats (centred when asked) and the eigenpairs of
-    X^T X / n.  Raises ValueError unless ``center`` is a bool (numpy's too),
-    and DegenerateInputError unless X is real (a complex dtype is rejected,
-    not cast to its real part), n x p with n >= p >= 1 and finite, and X^T X
-    neither overflows float64 nor underflows to a zero diagonal entry in a
-    column that is not all zero."""
+    """The checked input at unit scale (centred when asked), the exponent e
+    that scales it back, and the eigenpairs of its X^T X / n.
+
+    One reduction, max |x|, is both the finiteness check and the scale:
+    with 2^(e - 1) <= max |x| < 2^e, X 2^-e is an exact copy whose every
+    |x| is below 1, so X^T X / n cannot overflow, and only a column far
+    below the largest can underflow, which is a rank problem, not a scale
+    problem.  Raises ValueError unless ``center``
+    is a bool (numpy's too), and DegenerateInputError unless X is real (a
+    complex dtype is rejected, not cast to its real part), n x p with
+    n >= p >= 1 and finite."""
     if not isinstance(center, (bool, np.bool_)):
         raise ValueError(f"center must be a bool, got {center!r}")
-    X = np.asarray(X)
-    if np.iscomplexobj(X):
-        raise DegenerateInputError(f"expected a real matrix, got dtype {X.dtype}")
-    X = np.asarray(X, dtype=float)
+    X = as_real(X, DegenerateInputError)
     if X.ndim != 2:
         raise DegenerateInputError(f"expected an n x p matrix, got shape {X.shape}")
     n, p = X.shape
     if n < p or p < 1:
         raise DegenerateInputError(f"need n >= p >= 1, got n={n}, p={p}")
-    if not np.all(np.isfinite(X)):
+    top = float(np.max(np.abs(X)))
+    if not top < np.inf:
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")
+    scale = math.frexp(top)[1]
+    X = np.ldexp(X, -scale)  # a new array in X's layout, which the bits of X^T X depend on
     if center:
-        X = X - X.mean(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the sums is NaN
-        S = X.T @ X / n
-    if not np.all(np.isfinite(S)):
-        fault = "overflows"
-    elif np.any(X[:, np.diag(S) == 0.0]):  # a nonzero column whose squares all underflow
-        fault = "underflows"
-    else:
-        return X, sym_evd(S)
-    raise DegenerateInputError(
-        f"X^T X {fault} float64 (max |x| = {np.max(np.abs(X)):g}); rescale the input")
+        X -= X.mean(axis=0)
+    return X, scale, sym_evd(X.T @ X / n)
 
 
-def _prepare(X, cfg: MCPIConfig):
-    X, apriori = _scatter_evd(X, cfg.center)
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, rounded as IEEE does: inf beyond float64's range (where
+    math.ldexp raises and np.ldexp warns), subnormal or 0 below it."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _result(components, values, scale: int, diags) -> PCAResult:
+    """The result with the eigenvalues ``values`` of the scatter of the input
+    times 2^-``scale`` mapped to the input's units, times 4^``scale``."""
+    values = np.array([_ldexp(v, 2 * scale) for v in values.tolist()])
+    return PCAResult(components=components, apriori_eigenvalues=values, diagnostics=diags)
+
+
+def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
+    """Full robust decomposition via the kernel-shrinking schedule, run on
+    the input at unit scale (see ``PCAResult``).  ValueError when ``sigma0``
+    is beyond float64 at that scale."""
+    cfg = cfg if cfg is not None else MCPIConfig()
+    X, scale, apriori = _scatter_evd(X, cfg.center)
     lo, hi = apriori.values[-1], apriori.values[0]
     if lo <= 1e-10 * hi:
         ratio = lo / hi if hi > 0.0 else float("nan")
@@ -414,13 +456,6 @@ def _prepare(X, cfg: MCPIConfig):
             f"input is numerically rank deficient (lambda_min / lambda_max = {ratio:.3g}); "
             "drop or combine collinear columns"
         )
-    return X, apriori
-
-
-def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
-    """Full robust decomposition via the kernel-shrinking schedule."""
-    cfg = cfg if cfg is not None else MCPIConfig()
-    X, apriori = _prepare(X, cfg)
     p = X.shape[1]
     cs = _Complement.of(np.eye(p), X)
     components: list[np.ndarray] = []
@@ -429,26 +464,18 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     for i in range(p - 1):
         # Start at the a-priori eigenvector, with the kernel in units of the
         # residuals there, so the schedule ends at the same place for any n.
-        u, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg)
+        u, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg, scale)
         components.append(fix_sign(cs.B @ u))
         diags.append(diag)
         cs = cs.without(u)
 
     components.append(fix_sign(cs.B[:, 0]))
     diags.append(ComponentDiagnostics.direct("null_space"))
-
-    return PCAResult(
-        components=np.column_stack(components),
-        apriori_eigenvalues=apriori.values,
-        diagnostics=diags,
-    )
+    return _result(np.column_stack(components), apriori.values, scale, diags)
 
 
 def standard_pca(X, center: bool = False) -> PCAResult:
     """Baseline: eigendecomposition of the (optionally centered) scatter /n."""
-    X, pairs = _scatter_evd(X, center)
-    return PCAResult(
-        components=pairs.vectors,
-        apriori_eigenvalues=pairs.values,
-        diagnostics=[ComponentDiagnostics.direct("evd") for _ in range(X.shape[1])],
-    )
+    X, scale, pairs = _scatter_evd(X, center)
+    diags = [ComponentDiagnostics.direct("evd") for _ in range(X.shape[1])]
+    return _result(pairs.vectors, pairs.values, scale, diags)

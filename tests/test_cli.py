@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrpca.cli import main
+from corrpca.mcpi import fit
 
 
 def run(args):
@@ -59,18 +60,36 @@ class TestFit:
         short.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
         assert run(["fit", "--input", short, "--output", tmp_path / "r.json"]) == 3
 
-    def test_overflowing_scatter_exit_3(self, tmp_path, capsys):
+    def test_overflowing_scatter_exit_3(self, tmp_path):
+        # X^T X of the CSV overflows float64, but fit runs at unit scale
         for n in (50, 400):
+            X = np.random.default_rng(1).standard_normal((n, 3))
             huge = tmp_path / f"huge{n}.csv"
-            np.savetxt(huge, 1e160 * np.random.default_rng(1).standard_normal((n, 3)), delimiter=",")
-            assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 3
-            assert "overflows" in capsys.readouterr().err
+            np.savetxt(huge, 1e160 * X, delimiter=",")
+            assert run(["fit", "--input", huge, "--output", tmp_path / "r.json"]) == 0
+            V = np.array(json.loads((tmp_path / "r.json").read_text())["components_rows"])
+            assert np.max(np.abs(V - fit(X).components)) <= 1e-12
 
-    def test_underflowing_scatter_exit_3(self, tmp_path, capsys):
+    def test_underflowing_scatter_exit_3(self, tmp_path):
+        # X^T X of the CSV underflows to 0, but fit runs at unit scale
+        X = np.random.default_rng(1).standard_normal((400, 3))
         tiny = tmp_path / "tiny.csv"
-        np.savetxt(tiny, 1e-200 * np.random.default_rng(1).standard_normal((400, 3)), delimiter=",")
-        assert run(["fit", "--input", tiny, "--output", tmp_path / "r.json"]) == 3
-        assert "underflows" in capsys.readouterr().err
+        np.savetxt(tiny, 1e-200 * X, delimiter=",")
+        assert run(["fit", "--input", tiny, "--output", tmp_path / "r.json"]) == 0
+        V = np.array(json.loads((tmp_path / "r.json").read_text())["components_rows"])
+        assert np.max(np.abs(V - fit(X).components)) <= 1e-12
+
+    def test_center_on_large_offset(self, tmp_path):
+        # the column sums overflow at the input's scale; pytest turns any
+        # RuntimeWarning into an error, so the fit must be silent
+        data = tmp_path / "offset.csv"
+        data.write_text("1.5e308,1e308\n1e308,-1.7e308\n-1e308,1.2e308\n")
+        report = tmp_path / "r.json"
+        assert run(["fit", "--input", data, "--output", report, "--center"]) == 0
+        doc = json.loads(report.read_text())
+        V = np.array(doc["components_rows"])
+        assert np.max(np.abs(V.T @ V - np.eye(2))) <= 1e-12
+        assert doc["config"]["center"] is True
 
     def test_collinear_columns_exit_3(self, tmp_path, capsys):
         X = np.random.default_rng(2).standard_normal((50, 3))

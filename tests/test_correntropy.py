@@ -157,7 +157,8 @@ def stops_at_floor(Y, sigma, u):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcpi, "OUTER_MAX_ITER", 1)
         cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
-        return mcpi._shrinking_rounds(cs, u, MCPIConfig(n_decay=1, sigma0=sigma))[1].sigma_underflow
+        cfg = MCPIConfig(n_decay=1, sigma0=sigma)
+        return mcpi._shrinking_rounds(cs, u, cfg, 0)[1].sigma_underflow
 
 
 class TestExponentOverflows:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,13 @@ class TestGenerateExperiment:
         }[kind]
         with pytest.raises(ValueError, match="^bad scatter matrix: "):
             ExperimentSpec(n=10, p=2, scatter=scatter)
+
+    def test_complex_scatter_rejected_before_cast(self):
+        # its real part, 2 I, is a valid scatter, so a cast would pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^bad scatter matrix: expected a real matrix"):
+                ExperimentSpec(n=10, p=2, scatter=[[2, 1j], [1j, 2]])
 
     def test_frozen_and_checked_on_replace(self):
         spec = ExperimentSpec(n=10, p=3, scatter=DEMO_SCATTER)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,13 @@ class TestSymEvd:
         A[0, 1] = A[1, 0] = np.nan
         with pytest.raises(ValueError):
             sym_evd(A)
+
+    def test_rejects_complex_before_cast(self):
+        # a cast to float would keep [[2, 0], [0, 2]] and return [2, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expected a real matrix, got dtype complex128"):
+                sym_evd([[2, 1j], [1j, 2]])
 
     def test_zero_matrix(self):
         pairs = sym_evd(np.zeros((3, 3)))

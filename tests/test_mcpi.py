@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -135,7 +136,7 @@ def ith_component(X, components, sigma, v):
     one-round schedule at kernel size ``sigma`` from ``v``, solved to
     ``mcpi.OUTER_TOL``.  Returns (direction, diagnostics)."""
     cs = complement_of(X, components)
-    u, diag = mcpi._shrinking_rounds(cs, v, MCPIConfig(n_decay=1, sigma0=sigma))
+    u, diag = mcpi._shrinking_rounds(cs, v, MCPIConfig(n_decay=1, sigma0=sigma), 0)
     return fix_sign(cs.B @ u), diag
 
 
@@ -178,6 +179,12 @@ def record_rounds(monkeypatch):
 
     monkeypatch.setattr(mcpi, "_fixed_point", recorded)
     return rounds
+
+
+def in_input_units(sigma, X):
+    """A kernel size of the run of ``fit`` on X, which works on X 2^-e with
+    2^(e - 1) <= max |x| < 2^e, in the units of X."""
+    return math.ldexp(sigma, math.frexp(float(np.max(np.abs(X))))[1])
 
 
 def per_component(rounds):
@@ -489,7 +496,7 @@ class TestComplementChain:
         components, diags = [], []
         for i in range(X.shape[1] - 1):
             cs = complement_of(X, components)
-            u, diag = mcpi._shrinking_rounds(cs, apriori[:, i], cfg)
+            u, diag = mcpi._shrinking_rounds(cs, apriori[:, i], cfg, 0)
             components.append(fix_sign(cs.B @ u))
             diags.append(diag)
         components.append(fix_sign(complement_of(X, components).B[:, 0]))
@@ -594,7 +601,7 @@ class TestFit:
             for before, after in zip(component, component[1:]):
                 assert after[1] < before[1]
                 assert np.array_equal(after[2], before[3])
-            assert d.final_sigma == component[-1][1]
+            assert d.final_sigma == in_input_units(component[-1][1], X)
             assert d.outer_iterations == sum(round_[4] for round_ in component)
 
     def test_sign_flips_between_rounds_match_reference(self):
@@ -645,14 +652,16 @@ class TestFit:
         # of the fourth round (sigma = 0.0018), so component 1 keeps the
         # fixed point of the third
         rounds = record_rounds(monkeypatch)
-        res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125, n_decay=6))
+        X = symmetric_rows()
+        res = fit(X, MCPIConfig(sigma0=0.0125, n_decay=6))
         *earlier, (_, _, start, u, steps, converged, underflow) = per_component(rounds)[0]
         assert underflow and not converged and steps == 0 and len(earlier) == 3
         assert all(round_[5] and not round_[6] for round_ in earlier)
         _, sigma_last, _, u_last, _, _, _ = earlier[-1]
         assert np.array_equal(start, u_last) and np.array_equal(u, u_last)
         d = res.diagnostics[0]
-        assert d.sigma_underflow and not d.converged and d.final_sigma == sigma_last
+        assert d.sigma_underflow and not d.converged
+        assert d.final_sigma == in_input_units(sigma_last, X)
         assert np.array_equal(res.components[:, 0], fix_sign(u_last))
         assert np.array_equal(np.abs(u_last), [1.0, 0.0, 0.0])
 
@@ -779,17 +788,40 @@ class TestFit:
                 fit(X)
 
     def test_overflowing_scatter_rejected(self):
-        # at n=400 the overflowed products also sum to inf - inf = NaN
+        # X^T X of the input overflows float64 (at n=400 to inf - inf = NaN),
+        # but fit runs at unit scale: the same components, sigma times c, and
+        # eigenvalues of order 1e320 rounded to inf
         for n in (50, 400):
-            X = 1e160 * np.random.default_rng(1).standard_normal((n, 3))
-            with pytest.raises(DegenerateInputError, match="overflows"):
-                fit(X)
+            X = np.random.default_rng(1).standard_normal((n, 3))
+            res, ref = fit(1e160 * X), fit(X)
+            assert np.max(np.abs(res.components - ref.components)) <= 1e-12
+            assert [d.final_sigma for d in res.diagnostics[:2]] == pytest.approx(
+                [1e160 * d.final_sigma for d in ref.diagnostics[:2]], rel=1e-12)
+            assert np.all(res.apriori_eigenvalues == np.inf)
 
     @pytest.mark.parametrize("c", [1e-170, 1e-200, 1e-300])
     def test_underflowing_scatter_rejected(self, c):
-        # X^T X / n of nonzero data is exactly 0: not a rank problem
-        with pytest.raises(DegenerateInputError, match=r"underflows float64 \(max \|x\| = "):
-            fit(c * outlier_data(seed=1))
+        # X^T X / n of the input is exactly 0 (subnormal at 1e-160, where the
+        # components drifted), but at unit scale it is not
+        X = outlier_data(seed=1)
+        assert np.max(np.abs(fit(c * X).components - fit(X).components)) <= 1e-12
+
+    def test_sigma0_beyond_float64_at_unit_scale(self):
+        # fit works on X 2^995 here, where sigma0 = 1e300 overflows; a
+        # sigma0 that stays finite there gives plain PCA, the large-kernel limit
+        X = 2.0**-1000 * outlier_data(seed=1)
+        with pytest.raises(ValueError, match=r"sigma0 = 1e\+300 is beyond float64"):
+            fit(X, MCPIConfig(sigma0=1e300))
+        res = fit(X, MCPIConfig(sigma0=1e5))
+        assert np.max(np.abs(res.components - standard_pca(X).components)) <= 1e-12
+        assert [d.final_sigma for d in res.diagnostics[:2]] == [1e5 * mcpi.KERNEL_SPAN] * 2
+
+    def test_sigma0_underflowing_at_unit_scale_stops_at_floor(self):
+        # fit works on X 2^-997 here, where sigma0 = 1e-300 is 0
+        res = fit(1e300 * outlier_data(seed=1), MCPIConfig(sigma0=1e-300))
+        for d in res.diagnostics[:2]:
+            assert d.sigma_underflow and not d.converged and d.outer_iterations == 0
+            assert np.isnan(d.final_sigma)
 
     def test_orthonormal_components(self):
         for scatter in (DEMO_SCATTER, np.diag(np.arange(10, 0, -1, dtype=float))):
@@ -835,7 +867,8 @@ class TestFit:
         for i, component in enumerate(per_component(rounds)):  # iterated components only
             sigma0 = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
             expected = np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay)
-            assert [round_[1] for round_ in component] == pytest.approx(expected, rel=1e-12)
+            sigmas = [in_input_units(round_[1], X) for round_ in component]
+            assert sigmas == pytest.approx(expected, rel=1e-12)
             assert res.diagnostics[i].final_sigma == pytest.approx(expected[-1], rel=1e-12)
 
     def test_last_component_via_null_space(self):
@@ -846,7 +879,7 @@ class TestFit:
         assert np.linalg.norm(res.components[:, :2].T @ v_last) <= 1e-8
 
     def test_rank_deficient_rejected(self):
-        # all-zero data underflow nothing, so they fail the rank check too
+        # all-zero data have scale 2^0, so they reach the rank check too
         for X in (np.ones((10, 3)), np.zeros((10, 3))):
             with pytest.raises(DegenerateInputError, match="rank deficient"):
                 fit(X, MCPIConfig())
@@ -913,16 +946,21 @@ class TestStandardPCA:
                 standard_pca(X)
 
     def test_overflowing_scatter_rejected(self):
+        # X^T X of the input overflows; its eigenvalues round to inf
         for n in (50, 400):
-            X = 1e160 * np.random.default_rng(1).standard_normal((n, 3))
-            with pytest.raises(DegenerateInputError, match="overflows"):
-                standard_pca(X)
+            X = np.random.default_rng(1).standard_normal((n, 3))
+            res = standard_pca(1e160 * X)
+            assert np.max(np.abs(res.components - standard_pca(X).components)) <= 1e-12
+            assert np.all(res.apriori_eigenvalues == np.inf)
 
     @pytest.mark.parametrize("c", [1e-170, 1e-200, 1e-300])
     def test_underflowing_scatter_rejected(self, c):
-        # a zero scatter would return components far from the unscaled ones
-        with pytest.raises(DegenerateInputError, match="underflows"):
-            standard_pca(c * outlier_data(seed=1))
+        # a zero scatter would return components far from the unscaled ones;
+        # the eigenvalues, of order c^2, round to 0
+        X = outlier_data(seed=1)
+        res = standard_pca(c * X)
+        assert np.max(np.abs(res.components - standard_pca(X).components)) <= 1e-12
+        assert np.all(res.apriori_eigenvalues == 0.0)
 
     def test_no_columns_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -46,7 +46,11 @@ def test_stacked_rows(X):
 @few
 @given(X=samples, c=st.floats(min_value=1e-3, max_value=1e3))
 def test_scale(X, c):
-    assert np.max(np.abs(fit(c * X).components - fit(X).components)) <= TOL
+    # fit works on X scaled to max |x| < 1 by a power of two, so scales that
+    # take X^T X past either end of float64 give the same components too
+    ref = fit(X).components
+    for scale in (c, 2.0**500, 2.0**-500, 1e160, 1e-160, 1e300, 1e-300):
+        assert np.max(np.abs(fit(scale * X).components - ref)) <= TOL, scale
 
 
 @few
