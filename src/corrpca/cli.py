@@ -5,6 +5,10 @@ Exit codes: 0 success; 2 a bad flag or input file, decided by argparse or
 by the one ``try`` in which each command checks all its flags and inputs
 before any work; 3 degenerate input (``DegenerateInputError``) and 4 a failed
 write (an ``OSError`` once the inputs are read), both decided in ``main``.
+
+Reports are strict JSON (RFC 8259): a non-finite float, such as the
+null-space component's ``final_sigma`` (NaN) or an eigenvalue beyond
+float64's range (inf), is written as ``null``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .linalg import sym_evd
 from .mcpi import DegenerateInputError, MCPIConfig, PCAResult, fit, standard_pca
 from .metrics import component_alignment
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Demo default scatter for p=3; distinct eigenvalues, off-axis eigenvectors.
 DEFAULT_SCATTER_3D = np.array(
@@ -55,7 +59,9 @@ def _read_matrix_csv(path: str, header: bool = False) -> np.ndarray:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # NaN and Infinity, which JSON lacks, read back as None and are written as null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:

@@ -54,13 +54,14 @@ def weighted_scatter(X: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
     """sum_k w_k x_k x_k^T, i.e. X^T diag(w) X.  Symmetric PSD.
 
     ``out``, a float array of X's shape, receives the scaled rows w_k x_k,
-    and a new p x p matrix is returned either way.  The product's bits
-    depend on the layout of those rows: ``w[:, None] * X`` takes X's, so an
-    ``out`` in the same order (Fortran for a column-major X) gives the bits
-    of a call without it.
+    and a new p x p matrix is returned either way.  The rows are scaled
+    through the transposed views, X^T w, which walk a column-major X
+    contiguously.  The product's bits depend on the layout of those rows:
+    without ``out`` they take X's, so an ``out`` in the same order (Fortran
+    for a column-major X) gives the bits of a call without it.
     """
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.shape != (X.shape[0],):
         raise ValueError(f"need one weight per row: {w.shape} vs {X.shape}")
-    return np.multiply(w[:, None], X, out=out).T @ X
+    return np.multiply(X.T, w, out=None if out is None else out.T) @ X

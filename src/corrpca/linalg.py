@@ -2,12 +2,19 @@
 
 ``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
 descending order and a sign convention.  ``complement_basis`` is the one
-source of orthonormal complements: ``mcpi`` steps its chain of complements
-with it, one found component at a time, and ``null_space_vector`` gives the
-unit vector orthogonal to p - 1 given orthonormal columns.  All eigenvector
-outputs follow a single sign convention: each vector is flipped so that its
-entry of largest absolute value is positive (lowest index wins ties), which
-makes results deterministic and regression-testable.
+source of orthonormal complements, also through ``eigh``: the eigenvectors
+of the projector F F^T for its zero eigenvalues.  ``mcpi`` steps its chain
+of complements with it, one found component at a time, and
+``null_space_vector`` gives the unit vector orthogonal to p - 1 given
+orthonormal columns.  All eigenvector outputs follow a single sign
+convention: each vector is flipped so that its entry of largest absolute
+value is positive (lowest index wins ties), which makes results
+deterministic and regression-testable.
+
+These helpers run several times per fit on 3 x 3 matrices, where numpy's
+fixed cost per call outweighs the arithmetic, so they use few calls:
+ndarray-method reductions, a reversal instead of a sort, and one ``eigh`` per
+complement step.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ class SingularDirectionError(ValueError):
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
     """Flip v so its largest-magnitude entry is positive (ties: lowest index)."""
-    return -v if v[np.argmax(np.abs(v))] < 0.0 else v
+    return -v if v[abs(v).argmax()] < 0.0 else v
 
 
 def is_real(value) -> bool:
@@ -55,7 +62,7 @@ def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
     """V as a float array, or ValueError unless max |V^T V - I| <= tol; a NaN
     entry fails."""
     V = np.asarray(V, dtype=float)
-    dev = np.max(np.abs(V.T @ V - np.eye(V.shape[1])), initial=0.0)
+    dev = abs(V.T @ V - np.eye(V.shape[1])).max(initial=0.0)
     if not dev <= tol:
         raise ValueError(f"columns not orthonormal: max |V^T V - I| = {dev:g}")
     return V
@@ -76,9 +83,10 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
     A = as_real(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    # finiteness first: inf - inf in the symmetry test would warn
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
-    dev = np.max(np.abs(A - A.T)) if A.size else 0.0
+    dev = abs(A - A.T).max() if A.size else 0.0
     if dev > SYMMETRY_TOL:
         raise ValueError(f"matrix not symmetric: max |A - A^T| = {dev:g} > {SYMMETRY_TOL:g}")
     return A
@@ -100,24 +108,26 @@ def sym_evd(A: np.ndarray) -> EigenPairs:
     """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come back in non-increasing order with ties broken by
-    LAPACK's ascending column order, so output is deterministic.  A complex
+    LAPACK's ascending column order, so output is deterministic: ``eigh``'s
+    ascending output reversed, or stably sorted when two eigenvalues are
+    exactly equal.  The vectors are a new Fortran-ordered array.  A complex
     matrix is a ValueError, not cast to its real part.
     """
     values, V = np.linalg.eigh(check_symmetric(A))
-    order = np.argsort(-values, kind="stable")
+    tied = len(set(values.tolist())) < len(values)
+    order = np.argsort(-values, kind="stable") if tied else slice(None, None, -1)
     V = V[:, order]
     # fix_sign on every column at once: argmax picks the lowest index on ties
-    V[:, V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0.0] *= -1.0
+    V = np.multiply(V, np.copysign(1.0, V[abs(V).argmax(axis=0), np.arange(V.shape[1])]), order="F")
     return EigenPairs(values=values[order], vectors=V)
 
 
 def complement_basis(F: np.ndarray) -> np.ndarray:
     """Orthonormal p x (p - k) basis of the complement of range(F), for a
-    p x k matrix F of full column rank: the trailing columns of its complete
-    QR.  The identity when k = 0, which is what that QR gives, bit for bit."""
-    if F.shape[1] == 0:
-        return np.eye(F.shape[0])
-    return np.linalg.qr(F, mode="complete")[0][:, F.shape[1]:]
+    p x k matrix F of orthonormal columns: the eigenvectors of the projector
+    F F^T for its p - k zero eigenvalues, which ``eigh`` lists first.  The
+    identity when k = 0, since LAPACK returns it for the zero matrix."""
+    return np.linalg.eigh(F @ F.T)[1][:, :F.shape[0] - F.shape[1]]
 
 
 def null_space_vector(V: np.ndarray) -> np.ndarray:

@@ -50,7 +50,8 @@ energies e = ||y||^2.  Complements nest: that of k + 1 components is the
 complement of one unit vector inside that of the first k.  So ``fit`` walks
 one chain, as He et al. deflate: it starts at B = I, Y = X, and after a
 component found at coordinates u it steps to H = ``linalg.complement_basis``
-of the one column u, B <- B H and Y <- Y H, and recomputes e.  The component
+of the one column u (the eigenvectors of u u^T for its zero eigenvalue, one
+m x m ``eigh``), B <- B H and Y <- Y H, and recomputes e.  The component
 is B u, and once the chain reaches m = 1 the last component is the one
 column of B.  For v = B u the residual (I - P - v v^T) x is y - (y.u) u, so
 with t = Y u each outer iteration is
@@ -71,9 +72,10 @@ arithmetic, so ``_fixed_point`` keeps numpy's per-call cost down: each round
 allocates two buffers and reuses them at every outer iteration, a length-n
 vector that receives t = Y u and then, in place, the weights, and an n x m
 Fortran-ordered array that receives the scaled rows w_k y_k (the layout
-``w[:, None] * Y`` has, so the scatter's product is the same gemm), and
-step norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``.  Every
-iterate is bit for bit that of the allocating calls.
+``w[:, None] * Y`` has, so the scatter's product is the same gemm), step
+norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``, and each mixing
+step reuses the last step's difference of images and its squared norm.
+Every iterate is bit for bit that of the allocating calls.
 
 ``fit`` and its plain eigendecomposition baseline ``standard_pca`` both work
 at unit scale.  One reduction, max |x|, is the finiteness check and gives
@@ -120,6 +122,8 @@ KERNEL_SPAN = 0.04
 # round stops at its square root), and the outer iterations a round may take.
 OUTER_TOL = 1e-8
 OUTER_MAX_ITER = 200
+# float64's machine epsilon: a schedule's rounding floor is EPS max ||y||^2.
+EPS = np.finfo(float).eps
 
 
 class DegenerateInputError(ValueError):
@@ -241,7 +245,7 @@ class _Complement:
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Unit vector of the projection of v onto the complement, in B."""
         u = self.B.T @ v
-        nrm = np.linalg.norm(u)
+        nrm = math.sqrt(u.dot(u))  # np.linalg.norm's arithmetic, without its overhead
         if nrm <= 1e-300:
             raise SingularDirectionError("start vector lies in the span of the found components")
         return u / nrm
@@ -302,32 +306,33 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
         x = u
         if f_prev is not None:
             df = f - f_prev
+            du = u - u_prev  # g_k - g_{k-1}
             dd = float(df.dot(df))
             c = float(df.dot(f))
             mixed = False
             if df_prev is not None:
                 # least squares over both differences: the normal equations
                 # [dd a; a bb] (g1, g2) = (c, c_prev), solved by Cramer's rule
-                # when the two differences are far from parallel
+                # when the two differences are far from parallel; bb and
+                # g_{k-1} - g_{k-2} are the last step's dd and du
                 a = float(df.dot(df_prev))
-                bb = float(df_prev.dot(df_prev))
                 det = dd * bb - a * a
                 if det > 1e-2 * dd * bb:
                     c_prev = float(df_prev.dot(f))
                     g1 = (c * bb - c_prev * a) / det
                     g2 = (dd * c_prev - a * c) / det
                     if g1 < 1.0 and g1 + g2 < 0.5:  # the two-difference model contracts
-                        x = u - g1 * (u - u_prev) - g2 * (u_prev - u_prev2)
+                        x = u - g1 * du - g2 * du_prev
                         x = x / math.sqrt(x.dot(x))
                         mixed = True
             if not mixed:
                 gamma = c / dd if 0.0 < dd < np.inf else np.inf
                 if gamma < 0.5:  # the secant model contracts: |rho| < 1
-                    x = u - gamma * (u - u_prev)
+                    x = u - gamma * du
                     x = x / math.sqrt(x.dot(x))
             if two_tangents:
-                df_prev = df
-        u_prev2, u_prev, f_prev = u_prev, u, f
+                df_prev, bb, du_prev = df, dd, du
+        u_prev, f_prev = u, f
     return u, max_iter, False, False
 
 
@@ -339,11 +344,14 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     stops the schedule)."""
     r2 = cs.e - (cs.Y @ u) ** 2
     r2[r2 <= floor] = 0.0
-    r = np.sqrt(r2)
-    mid = [(len(r) - 1) // 2, len(r) // 2]
-    r.partition(mid)  # the median; np.median loads numpy.ma (1 MB) on first use
-    scale = 0.5 * float(r[mid[0]] + r[mid[1]])
-    return KERNEL_SCALE * (scale if scale > 0.0 else float(np.sqrt(np.mean(r2))))
+    # the median; np.median loads numpy.ma (1 MB) on first use.  sqrt is
+    # monotone, so the middle values of r are the roots of those of r^2,
+    # and the lower one is the largest below the upper one.
+    k = len(r2) // 2
+    s = np.partition(r2, k)
+    lo = s[k] if len(r2) % 2 else s[:k].max()
+    scale = 0.5 * (math.sqrt(lo) + math.sqrt(s[k]))
+    return KERNEL_SCALE * (scale if scale > 0.0 else math.sqrt(r2.mean()))
 
 
 def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int):
@@ -367,7 +375,7 @@ def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int):
     its ``final_sigma`` is NaN when no round finished.
     """
     u = cs.coordinates(v)
-    floor = np.finfo(float).eps * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
+    floor = EPS * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
     sigma0 = _kernel_size(cs, u, floor) if cfg.sigma0 is None else _ldexp(cfg.sigma0, -scale)
     if sigma0 == math.inf:
         raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
@@ -417,7 +425,7 @@ def _scatter_evd(X, center: bool):
     n, p = X.shape
     if n < p or p < 1:
         raise DegenerateInputError(f"need n >= p >= 1, got n={n}, p={p}")
-    top = float(np.max(np.abs(X)))
+    top = float(abs(X).max())
     if not top < np.inf:
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")
     scale = math.frexp(top)[1]

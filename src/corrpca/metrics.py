@@ -31,19 +31,19 @@ def component_alignment(V_est: np.ndarray, V_true: np.ndarray) -> AlignmentRepor
     if V_est.shape != V_true.shape:
         raise ValueError(f"shape mismatch: {V_est.shape} vs {V_true.shape}")
     p = V_est.shape[1]
-    cos = np.abs(V_est.T @ V_true)
+    cos = abs(V_est.T @ V_true)
     matched: list[int] = []
     scores = np.empty(p)
     for i in range(p):
         row = cos[i].copy()
         row[matched] = -1.0
-        j = int(np.argmax(row))
+        j = int(row.argmax())
         matched.append(j)
         scores[i] = min(cos[i, j], 1.0)
     return AlignmentReport(
         per_component_abs_cos=scores,
         min_abs_cos=float(scores.min()),
-        mean_abs_cos=float(scores.mean()),
+        mean_abs_cos=float(scores.sum() / p),  # scores.mean()'s arithmetic, without its overhead
         component_order=np.array(matched, dtype=int),
     )
 

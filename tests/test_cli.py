@@ -44,7 +44,7 @@ class TestFit:
         run(["synth", "--n", 120, "--p", 3, "--seed", 5, "--output", data])
         assert run(["fit", "--input", data, "--output", report]) == 0
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["n"] == 120 and doc["p"] == 3
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
@@ -90,6 +90,24 @@ class TestFit:
         V = np.array(doc["components_rows"])
         assert np.max(np.abs(V.T @ V - np.eye(2))) <= 1e-12
         assert doc["config"]["center"] is True
+
+    def test_reports_are_strict_json(self, tmp_path):
+        # the null-space component's final_sigma is NaN and, with --center on
+        # the large-offset CSV, the eigenvalues are inf: both written as null
+        def strict(path):
+            def reject(token):
+                raise ValueError(f"{token} is not JSON")
+            return json.loads(path.read_text(), parse_constant=reject)
+
+        data, offset = tmp_path / "data.csv", tmp_path / "offset.csv"
+        run(["synth", "--n", 120, "--p", 3, "--seed", 5, "--output", data])
+        offset.write_text("1.5e308,1e308\n1e308,-1.7e308\n-1e308,1.2e308\n")
+        assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 0
+        assert run(["fit", "--input", offset, "--center", "--output", tmp_path / "o.json"]) == 0
+        doc = strict(tmp_path / "r.json")
+        assert doc["diagnostics"][-1]["final_sigma"] is None
+        assert all(d["final_sigma"] > 0.0 for d in doc["diagnostics"][:-1])
+        assert strict(tmp_path / "o.json")["apriori_eigenvalues"] == [None, None]
 
     def test_collinear_columns_exit_3(self, tmp_path, capsys):
         X = np.random.default_rng(2).standard_normal((50, 3))
@@ -152,7 +170,7 @@ class TestDemo:
                     "mcpi_mean_abs_cos", "pca_mean_abs_cos"):
             assert len(agg[key]) == 3
         assert len(doc["replicates"]) == 2
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["config"]["seed"] == 0
         assert "eta" not in doc["config"] and "n_decay" not in doc["config"]
         lines = plot.read_text().strip().splitlines()

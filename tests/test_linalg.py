@@ -7,6 +7,7 @@ from corrpca.linalg import (
     SingularDirectionError,
     check_integer,
     check_positive,
+    check_symmetric,
     complement_basis,
     fix_sign,
     null_space_vector,
@@ -107,15 +108,35 @@ class TestSymEvd:
         assert np.all(V[0] > 0)
 
     def test_sign_matches_fix_sign_per_column(self):
+        # exact ties keep LAPACK's ascending column order: eigh lists
+        # diag(1, 2, 1)'s vectors as e1, e3, e2, and reversing would put e3 first
+        matrices = [np.eye(3), np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0])]
         rng = np.random.default_rng(17)
         for _ in range(50):
             p = int(rng.integers(1, 9))
             A = rng.standard_normal((p, p))
-            A = A + A.T
+            matrices.append(A + A.T)
+        for A in matrices:
             values, V = np.linalg.eigh(A)
-            V = V[:, np.argsort(-values, kind="stable")]
-            expected = np.column_stack([fix_sign(V[:, k]) for k in range(p)])
-            assert sym_evd(A).vectors.tobytes() == expected.tobytes()
+            order = np.argsort(-values, kind="stable")
+            V = V[:, order]
+            expected = np.column_stack([fix_sign(V[:, k]) for k in range(len(A))])
+            pairs = sym_evd(A)
+            assert pairs.values.tobytes() == values[order].tobytes()
+            assert pairs.vectors.tobytes() == expected.tobytes()
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("entries", [{(1, 1): np.inf}, {(0, 1): np.inf, (1, 0): -np.inf}])
+    def test_non_finite_before_the_symmetry_test(self, entries):
+        # A - A^T would be inf - inf = NaN here, with a RuntimeWarning
+        A = np.eye(2)
+        for index, value in entries.items():
+            A[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                check_symmetric(A)
 
 
 class TestPowerIteration:
@@ -216,7 +237,18 @@ class TestNullSpaceVector:
 class TestComplementBasis:
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_no_columns_is_the_identity(self, p):
-        # the complete QR of a p x 0 matrix, which the short cut replaces
+        # eigh of the p x p zero matrix F F^T, as the complete QR of the
+        # p x 0 matrix F was, with no branch for k = 0
         empty = np.empty((p, 0))
         assert complement_basis(empty).tobytes() == np.eye(p).tobytes()
         assert np.linalg.qr(empty, mode="complete")[0].tobytes() == np.eye(p).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_orthonormal_complement_of_orthonormal_columns(self, p):
+        rng = np.random.default_rng(p)
+        for k in range(p + 1):
+            F = random_orthonormal(p, rng)[:, :k]
+            H = complement_basis(F)
+            assert H.shape == (p, p - k)
+            assert np.max(np.abs(H.T @ H - np.eye(p - k)), initial=0.0) <= 1e-14
+            assert np.max(np.abs(F.T @ H), initial=0.0) <= 1e-14

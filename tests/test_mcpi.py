@@ -125,8 +125,7 @@ def kernel_size_reference(X, components, v):
 
 def complement_of(X, components):
     """The complement of the unit vectors in ``components``, built from
-    scratch: the trailing columns B of a complete QR of the found set, and
-    Y = X B."""
+    scratch: the complement basis B of the whole found set, and Y = X B."""
     B = complement_basis(np.column_stack(components)) if len(components) else np.eye(X.shape[1])
     return mcpi._Complement.of(B, X @ B)
 
@@ -393,6 +392,38 @@ class TestComplementStep:
             ref = -ref
         assert (steps, underflow) == (1, False)
         assert g.tobytes() == ref.tobytes()
+
+
+class TestKernelSize:
+    """``_kernel_size`` takes the median of r^2 by one partition and roots
+    only its middle values; the median of the roots, taken by a partition at
+    both middle indices, gives the same bits."""
+
+    @staticmethod
+    def two_index_reference(cs, u, floor):
+        r2 = cs.e - (cs.Y @ u) ** 2
+        r2[r2 <= floor] = 0.0
+        r = np.sqrt(r2)
+        mid = [(len(r) - 1) // 2, len(r) // 2]
+        r.partition(mid)
+        scale = 0.5 * float(r[mid[0]] + r[mid[1]])
+        return mcpi.KERNEL_SCALE * (scale if scale > 0.0 else float(np.sqrt(np.mean(r2))))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 51, 400])
+    @pytest.mark.parametrize("rows", ["normal", "tied", "zero"])
+    def test_matches_median_of_roots_bit_for_bit(self, n, rows):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3))
+        if rows == "tied":  # few distinct residuals, many equal
+            X = np.round(2.0 * X) / 2.0
+        elif rows == "zero":  # over half the rows on the axis of u: the RMS fallback for odd n
+            X[: n // 2 + 1, 1:] = 0.0
+        u = np.array([1.0, 0.0, 0.0]) if rows != "normal" else rng.standard_normal(3)
+        cs = mcpi._Complement.of(np.eye(3), X)
+        u = cs.coordinates(u)
+        floor = np.finfo(float).eps * cs.e_max
+        got = mcpi._kernel_size(cs, u, floor)
+        assert np.float64(got).tobytes() == np.float64(self.two_index_reference(cs, u, floor)).tobytes()
 
 
 def outlier_data(n=400, p=3, fraction=0.05, seed=5):
