@@ -3,8 +3,12 @@ outlier-contamination demo comparing the robust fit against plain PCA.
 
 Exit codes: 0 success; 2 a bad flag or input file, decided by argparse or
 by the one ``try`` in which each command checks all its flags and inputs
-before any work; 3 degenerate input (``DegenerateInputError``) and 4 a failed
-write (an ``OSError`` once the inputs are read), both decided in ``main``.
+before any work; 3 degenerate input (``DegenerateInputError``: fewer rows
+than columns, or non-finite cells) and 4 a failed write (an ``OSError`` once
+the inputs are read), both decided in ``main``.  Collinear columns are
+fitted, not rejected: the component whose residuals are all 0 reports
+``sigma_underflow``, and the direction without variance is the last
+component.
 
 Reports are strict JSON (RFC 8259): a non-finite float, such as the
 null-space component's ``final_sigma`` (NaN) or an eigenvalue beyond

@@ -5,7 +5,9 @@ exp(-||r||^2 / 2 sigma^2) of its residual r off the current direction.
 ``rank_one_weights`` computes it for every row at once from the row energies
 and projections, ``all_underflowed`` tells when the kernel has shrunk past
 every sample, and the weighted scatter sum_k w_k x_k x_k^T is what the
-eigen-step acts on.
+eigen-step acts on.  ``rank_one_weights`` checks sigma on every call;
+``rank_one_kernel`` is its arithmetic alone, for a loop that runs many
+steps at one kernel size and checks it once.
 """
 
 from __future__ import annotations
@@ -32,16 +34,26 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float,
 
     ``out``, a float array of t's shape (it may be ``t`` itself), receives
     the weights and is returned; without it a new array is.  Both give the
-    same bits, since every step is elementwise and in place.
+    same bits, since every step is elementwise and in place.  ValueError
+    unless ``sigma`` is positive and finite; the arithmetic is
+    ``rank_one_kernel``'s.
     """
     sigma = check_positive("kernel size", sigma)
+    return rank_one_kernel(e, t, 2.0 * sigma * sigma, out)
+
+
+def rank_one_kernel(e: np.ndarray, t: np.ndarray, two_sigma2: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``rank_one_weights`` at 2 sigma^2 = ``two_sigma2``, unchecked: the
+    caller has checked sigma and formed 2 sigma^2 once, as ``mcpi`` does per
+    round of outer iterations."""
     # One temporary, updated in place.  t^2 - e = -(e - t^2) exactly, so
     # exp(min(t^2 - e, 0) / 2 sigma^2) equals exp(-max(e - t^2, 0) / 2 sigma^2)
     # bit for bit.
     w = np.multiply(t, t, out=out)
     w -= e
     np.minimum(w, 0.0, out=w)
-    w /= 2.0 * sigma * sigma
+    w /= two_sigma2
     return np.exp(w, out=w)
 
 

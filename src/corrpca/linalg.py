@@ -1,7 +1,10 @@
 """Dense symmetric eigensolver, complement bases, and argument checks.
 
 ``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
-descending order and a sign convention.  ``complement_basis`` is the one
+descending order and a sign convention.  It checks its argument with
+``check_symmetric`` and then calls ``eigh_descending``, the unchecked core,
+which callers use on a matrix symmetric and finite by construction (``mcpi``
+on its X^T X / n at unit scale).  ``complement_basis`` is the one
 source of orthonormal complements, also through ``eigh``: the eigenvectors
 of the projector F F^T for its zero eigenvalues.  ``mcpi`` steps its chain
 of complements with it, one found component at a time, and
@@ -105,15 +108,21 @@ class EigenPairs:
 
 
 def sym_evd(A: np.ndarray) -> EigenPairs:
-    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``):
+    ``check_symmetric`` (a complex matrix is a ValueError, not cast to its
+    real part), then ``eigh_descending``."""
+    return eigh_descending(check_symmetric(A))
+
+
+def eigh_descending(A: np.ndarray) -> EigenPairs:
+    """``sym_evd`` of a real, finite, symmetric float matrix, unchecked.
 
     Eigenvalues come back in non-increasing order with ties broken by
     LAPACK's ascending column order, so output is deterministic: ``eigh``'s
     ascending output reversed, or stably sorted when two eigenvalues are
-    exactly equal.  The vectors are a new Fortran-ordered array.  A complex
-    matrix is a ValueError, not cast to its real part.
+    exactly equal.  The vectors are a new Fortran-ordered array.
     """
-    values, V = np.linalg.eigh(check_symmetric(A))
+    values, V = np.linalg.eigh(A)
     tied = len(set(values.tolist())) < len(values)
     order = np.argsort(-values, kind="stable") if tied else slice(None, None, -1)
     V = V[:, order]

@@ -52,9 +52,10 @@ one chain, as He et al. deflate: it starts at B = I, Y = X, and after a
 component found at coordinates u it steps to H = ``linalg.complement_basis``
 of the one column u (the eigenvectors of u u^T for its zero eigenvalue, one
 m x m ``eigh``), B <- B H and Y <- Y H, and recomputes e.  The component
-is B u, and once the chain reaches m = 1 the last component is the one
-column of B.  For v = B u the residual (I - P - v v^T) x is y - (y.u) u, so
-with t = Y u each outer iteration is
+is B u.  The last step, to m = 1, forms B H alone: its one column is the
+last component, and no round reads Y H or e there.  For v = B u the
+residual (I - P - v v^T) x is y - (y.u) u, so with t = Y u each outer
+iteration is
 
     w = exp(-max(e - t^2, 0) / 2 sigma^2),   u <- top eigenvector of Y^T diag(w) Y,
 
@@ -68,14 +69,32 @@ the largest exponent, so the weights are rounding noise; the floor also lies
 far above the sizes at which an exponent overflows or 2 sigma^2 is 0.
 
 At n = 400 and m <= 3 each of those steps is a few microseconds of
-arithmetic, so ``_fixed_point`` keeps numpy's per-call cost down: each round
-allocates two buffers and reuses them at every outer iteration, a length-n
+arithmetic, so ``_fixed_point`` keeps numpy's per-call cost down and does
+once per round what a round holds fixed: it checks sigma (a ValueError
+before any step) and forms 2 sigma^2 for ``correntropy.rank_one_kernel``,
+the unchecked arithmetic of ``rank_one_weights``, and it allocates two
+buffers and reuses them at every outer iteration, a length-n
 vector that receives t = Y u and then, in place, the weights, and an n x m
 Fortran-ordered array that receives the scaled rows w_k y_k (the layout
 ``w[:, None] * Y`` has, so the scatter's product is the same gemm), step
 norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``, and each mixing
 step reuses the last step's difference of images and its squared norm.
-Every iterate is bit for bit that of the allocating calls.
+Every iterate is bit for bit that of the checked, allocating calls.  The
+data's checks stay at the public boundary: ``_scatter_evd`` checks the input
+once, and hands X^T X / n, symmetric by construction and finite at unit
+scale, to ``linalg.eigh_descending`` without ``sym_evd``'s checks.
+
+Rank deficiency is a state, not an error.  Where the data have no variance
+left off a component's a-priori vector, its residuals are all 0, so its
+schedule stops at the kernel-size floor, keeps that vector and reports
+``sigma_underflow``.  With rank r < p and the default sigma0 that is the
+r-th component, the last with variance (one collinear column flags the one
+before the last).  Each complement after it holds only the rounding of the
+chain's products, at most eps times the data's largest row energy, and its
+component stops, flagged, before any round, so a user-set sigma0 cannot
+fit that noise either.  The directions without variance are the last
+p - r components; the very last, the chain's final column, is never
+flagged.  Columns that differ only in scale are fitted like any others.
 
 ``fit`` and its plain eigendecomposition baseline ``standard_pca`` both work
 at unit scale.  One reduction, max |x|, is the finiteness check and gives
@@ -99,15 +118,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correntropy import all_underflowed, rank_one_weights, weighted_scatter
+from .correntropy import all_underflowed, rank_one_kernel, weighted_scatter
 from .linalg import (
     SingularDirectionError,
     as_real,
     check_integer,
     check_positive,
     complement_basis,
+    eigh_descending,
     fix_sign,
-    sym_evd,
 )
 # Reference names that bench/tracing.py and tests/test_acceptance.py read here.
 from .reference import DeflationState, build_deflated_operator, woodbury_update
@@ -127,10 +146,13 @@ EPS = np.finfo(float).eps
 
 
 class DegenerateInputError(ValueError):
-    """Input matrix is complex, too small, has non-finite entries, or is
-    (numerically) rank deficient.  Its scale is never a fault: ``fit`` and
-    ``standard_pca`` work on the input times the power of two that brings
-    max |x| into [1/2, 1), so any finite input is fitted."""
+    """Input matrix is complex, not n x p with n >= p >= 1, or has non-finite
+    entries.  Its scale is never a fault: ``fit`` and ``standard_pca`` work
+    on the input times the power of two that brings max |x| into [1/2, 1),
+    so any finite input is fitted.  Nor is its rank: a component whose
+    residuals are all 0 stops its schedule at the kernel-size floor and
+    reports ``sigma_underflow``, and the directions without variance are
+    the last components."""
 
 
 @dataclass(frozen=True)
@@ -221,8 +243,8 @@ class _Complement:
     ``B`` is an orthonormal p x m basis of that complement (m = p - k),
     ``Y = X B`` is stored column-major for the weighted scatter, ``e``
     holds the row energies ||y_k||^2 and ``e_max`` the largest of them.
-    ``fit`` starts its chain at ``of(I, X)``, and ``without`` steps from
-    the complement of k components to that of k + 1.
+    ``fit`` starts its chain at ``of(I, X)`` and steps from the complement
+    of k components to that of k + 1 with ``of(B H, Y H)``.
     """
 
     B: np.ndarray
@@ -235,12 +257,6 @@ class _Complement:
         Y = np.asfortranarray(Y)
         e = np.einsum("ij,ij->i", Y, Y)
         return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
-
-    def without(self, u: np.ndarray) -> "_Complement":
-        """The complement of the unit coordinates ``u`` inside this one:
-        with H the one-column complement basis of u, B H and Y H."""
-        H = complement_basis(u[:, None])
-        return self.of(self.B @ H, self.Y @ H)
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Unit vector of the projection of v onto the complement, in B."""
@@ -281,12 +297,18 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     ||f_k|| <= ``tol`` and returns g_k, so the result is always an
     eigenvector of a weighted scatter, never a mixed iterate.
 
+    ValueError, before any step, unless ``sigma`` is positive and finite.
     Returns (u, outer iterations, converged, underflow).  When every weight
     underflows, ``u`` is the last g_k that still had weights (the start
     vector if that happens on the first step) and the count is the number of
     steps finished before.
     """
-    Y = cs.Y
+    # what stays fixed for the round: the kernel size, checked once (a
+    # ValueError before any step), 2 sigma^2, the rows and their energies
+    sigma = check_positive("kernel size", sigma)
+    two_sigma2 = 2.0 * sigma * sigma
+    Y, e = cs.Y, cs.e
+    eigh = np.linalg.eigh
     t = np.empty(Y.shape[0])  # t = Y x, then the weights, in place
     wY = np.empty(Y.shape, order="F")  # the rows w_k y_k, in Y's layout
     two_tangents = Y.shape[1] >= 3  # the unit sphere's tangent at x has m - 1 dimensions
@@ -294,10 +316,10 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     u_prev = f_prev = df_prev = None
     for outer in range(max_iter):
         np.dot(Y, x, out=t)
-        w = rank_one_weights(cs.e, t, sigma, out=t)
+        w = rank_one_kernel(e, t, two_sigma2, out=t)
         if all_underflowed(w):
             return u, outer, False, True
-        u = np.linalg.eigh(weighted_scatter(Y, w, out=wY))[1][:, -1]
+        u = eigh(weighted_scatter(Y, w, out=wY))[1][:, -1]
         if u.dot(x) < 0.0:  # sign ambiguity must not stall convergence
             u = -u
         f = u - x
@@ -354,10 +376,13 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     return KERNEL_SCALE * (scale if scale > 0.0 else math.sqrt(r2.mean()))
 
 
-def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int):
+def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
+                      data_e_max: float | None = None):
     """One component: rounds at the kernel sizes sigma_0
     ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, in the complement
     ``cs`` of the components already found, from ``v`` projected onto it.
+    ``data_e_max`` is the largest row energy of the data the chain started
+    from, ``cs.e_max`` when ``cs`` is that data's own complement (the default).
 
     ``cs`` holds the input times 2^-``scale``.  sigma_0 is ``cfg.sigma0``
     2^-``scale`` when set (ValueError when that is beyond float64), else
@@ -372,11 +397,19 @@ def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int):
     The schedule stops, with ``sigma_underflow``, at the last grid point
     above the floor 2 sigma^2 <= eps max e, or within a round in which every
     weight underflows; the component keeps the direction reached so far, and
-    its ``final_sigma`` is NaN when no round finished.
+    its ``final_sigma`` is NaN when no round finished.  A complement whose
+    max e is at most eps ``data_e_max``, below the data's own rounding floor,
+    holds no variance, only the rounding of the chain's products: its
+    schedule stops before any round, whatever ``cfg.sigma0`` is.
     """
     u = cs.coordinates(v)
     floor = EPS * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
-    sigma0 = _kernel_size(cs, u, floor) if cfg.sigma0 is None else _ldexp(cfg.sigma0, -scale)
+    if cs.e_max <= EPS * (cs.e_max if data_e_max is None else data_e_max):
+        sigma0 = 0.0  # no variance left: 2 sigma^2 = 0 is at the floor
+    elif cfg.sigma0 is None:
+        sigma0 = _kernel_size(cs, u, floor)
+    else:
+        sigma0 = _ldexp(cfg.sigma0, -scale)
     if sigma0 == math.inf:
         raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
                          f"2^{-scale} to max |x| < 1")
@@ -412,8 +445,8 @@ def _scatter_evd(X, center: bool):
     One reduction, max |x|, is both the finiteness check and the scale:
     with 2^(e - 1) <= max |x| < 2^e, X 2^-e is an exact copy whose every
     |x| is below 1, so X^T X / n cannot overflow, and only a column far
-    below the largest can underflow, which is a rank problem, not a scale
-    problem.  Raises ValueError unless ``center``
+    below the largest can underflow, which the kernel-size floor reports as
+    a direction without variance.  Raises ValueError unless ``center``
     is a bool (numpy's too), and DegenerateInputError unless X is real (a
     complex dtype is rejected, not cast to its real part), n x p with
     n >= p >= 1 and finite."""
@@ -432,7 +465,9 @@ def _scatter_evd(X, center: bool):
     X = np.ldexp(X, -scale)  # a new array in X's layout, which the bits of X^T X depend on
     if center:
         X -= X.mean(axis=0)
-    return X, scale, sym_evd(X.T @ X / n)
+    # X^T X is symmetric by construction (numpy forms it with one syrk) and
+    # finite at unit scale, so the eigensolver skips sym_evd's checks
+    return X, scale, eigh_descending(X.T @ X / n)
 
 
 def _ldexp(x: float, k: int) -> float:
@@ -457,27 +492,26 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     is beyond float64 at that scale."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, scale, apriori = _scatter_evd(X, cfg.center)
-    lo, hi = apriori.values[-1], apriori.values[0]
-    if lo <= 1e-10 * hi:
-        ratio = lo / hi if hi > 0.0 else float("nan")
-        raise DegenerateInputError(
-            f"input is numerically rank deficient (lambda_min / lambda_max = {ratio:.3g}); "
-            "drop or combine collinear columns"
-        )
     p = X.shape[1]
-    cs = _Complement.of(np.eye(p), X)
+    B = np.eye(p)
+    cs = _Complement.of(B, X)
+    data_e_max = cs.e_max
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
     for i in range(p - 1):
         # Start at the a-priori eigenvector, with the kernel in units of the
         # residuals there, so the schedule ends at the same place for any n.
-        u, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg, scale)
+        u, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg, scale, data_e_max)
         components.append(fix_sign(cs.B @ u))
         diags.append(diag)
-        cs = cs.without(u)
+        # the complement of u inside this one; at m = 1 only its basis is read
+        H = complement_basis(u[:, None])
+        B = cs.B @ H
+        if B.shape[1] > 1:
+            cs = _Complement.of(B, cs.Y @ H)
 
-    components.append(fix_sign(cs.B[:, 0]))
+    components.append(fix_sign(B[:, 0]))
     diags.append(ComponentDiagnostics.direct("null_space"))
     return _result(np.column_stack(components), apriori.values, scale, diags)
 

@@ -31,15 +31,16 @@ def component_alignment(V_est: np.ndarray, V_true: np.ndarray) -> AlignmentRepor
     if V_est.shape != V_true.shape:
         raise ValueError(f"shape mismatch: {V_est.shape} vs {V_true.shape}")
     p = V_est.shape[1]
-    cos = abs(V_est.T @ V_true)
+    # the greedy match in plain Python: on p x p matrices this small,
+    # numpy's cost per call outweighs the arithmetic
+    cos = abs(V_est.T @ V_true).tolist()
+    free = list(range(p))
     matched: list[int] = []
-    scores = np.empty(p)
-    for i in range(p):
-        row = cos[i].copy()
-        row[matched] = -1.0
-        j = int(row.argmax())
+    for row in cos:
+        j = max(free, key=row.__getitem__)  # the first, so the lowest, of equal maxima
+        free.remove(j)
         matched.append(j)
-        scores[i] = min(cos[i, j], 1.0)
+    scores = np.array([min(row[j], 1.0) for row, j in zip(cos, matched)])
     return AlignmentReport(
         per_component_abs_cos=scores,
         min_abs_cos=float(scores.min()),

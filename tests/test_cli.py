@@ -109,13 +109,19 @@ class TestFit:
         assert all(d["final_sigma"] > 0.0 for d in doc["diagnostics"][:-1])
         assert strict(tmp_path / "o.json")["apriori_eigenvalues"] == [None, None]
 
-    def test_collinear_columns_exit_3(self, tmp_path, capsys):
+    def test_collinear_columns_exit_0(self, tmp_path, capsys):
+        # the direction without variance is fitted, and reported: the
+        # component before it stops at the kernel-size floor
         X = np.random.default_rng(2).standard_normal((50, 3))
         X[:, 2] = X[:, 0] + X[:, 1]
         data = tmp_path / "collinear.csv"
         np.savetxt(data, X, delimiter=",")
-        assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 3
-        assert "drop or combine collinear columns" in capsys.readouterr().err
+        assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert [d["sigma_underflow"] for d in doc["diagnostics"]] == [False, True, False]
+        null = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
+        assert abs(np.array(doc["components_rows"])[:, -1] @ null) == pytest.approx(1.0, abs=1e-12)
 
     def test_rounding_level_median_falls_back_to_rms(self, tmp_path):
         # 60 rows within 1e-13 of the e1 axis and 40 in the (e2, e3) plane:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corrpca.correntropy import all_underflowed, rank_one_weights, weighted_scatter
+from corrpca.correntropy import all_underflowed, rank_one_kernel, rank_one_weights, weighted_scatter
 from corrpca.linalg import sym_evd
 from corrpca import mcpi
 from corrpca.mcpi import MCPIConfig
@@ -128,6 +128,7 @@ class TestRankOneWeights:
         for sigma in (1e-8, 0.3, 2.0, 1e3):
             expected = np.exp(-np.maximum(d, 0.0) / (2.0 * sigma * sigma))
             assert rank_one_weights(e, t, sigma).tobytes() == expected.tobytes()
+            assert rank_one_kernel(e, t, 2.0 * sigma * sigma).tobytes() == expected.tobytes()
 
     def test_rejects_bad_sigma(self):
         for sigma in (0.0, "1", True):

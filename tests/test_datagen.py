@@ -197,6 +197,44 @@ class TestGenerateExperiment:
         assert sample_mvn(spec).tobytes() == sample_mvn(ExperimentSpec(**kwargs)).tobytes()
 
 
+def checked_experiment(spec):
+    """``generate_experiment`` as its formulas read, every factor computed
+    on the call through the checked ``sym_evd`` and ``cholesky``."""
+    rng = np.random.default_rng(spec.seed)
+    X = rng.standard_normal((spec.n, spec.p)) @ cholesky(spec.scatter).T
+    idx = np.sort(rng.choice(spec.n, size=spec.n_outliers, replace=False))
+    Z = rng.standard_normal((idx.size, spec.p))
+    if spec.outlier_basis == "literal":
+        X[idx] = Z * np.sqrt(spec.nu * sym_evd(spec.scatter).values)
+    else:
+        X[idx] = Z @ cholesky(spec.nu * spec.scatter).T
+    return X, idx
+
+
+class TestOutlierFactors:
+    """A literal-basis draw takes the eigenvalues of the spec's scatter,
+    checked when the spec was built, without ``sym_evd``'s checks."""
+
+    @pytest.mark.parametrize("basis", ["literal", "rotated"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draws_match_checked_formulas(self, basis, seed):
+        spec = ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05, nu=15.0,
+                              seed=seed, outlier_basis=basis)
+        X, idx = checked_experiment(spec)
+        Y, idy = generate_experiment(spec)
+        assert Y.tobytes() == X.tobytes() and idy.tobytes() == idx.tobytes()
+
+    def test_nearly_symmetric_scatter(self):
+        # asymmetry within SYMMETRY_TOL passes the spec's check, and the
+        # eigensolver reads the same triangle with or without sym_evd's check
+        S = np.array(DEMO_SCATTER, dtype=float)
+        S[0, 1] += 5e-10
+        spec = ExperimentSpec(n=200, p=3, scatter=S, outlier_fraction=0.1, seed=6)
+        X, idx = checked_experiment(spec)
+        Y, idy = generate_experiment(spec)
+        assert Y.tobytes() == X.tobytes() and idy.tobytes() == idx.tobytes()
+
+
 class TestSpecEquality:
     def test_compare_and_hash_by_identity(self):
         kwargs = dict(n=10, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.3, seed=4)

@@ -9,6 +9,7 @@ from corrpca.linalg import (
     check_positive,
     check_symmetric,
     complement_basis,
+    eigh_descending,
     fix_sign,
     null_space_vector,
     sym_evd,
@@ -121,9 +122,10 @@ class TestSymEvd:
             order = np.argsort(-values, kind="stable")
             V = V[:, order]
             expected = np.column_stack([fix_sign(V[:, k]) for k in range(len(A))])
-            pairs = sym_evd(A)
-            assert pairs.values.tobytes() == values[order].tobytes()
-            assert pairs.vectors.tobytes() == expected.tobytes()
+            # sym_evd is check_symmetric, then the unchecked eigh_descending
+            for pairs in (sym_evd(A), eigh_descending(A)):
+                assert pairs.values.tobytes() == values[order].tobytes()
+                assert pairs.vectors.tobytes() == expected.tobytes()
 
 
 class TestCheckSymmetric:

@@ -111,6 +111,57 @@ def one_difference_fixed_point(cs, sigma, u, tol, max_iter):
     return u, max_iter, False, False
 
 
+def two_difference_fixed_point(cs, sigma, u, tol, max_iter):
+    """Oracle for ``mcpi._fixed_point`` written with the checked, allocating
+    public helpers: ``rank_one_weights`` checks sigma on every step,
+    ``weighted_scatter`` allocates its scaled rows, ``np.linalg.norm`` takes
+    the step norms, and each mixing step recomputes its differences.  The
+    next iterate is, normalised, the depth-2 mix g_k - g1 (g_k - g_{k-1})
+    - g2 (g_{k-1} - g_{k-2}) when m >= 3, two differences exist, their Gram
+    determinant is above 1e-2 of the product of their squared norms and
+    g1 < 1, g1 + g2 < 1/2; else the secant mix when gamma < 1/2; else g_k.
+    Same stop rule, sign alignment, underflow rule and return tuple."""
+    x = u
+    g = []  # the images g_k, newest last
+    f = []  # the steps f_k = g_k - x_k, newest last
+    for outer in range(max_iter):
+        w = rank_one_weights(cs.e, cs.Y @ x, sigma)
+        if all_underflowed(w):
+            return u, outer, False, True
+        u = np.linalg.eigh(weighted_scatter(cs.Y, w))[1][:, -1]
+        if float(u @ x) < 0.0:
+            u = -u
+        g.append(u)
+        f.append(u - x)
+        if np.linalg.norm(f[-1]) <= tol:
+            return u, outer + 1, True, False
+        x = u
+        if len(f) >= 2:
+            df = f[-1] - f[-2]
+            dd = float(df @ df)
+            c = float(df @ f[-1])
+            mixed = False
+            if cs.Y.shape[1] >= 3 and len(f) >= 3:
+                df_prev = f[-2] - f[-3]
+                bb = float(df_prev @ df_prev)
+                a = float(df @ df_prev)
+                det = dd * bb - a * a
+                if det > 1e-2 * dd * bb:
+                    c_prev = float(df_prev @ f[-1])
+                    g1 = (c * bb - c_prev * a) / det
+                    g2 = (dd * c_prev - a * c) / det
+                    if g1 < 1.0 and g1 + g2 < 0.5:
+                        x = u - g1 * (g[-1] - g[-2]) - g2 * (g[-2] - g[-3])
+                        x = x / np.linalg.norm(x)
+                        mixed = True
+            if not mixed:
+                gamma = c / dd if 0.0 < dd < np.inf else np.inf
+                if gamma < 0.5:
+                    x = u - gamma * (g[-1] - g[-2])
+                    x = x / np.linalg.norm(x)
+    return u, max_iter, False, False
+
+
 def kernel_size_reference(X, components, v):
     """``mcpi.KERNEL_SCALE`` times the median norm of the residuals
     (I - P - v v^T) x at ``v`` projected off the found ``components`` (the
@@ -516,6 +567,38 @@ class TestTwoDifferenceCorrector:
         assert total_outer_iterations(res) <= 0.85 * total_outer_iterations(ref)
 
 
+class TestLeanLoop:
+    """``_fixed_point`` checks sigma and forms 2 sigma^2 once per round and
+    reuses its buffers; the same loop written with the checked, allocating
+    public helpers gives every output bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, p, fraction, seed",
+        ORACLE_CASES + [pytest.param(2000, 10, 0.05, seed, id=f"p10-n2000-seed{seed}") for seed in range(2)],
+    )
+    def test_fit_matches_checked_loop_bit_for_bit(self, monkeypatch, n, p, fraction, seed):
+        # every p >= 3 case starts its chain in a complement of m >= 3
+        X = outlier_data(n, p, fraction, seed)
+        ref = fit_with(monkeypatch, X, two_difference_fixed_point)
+        res = fit(X)
+        assert res.components.tobytes() == ref.components.tobytes()
+        assert res.apriori_eigenvalues.tobytes() == ref.apriori_eigenvalues.tobytes()
+        assert res.diagnostics[:-1] == ref.diagnostics[:-1]  # the last one is direct, its final_sigma NaN
+        assert res.diagnostics[-1].method == ref.diagnostics[-1].method == "null_space"
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_kernel_size_rejected_before_any_step(self, monkeypatch, sigma):
+        def no_step(*args, **kwargs):
+            raise AssertionError("an outer step ran")
+
+        monkeypatch.setattr(mcpi, "weighted_scatter", no_step)
+        cs = mcpi._Complement.of(np.eye(3), outlier_data(seed=1))
+        u = cs.coordinates(np.ones(3))
+        for max_iter in (0, mcpi.OUTER_MAX_ITER):
+            with pytest.raises(ValueError, match="kernel size"):
+                mcpi._fixed_point(cs, sigma, u, mcpi.OUTER_TOL, max_iter)
+
+
 class TestComplementChain:
     """``fit`` steps from the complement of k components to that of k + 1
     inside it; the same loop with every complement built from scratch from
@@ -909,17 +992,65 @@ class TestFit:
         v_last = res.components[:, -1]
         assert np.linalg.norm(res.components[:, :2].T @ v_last) <= 1e-8
 
-    def test_rank_deficient_rejected(self):
-        # all-zero data have scale 2^0, so they reach the rank check too
-        for X in (np.ones((10, 3)), np.zeros((10, 3))):
-            with pytest.raises(DegenerateInputError, match="rank deficient"):
-                fit(X, MCPIConfig())
+    @staticmethod
+    def stopped_before_any_round(d):
+        return (d.sigma_underflow and not d.converged and d.outer_iterations == 0
+                and np.isnan(d.final_sigma))
 
-    def test_collinear_columns_rejected_with_ratio(self):
+    @staticmethod
+    def stopped_before_any_round(d):
+        return (d.sigma_underflow and not d.converged and d.outer_iterations == 0
+                and np.isnan(d.final_sigma))
+
+    def test_rank_deficient_fitted(self):
+        for sigma0 in (None, 1.0):
+            # all-zero data (scale 2^0): no complement holds variance, so
+            # every iterated component stops before any round, whatever
+            # sigma0 is, and the fit is the identity
+            res = fit(np.zeros((10, 3)), MCPIConfig(sigma0=sigma0))
+            assert np.array_equal(res.components, np.eye(3))
+            assert all(self.stopped_before_any_round(d) for d in res.diagnostics[:2])
+            last = res.diagnostics[2]
+            assert last.method == "null_space" and not last.sigma_underflow
+            # rank-1 data: the one direction with variance comes first; the
+            # complement after it holds only the chain's rounding (row
+            # energies ~1e-31), which stops component 2 before any round
+            res = fit(np.ones((10, 3)), MCPIConfig(sigma0=sigma0))
+            assert np.max(np.abs(res.components.T @ res.components - np.eye(3))) <= 1e-12
+            assert abs(res.components[:, 0] @ np.ones(3)) == pytest.approx(np.sqrt(3.0), rel=1e-12)
+            first, second, last = res.diagnostics
+            if sigma0 is None:
+                # its residuals are 0, so the default kernel size is 0: it
+                # stops at the floor on its a-priori vector
+                assert self.stopped_before_any_round(first)
+            else:
+                # every weight is 1 at any sigma, and the round keeps that vector
+                assert first.converged and not first.sigma_underflow
+            assert self.stopped_before_any_round(second)
+            assert last.method == "null_space" and not last.sigma_underflow
+
+    def test_collinear_columns_fitted(self):
+        # x4 = x1 + x2: the direction without variance is the last component,
+        # and the component before it, whose residuals are 0, stops at the floor
         X = clean_data(seed=8)
         X = np.column_stack([X, X[:, 0] + X[:, 1]])
-        with pytest.raises(DegenerateInputError, match=r"lambda_min / lambda_max = .*collinear"):
-            fit(X)
+        res = fit(X)
+        null = np.array([1.0, 1.0, 0.0, -1.0]) / np.sqrt(3.0)
+        assert abs(res.components[:, -1] @ null) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(res.components.T @ res.components - np.eye(4))) <= 1e-12
+        assert [d.sigma_underflow for d in res.diagnostics] == [False, False, True, False]
+        assert [d.converged for d in res.diagnostics] == [True, True, False, True]
+
+    def test_columns_differing_in_scale_fitted(self):
+        # lambda_min / lambda_max of X^T X is ~1e-13 here, yet no column is
+        # collinear: every component converges and the small column is its own axis
+        X = clean_data(seed=8)
+        X[:, 2] *= 1e-6
+        res = fit(X)
+        assert all(d.converged and not d.sigma_underflow for d in res.diagnostics)
+        assert abs(res.components[2, 2]) == pytest.approx(1.0, abs=1e-10)
+        ref = standard_pca(X).components
+        assert np.min(np.abs(np.sum(res.components * ref, axis=0))) >= 0.99
 
     def test_n_less_than_p_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -56,6 +56,32 @@ class TestComponentAlignment:
         with pytest.raises(ValueError, match="not orthonormal"):
             component_alignment(*((bad, V) if side == "estimate" else (V, bad)))
 
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_matches_masked_argmax_loop_bit_for_bit(self, p):
+        # the greedy match as an array loop: mask the matched true columns,
+        # take the first argmax; the same scores, order and summaries
+        for seed in range(20):
+            V, W = random_orthonormal(p, seed), random_orthonormal(p, 100 + seed)
+            cos = np.abs(V.T @ W)
+            matched, scores = [], np.empty(p)
+            for i in range(p):
+                row = cos[i].copy()
+                row[matched] = -1.0
+                matched.append(int(row.argmax()))
+                scores[i] = min(cos[i, matched[-1]], 1.0)
+            rep = component_alignment(V, W)
+            assert rep.per_component_abs_cos.tobytes() == scores.tobytes()
+            assert rep.component_order.tolist() == matched
+            assert rep.min_abs_cos == scores.min() and rep.mean_abs_cos == scores.mean()
+
+    def test_ties_go_to_the_lowest_index(self):
+        # every |cos| is 1/2: each estimate takes the lowest unmatched column
+        H = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                      [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]) / 2.0
+        rep = component_alignment(H, np.eye(4))
+        assert rep.component_order.tolist() == [0, 1, 2, 3]
+        assert rep.per_component_abs_cos.tolist() == [0.5] * 4
+
     def test_scores_within_unit_interval(self):
         rep = component_alignment(random_orthonormal(6, 5), random_orthonormal(6, 6))
         assert np.all(rep.per_component_abs_cos >= 0.0)
