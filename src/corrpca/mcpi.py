@@ -5,24 +5,29 @@ of X^T X / n seeds each component, its kernel size sigma_0 is
 ``KERNEL_SCALE`` times the median residual norm of the samples at that
 a-priori vector (the scale of the reconstruction errors whose correntropy
 the fit maximises, as in He et al., "Robust Principal Component Analysis
-Based on Maximum Correntropy Criterion", IEEE TIP 2011), the kernel shrinks
-in n_decay geometric rounds from sigma_0 to sigma_0 KERNEL_SPAN, and the
-last component is the one direction left in the complement of the others.
+Based on Maximum Correntropy Criterion", IEEE TIP 2011), the schedule's
+n_decay rounds end at the kernel size sigma_0 ``KERNEL_SPAN``, and the last
+component is the one direction left in the complement of the others.
 Each round is a fixed-point loop at one kernel size: freeze the sample
 weights, take the top eigenvector of the weighted scatter compressed to the
 complement of the components already found, (I - P) S (I - P), refresh the
 weights, repeat.
 
-With the default n_decay = 2 a component takes two rounds, at 30 and at 1.2
-times its median residual norm; more rounds only subdivide that span, so a
-schedule never ends below the residual scale.  Both sizes are per-sample
-quantities, so the fit is the same for any n drawn from one distribution
-(stacking X on itself leaves it unchanged).  Only the fixed point of the
-last round is the answer, so every earlier round stops once a step moves
-the direction by at most sqrt(``OUTER_TOL``) (1e-4) and the last runs to
-``OUTER_TOL`` (1e-8).  Each round starts from the fixed point of the round
-before and iterates the map u -> top eigenvector of the weighted scatter at
-u, accelerated by Anderson mixing (Walker & Ni, "Anderson acceleration for
+With the default n_decay = 1 a component takes one round, at 1.2 times its
+median residual norm, started at its a-priori vector: the paper's power
+iteration at one kernel size.  A longer schedule shrinks the kernel
+geometrically from sigma_0 (30 times that median) to the same last size,
+so a schedule never ends below the residual scale; n_decay = 2 adds one
+round at sigma_0, which changes neither the answer (except on samples
+small or contaminated enough for the last size to have several attracting
+fixed points) nor the number of steps the last round takes.  Both sizes
+are per-sample quantities, so the fit is the same for any n drawn from one
+distribution (stacking X on itself leaves it unchanged).  Only the fixed
+point of the last round is the answer, so every earlier round stops once a
+step moves the direction by at most sqrt(``OUTER_TOL``) (1e-4) and the last
+runs to ``OUTER_TOL`` (1e-8).  Each later round starts from the fixed point
+of the round before.  A round iterates the map u -> top eigenvector of the weighted scatter at u,
+accelerated by Anderson mixing (Walker & Ni, "Anderson acceleration for
 fixed-point iterations", SIAM J. Numer. Anal. 2011): in a complement of
 m >= 3 coordinates each step mixes the last three images along their two
 differences, and falls back to the depth-1 (secant) mix of the last two
@@ -134,7 +139,8 @@ from .reference import DeflationState, build_deflated_operator, woodbury_update
 
 # sigma_0 of a component, in units of the median residual norm at its
 # a-priori vector, and the last round's kernel size over sigma_0: every
-# schedule ends at 1.2 times that median, where many samples keep weight.
+# schedule, the default one round too, ends at 1.2 times that median, where
+# many samples keep weight.
 KERNEL_SCALE = 30.0
 KERNEL_SPAN = 0.04
 # The step size at which the last round of a schedule stops (every earlier
@@ -161,17 +167,18 @@ class MCPIConfig:
     and checked on construction (and so on ``dataclasses.replace``).
 
     ``fit`` runs ``n_decay`` rounds for each component, at the kernel sizes
-    sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay (one round at
-    sigma_0 when n_decay is 1): the last to ``OUTER_TOL``, every earlier one
-    to sqrt(``OUTER_TOL``), each within ``OUTER_MAX_ITER`` outer iterations.
-    n_decay only subdivides the fixed span.  sigma_0 is ``KERNEL_SCALE``
-    times the component's median residual norm at its a-priori vector;
-    ``sigma0``, in the input's units, overrides it for every component when
-    set (used to freeze sigma large and recover plain PCA).  ``center``
-    subtracts the column means first.
+    sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, and the
+    default n_decay = 1 runs one, at sigma_0 ``KERNEL_SPAN``: every schedule
+    ends at that size, and a larger n_decay only adds rounds from sigma_0
+    down to it.  The last round runs to ``OUTER_TOL``, every earlier one to
+    sqrt(``OUTER_TOL``), each within ``OUTER_MAX_ITER`` outer iterations.
+    sigma_0 is ``KERNEL_SCALE`` times the component's median residual norm
+    at its a-priori vector; ``sigma0``, in the input's units, overrides it
+    for every component when set (a large one freezes sigma large and
+    recovers plain PCA).  ``center`` subtracts the column means first.
     """
 
-    n_decay: int = 2
+    n_decay: int = 1
     center: bool = False
     sigma0: float | None = None
 
@@ -191,8 +198,9 @@ class ComponentDiagnostics:
     ``final_sigma`` is the kernel size of its last finished round, NaN when
     the schedule stopped before any round finished.  ``converged`` is true
     when the schedule ran to its end and every round met its own tolerance
-    within ``OUTER_MAX_ITER`` outer iterations, sqrt(``OUTER_TOL``) before
-    the last grid point and ``OUTER_TOL`` at it.
+    within ``OUTER_MAX_ITER`` outer iterations, ``OUTER_TOL`` at the last
+    grid point, sigma_0 ``KERNEL_SPAN``, and sqrt(``OUTER_TOL``) before it
+    (the default schedule has no earlier round).
     ``sigma_underflow`` marks a schedule stopped early, at the kernel-size
     floor or when every weight underflowed."""
 
@@ -379,8 +387,9 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
 def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
                       data_e_max: float | None = None):
     """One component: rounds at the kernel sizes sigma_0
-    ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, in the complement
-    ``cs`` of the components already found, from ``v`` projected onto it.
+    ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, one round at sigma_0
+    ``KERNEL_SPAN`` when n_decay is 1, in the complement ``cs`` of the
+    components already found, from ``v`` projected onto it.
     ``data_e_max`` is the largest row energy of the data the chain started
     from, ``cs.e_max`` when ``cs`` is that data's own complement (the default).
 
@@ -388,9 +397,10 @@ def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
     2^-``scale`` when set (ValueError when that is beyond float64), else
     ``_kernel_size`` at that start, and the diagnostics are in the input's
     units: ``final_sigma`` is the last finished round's size times 2^``scale``.
-    Each round starts from the fixed point of the one before and is solved by
-    ``_fixed_point`` within ``OUTER_MAX_ITER`` outer iterations, to
-    sqrt(``OUTER_TOL``) before the last round and to ``OUTER_TOL`` in it.
+    The first round starts at that projection, each later one from the
+    fixed point of the one before, and each is solved by ``_fixed_point`` within
+    ``OUTER_MAX_ITER`` outer iterations, to sqrt(``OUTER_TOL``) before the
+    last round and to ``OUTER_TOL`` in it.
     Returns the direction reached, in the coordinates of ``cs``, with the
     sign its steps produced, and the component's diagnostics.
 
@@ -419,7 +429,7 @@ def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
     converged = True
     underflow = False
     for r in range(cfg.n_decay):
-        sigma = sigma0 * KERNEL_SPAN ** (r / max(last, 1))
+        sigma = sigma0 * KERNEL_SPAN ** (r / last if last else 1.0)
         if 2.0 * sigma * sigma <= floor:
             underflow = True
             break

@@ -154,9 +154,11 @@ class TestRankOneWeights:
 def stops_at_floor(Y, sigma, u):
     """Whether a one-step schedule from u at this sigma reports underflow.
     Some row of Y has e - t^2 <= 0 at u, so its weight on that step is
-    exactly 1 and only the kernel-size floor can stop the schedule."""
+    exactly 1 and only the kernel-size floor can stop the schedule.  With
+    ``KERNEL_SPAN`` 1 the one round of ``n_decay=1`` is at sigma0 itself."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcpi, "OUTER_MAX_ITER", 1)
+        m.setattr(mcpi, "KERNEL_SPAN", 1.0)
         cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
         cfg = MCPIConfig(n_decay=1, sigma0=sigma)
         return mcpi._shrinking_rounds(cs, u, cfg, 0)[1].sigma_underflow

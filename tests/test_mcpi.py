@@ -184,9 +184,12 @@ def complement_of(X, components):
 def ith_component(X, components, sigma, v):
     """The next component after the unit vectors in ``components``: a
     one-round schedule at kernel size ``sigma`` from ``v``, solved to
-    ``mcpi.OUTER_TOL``.  Returns (direction, diagnostics)."""
+    ``mcpi.OUTER_TOL``.  With ``KERNEL_SPAN`` 1 the one round of
+    ``n_decay=1`` is at sigma0 itself.  Returns (direction, diagnostics)."""
     cs = complement_of(X, components)
-    u, diag = mcpi._shrinking_rounds(cs, v, MCPIConfig(n_decay=1, sigma0=sigma), 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mcpi, "KERNEL_SPAN", 1.0)
+        u, diag = mcpi._shrinking_rounds(cs, v, MCPIConfig(n_decay=1, sigma0=sigma), 0)
     return fix_sign(cs.B @ u), diag
 
 
@@ -202,29 +205,35 @@ def every_round_reference(X, cfg):
     result, every one solved to ``OUTER_TOL``, at the ``n_decay`` kernel
     sizes geometrically spaced from sigma_0, that of
     ``kernel_size_reference`` at the a-priori vector, to sigma_0
-    ``KERNEL_SPAN``.  It runs the production corrector;
-    ``TestSecantCorrector`` checks that against the plain loop.  Returns the
-    iterated components as columns."""
+    ``KERNEL_SPAN`` (one round, at sigma_0 ``KERNEL_SPAN``, when n_decay is
+    1).  It runs the production corrector; ``TestSecantCorrector`` checks
+    that against the plain loop.  Returns the iterated components as
+    columns."""
     pairs = sym_evd(X.T @ X / X.shape[0])
     components = []
     for i in range(X.shape[1] - 1):
         v = pairs.vectors[:, i]
         sigma0 = kernel_size_reference(X, components, v)
-        for sigma in np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay):
+        sigmas = (np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay) if cfg.n_decay > 1
+                  else [sigma0 * mcpi.KERNEL_SPAN])
+        for sigma in sigmas:
             v, _ = ith_component(X, components, sigma, v)
         components.append(v)
     return np.column_stack(components)
 
 
-def record_rounds(monkeypatch):
+def record_rounds(monkeypatch, tolerances=None):
     """Patch ``mcpi._fixed_point`` to log every round as (complement set-up,
-    sigma, start, u, steps, converged, underflow)."""
+    sigma, start, u, steps, converged, underflow), and its tolerance to the
+    list ``tolerances`` when one is given."""
     rounds = []
     solve = mcpi._fixed_point
 
     def recorded(cs, sigma, u, tol, max_iter):
         result = solve(cs, sigma, u, tol, max_iter)
         rounds.append((cs, sigma, u, *result))
+        if tolerances is not None:
+            tolerances.append(tol)
         return result
 
     monkeypatch.setattr(mcpi, "_fixed_point", recorded)
@@ -718,6 +727,63 @@ class TestFit:
             assert d.final_sigma == in_input_units(component[-1][1], X)
             assert d.outer_iterations == sum(round_[4] for round_ in component)
 
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_default_is_one_round_at_the_final_size(self, monkeypatch, p):
+        # one round per iterated component, at sigma_0 KERNEL_SPAN bit for
+        # bit, from the a-priori vector, solved to OUTER_TOL
+        tolerances = []
+        rounds = record_rounds(monkeypatch, tolerances)
+        X = outlier_data(p=p)
+        res = fit(X)
+        components = per_component(rounds)
+        assert [len(component) for component in components] == [1] * (p - 1)
+        assert tolerances == [mcpi.OUTER_TOL] * (p - 1)
+        apriori = mcpi._scatter_evd(X, False)[2].vectors
+        for i, ((round_,), d) in enumerate(zip(components, res.diagnostics)):
+            cs, sigma, start = round_[:3]
+            assert np.array_equal(start, cs.coordinates(apriori[:, i]))
+            assert sigma == mcpi._kernel_size(cs, start, mcpi.EPS * cs.e_max) * mcpi.KERNEL_SPAN
+            assert d.final_sigma == in_input_units(sigma, X)
+            sigma0 = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
+            assert d.final_sigma == pytest.approx(sigma0 * mcpi.KERNEL_SPAN, rel=1e-12)
+
+    def test_two_rounds_add_the_warm_up_before_the_default_round(self, monkeypatch):
+        # n_decay=2 visits (sigma_0, sigma_0 KERNEL_SPAN) with tolerances
+        # (sqrt(OUTER_TOL), OUTER_TOL), the second round from the first's
+        # fixed point; for component 1, whose complement is the whole space
+        # in both runs, that is a round at sigma_0 from the default's start,
+        # then a round at the default's kernel size
+        X = outlier_data(seed=3)
+        tolerances = {1: [], 2: []}
+        runs = {}
+        for n_decay in (1, 2):
+            with monkeypatch.context() as m:
+                rounds = record_rounds(m, tolerances[n_decay])
+                fit(X, MCPIConfig(n_decay=n_decay))
+            runs[n_decay] = per_component(rounds)
+        assert tolerances[2] == [math.sqrt(mcpi.OUTER_TOL), mcpi.OUTER_TOL] * 2
+        for warm_up, last in runs[2]:
+            assert warm_up[1] * mcpi.KERNEL_SPAN == last[1]
+            assert np.array_equal(last[2], warm_up[3])
+        (default,), (warm_up, last) = runs[1][0], runs[2][0]
+        assert np.array_equal(warm_up[2], default[2]) and last[1] == default[1]
+
+    @pytest.mark.parametrize("n, p, fraction, seed", [ORACLE_CASES[0], ORACLE_CASES[2]])
+    def test_warm_up_round_leaves_the_answer(self, n, p, fraction, seed):
+        # the round at sigma_0 neither moves the fixed point nor saves steps
+        X = outlier_data(n, p, fraction, seed)
+        res, warm = fit(X), fit(X, MCPIConfig(n_decay=2))
+        assert np.max(np.abs(res.components - warm.components)) <= 1e-7
+        assert all(d.converged for d in res.diagnostics)
+        assert total_outer_iterations(res) < total_outer_iterations(warm)
+
+    def test_small_samples_converge(self):
+        # n = 20..80 at 5% outliers, where the final-size objective can have
+        # several attracting fixed points: every iterated component converges
+        for seed in range(1000, 1200):
+            res = fit(outlier_data(n=20 + (seed - 1000) % 61, seed=seed))
+            assert all(d.converged and not d.sigma_underflow for d in res.diagnostics[:-1]), seed
+
     def test_sign_flips_between_rounds_match_reference(self):
         # the top direction has two near-equal largest entries of opposite
         # sign, so fix_sign would flip a direction between rounds; negating
@@ -737,14 +803,16 @@ class TestFit:
     def test_zero_median_residual_falls_back_to_rms(self):
         # component 2 starts at e2 in the complement of e1: the 30 rows along
         # e1 and the 30 along e2 have residual 0, so the median is 0 and
-        # sigma_0 is KERNEL_SCALE times the RMS of the residuals x_3
+        # sigma_0 is KERNEL_SCALE times the RMS of the residuals x_3; the
+        # one round of n_decay=1 is at KERNEL_SPAN sigma_0
         X = axis_rows()
         res = fit(X, MCPIConfig(n_decay=1))
         assert np.array_equal(np.abs(res.components), np.eye(3))
         rms = np.sqrt(np.mean(X[:, 2] ** 2))
-        assert res.diagnostics[1].final_sigma == pytest.approx(mcpi.KERNEL_SCALE * rms, rel=1e-12)
+        last = mcpi.KERNEL_SCALE * mcpi.KERNEL_SPAN
+        assert res.diagnostics[1].final_sigma == pytest.approx(last * rms, rel=1e-12)
         assert res.diagnostics[0].final_sigma == pytest.approx(
-            mcpi.KERNEL_SCALE * np.median(np.linalg.norm(X[:, 1:], axis=1)), rel=1e-12)
+            last * np.median(np.linalg.norm(X[:, 1:], axis=1)), rel=1e-12)
 
     @pytest.mark.parametrize("fraction", [0.05, 0.3])
     def test_robustness_does_not_fall_with_n(self, fraction):
@@ -822,9 +890,10 @@ class TestFit:
         # the rows along the second a-priori vector have e - t^2 at rounding
         # level, so they would keep weight below the floor too and the round
         # at 4e-8 would report convergence, its direction set by those rows
-        # and the rounding of e - t^2 alone; the floor stops the schedule
+        # and the rounding of e - t^2 alone; the floor stops the two-round
+        # schedule after its round at 1e-6
         X = with_rows_along_second_apriori(clean_data(seed=9))
-        res = fit(X, MCPIConfig(sigma0=1e-6))
+        res = fit(X, MCPIConfig(sigma0=1e-6, n_decay=2))
         d = res.diagnostics[1]
         assert d.sigma_underflow and not d.converged and d.final_sigma == 1e-6
         cs = complement_of(X, [res.components[:, 0]])
@@ -841,14 +910,14 @@ class TestFit:
     def test_no_finished_round_reports_nan_sigma(self):
         # every weight of component 1 underflows on the first step at 1e-6,
         # so no round finishes and no kernel size is reported
-        d = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6)).diagnostics[0]
+        d = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=2)).diagnostics[0]
         assert d.sigma_underflow and d.outer_iterations == 0 and np.isnan(d.final_sigma)
 
     def test_underflow_after_finished_rounds_not_converged(self):
         # the round at sigma0 finishes to sqrt(OUTER_TOL), every weight
         # underflows in the last one, at 0.04 sigma0; the direction is then
         # converged only to sqrt(OUTER_TOL)
-        res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125))
+        res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125, n_decay=2))
         d = res.diagnostics[0]
         assert d.sigma_underflow and d.final_sigma == 0.0125 and d.outer_iterations > 0
         assert not d.converged
