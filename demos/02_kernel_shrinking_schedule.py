@@ -5,8 +5,10 @@ Every schedule ends at ``KERNEL_SCALE`` (30) times ``KERNEL_SPAN`` (0.04),
 1.2 times the median residual norm of each component's a-priori vector,
 where the kernel still weights many samples but discounts the outliers.
 The default n_decay = 1 runs one round there, started at the a-priori
-vector; a longer schedule starts at 30 times the residual scale and cuts
-the span into n_decay rounds.  The printed final sigma over the median
+vector for component 1 and, for each later component, at the second
+eigenvector of the last weighted scatter of the one before; a longer
+schedule starts at 30 times the residual scale and cuts the span into
+n_decay rounds.  The printed final sigma over the median
 residual reads 1.2 for every schedule and component, and every schedule
 ends at the same answer; the earlier rounds only add outer iterations (the
 Anderson-accelerated corrector steps of all rounds of the two iterated

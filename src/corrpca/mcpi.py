@@ -1,32 +1,35 @@
 """Correntropy power-iteration PCA: ``fit`` and the plain-PCA baseline.
 
 ``fit`` finds the components one at a time.  An a-priori eigendecomposition
-of X^T X / n seeds each component, its kernel size sigma_0 is
-``KERNEL_SCALE`` times the median residual norm of the samples at that
-a-priori vector (the scale of the reconstruction errors whose correntropy
-the fit maximises, as in He et al., "Robust Principal Component Analysis
-Based on Maximum Correntropy Criterion", IEEE TIP 2011), the schedule's
-n_decay rounds end at the kernel size sigma_0 ``KERNEL_SPAN``, and the last
-component is the one direction left in the complement of the others.
+of X^T X / n sizes each component's kernel: sigma_0 is ``KERNEL_SCALE``
+times the median residual norm of the samples at its a-priori vector (the
+scale of the reconstruction errors whose correntropy the fit maximises, as
+in He et al., "Robust Principal Component Analysis Based on Maximum
+Correntropy Criterion", IEEE TIP 2011), the schedule's n_decay rounds end
+at the kernel size sigma_0 ``KERNEL_SPAN``, and the last component is the
+one direction left in the complement of the others.  Component 1 starts at
+its a-priori vector, each later one where the component before left off
+(the chain, below).
 Each round is a fixed-point loop at one kernel size: freeze the sample
 weights, take the top eigenvector of the weighted scatter compressed to the
 complement of the components already found, (I - P) S (I - P), refresh the
 weights, repeat.
 
 With the default n_decay = 1 a component takes one round, at 1.2 times its
-median residual norm, started at its a-priori vector: the paper's power
-iteration at one kernel size.  A longer schedule shrinks the kernel
-geometrically from sigma_0 (30 times that median) to the same last size,
-so a schedule never ends below the residual scale; n_decay = 2 adds one
-round at sigma_0, which changes neither the answer (except on samples
-small or contaminated enough for the last size to have several attracting
-fixed points) nor the number of steps the last round takes.  Both sizes
-are per-sample quantities, so the fit is the same for any n drawn from one
-distribution (stacking X on itself leaves it unchanged).  Only the fixed
-point of the last round is the answer, so every earlier round stops once a
-step moves the direction by at most sqrt(``OUTER_TOL``) (1e-4) and the last
-runs to ``OUTER_TOL`` (1e-8).  Each later round starts from the fixed point
-of the round before.  A round iterates the map u -> top eigenvector of the weighted scatter at u,
+median residual norm: the paper's power iteration at one kernel size.  A
+longer schedule shrinks the kernel geometrically from sigma_0 (30 times
+that median) to the same last size, so a schedule never ends below the
+residual scale; n_decay = 2 adds one round at sigma_0, which leaves the
+answer (except on samples small or contaminated enough for the last size
+to have several attracting fixed points) and saves no steps: on 40 samples
+of n = 400 with 5% outliers its last rounds alone take 624 outer steps, the
+default's 542.  Both sizes are per-sample quantities, so the fit is the
+same for any n drawn from one distribution (stacking X on itself leaves it
+unchanged).  Only the fixed point of the last round is the answer, so
+every earlier round stops once a step moves the direction by at most
+sqrt(``OUTER_TOL``) (1e-4) and the last runs to ``OUTER_TOL`` (1e-8).
+Each later round starts from the fixed point of the round before.  A round
+iterates the map u -> top eigenvector of the weighted scatter at u,
 accelerated by Anderson mixing (Walker & Ni, "Anderson acceleration for
 fixed-point iterations", SIAM J. Numer. Anal. 2011): in a complement of
 m >= 3 coordinates each step mixes the last three images along their two
@@ -54,13 +57,26 @@ that complement (m = p - k), Y = X B stored column-major, and the row
 energies e = ||y||^2.  Complements nest: that of k + 1 components is the
 complement of one unit vector inside that of the first k.  So ``fit`` walks
 one chain, as He et al. deflate: it starts at B = I, Y = X, and after a
-component found at coordinates u it steps to H = ``linalg.complement_basis``
-of the one column u (the eigenvectors of u u^T for its zero eigenvalue, one
-m x m ``eigh``), B <- B H and Y <- Y H, and recomputes e.  The component
-is B u.  The last step, to m = 1, forms B H alone: its one column is the
-last component, and no round reads Y H or e there.  For v = B u the
-residual (I - P - v v^T) x is y - (y.u) u, so with t = Y u each outer
-iteration is
+component found at coordinates u it steps to an orthonormal m x (m - 1)
+basis H of u's complement, B <- B H and Y <- Y H, and recomputes e.  The
+component is B u.  The last eigen-step of u's schedule already holds one:
+it eigendecomposed the weighted scatter whose top eigenvector u is, so with
+its eigenvectors V (eigenvalues ascending, V[:, -1] = +-u) the chain takes
+H = V[:, :-1] and no ``eigh`` of its own.  The last column of H, the
+scatter's second eigenvector, is the direction of most weighted variance
+left once u is taken, at the weights that found u, and the next component
+starts there, at the last axis of its coordinates: closer to its robust
+fixed point than its a-priori vector (component 2 takes 210 outer steps on
+40 samples of n = 400 with 5% outliers where it took 290 from there).
+Its sigma_0 is still taken at its a-priori vector, so every round solves
+the same fixed-point problem, and only where it starts moves.  A component
+whose schedule stopped before any eigen-step finished has no V: it keeps
+its a-priori vector, the chain steps to H = ``linalg.complement_basis`` of
+the one column u (one m x m ``eigh``), and the next component starts at its
+own a-priori vector.  The last step, to m = 1, forms B H alone: its one
+column is the last component, and no round reads Y H or e there.  For
+v = B u the residual (I - P - v v^T) x is y - (y.u) u, so with t = Y u
+each outer iteration is
 
     w = exp(-max(e - t^2, 0) / 2 sigma^2),   u <- top eigenvector of Y^T diag(w) Y,
 
@@ -306,10 +322,12 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     eigenvector of a weighted scatter, never a mixed iterate.
 
     ValueError, before any step, unless ``sigma`` is positive and finite.
-    Returns (u, outer iterations, converged, underflow).  When every weight
-    underflows, ``u`` is the last g_k that still had weights (the start
-    vector if that happens on the first step) and the count is the number of
-    steps finished before.
+    Returns (u, outer iterations, converged, underflow, V), V the m x m
+    eigenvector matrix of the step whose image u is, eigenvalues ascending,
+    so V[:, -1] = +-u.  When every weight underflows, ``u`` is the last g_k
+    that still had weights and the count is the number of steps finished
+    before; if that happens on the first step, ``u`` is the start vector and
+    V is None.
     """
     # what stays fixed for the round: the kernel size, checked once (a
     # ValueError before any step), 2 sigma^2, the rows and their energies
@@ -321,18 +339,19 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     wY = np.empty(Y.shape, order="F")  # the rows w_k y_k, in Y's layout
     two_tangents = Y.shape[1] >= 3  # the unit sphere's tangent at x has m - 1 dimensions
     x = u
-    u_prev = f_prev = df_prev = None
+    V = u_prev = f_prev = df_prev = None
     for outer in range(max_iter):
         np.dot(Y, x, out=t)
         w = rank_one_kernel(e, t, two_sigma2, out=t)
         if all_underflowed(w):
-            return u, outer, False, True
-        u = eigh(weighted_scatter(Y, w, out=wY))[1][:, -1]
+            return u, outer, False, True, V
+        V = eigh(weighted_scatter(Y, w, out=wY))[1]
+        u = V[:, -1]
         if u.dot(x) < 0.0:  # sign ambiguity must not stall convergence
             u = -u
         f = u - x
         if math.sqrt(f.dot(f)) <= tol:  # np.linalg.norm's arithmetic, without its overhead
-            return u, outer + 1, True, False
+            return u, outer + 1, True, False, V
         x = u
         if f_prev is not None:
             df = f - f_prev
@@ -363,7 +382,7 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
             if two_tangents:
                 df_prev, bb, du_prev = df, dd, du
         u_prev, f_prev = u, f
-    return u, max_iter, False, False
+    return u, max_iter, False, False, V
 
 
 def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
@@ -385,24 +404,29 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
 
 
 def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
-                      data_e_max: float | None = None):
+                      data_e_max: float | None = None, start: np.ndarray | None = None):
     """One component: rounds at the kernel sizes sigma_0
     ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, one round at sigma_0
     ``KERNEL_SPAN`` when n_decay is 1, in the complement ``cs`` of the
-    components already found, from ``v`` projected onto it.
-    ``data_e_max`` is the largest row energy of the data the chain started
-    from, ``cs.e_max`` when ``cs`` is that data's own complement (the default).
+    components already found, from the unit vector ``start`` in its
+    coordinates, or from the a-priori vector ``v`` projected onto it when
+    ``start`` is None.  ``data_e_max`` is the largest row energy of the data
+    the chain started from, ``cs.e_max`` when ``cs`` is that data's own
+    complement (the default).
 
     ``cs`` holds the input times 2^-``scale``.  sigma_0 is ``cfg.sigma0``
     2^-``scale`` when set (ValueError when that is beyond float64), else
-    ``_kernel_size`` at that start, and the diagnostics are in the input's
-    units: ``final_sigma`` is the last finished round's size times 2^``scale``.
-    The first round starts at that projection, each later one from the
-    fixed point of the one before, and each is solved by ``_fixed_point`` within
-    ``OUTER_MAX_ITER`` outer iterations, to sqrt(``OUTER_TOL``) before the
-    last round and to ``OUTER_TOL`` in it.
+    ``_kernel_size`` at the projection of ``v``, wherever the rounds start,
+    and the diagnostics are in the input's units: ``final_sigma`` is the
+    last finished round's size times 2^``scale``.  Each round after the
+    first starts from the fixed point of the one before, and each is solved
+    by ``_fixed_point`` within ``OUTER_MAX_ITER`` outer iterations, to
+    sqrt(``OUTER_TOL``) before the last round and to ``OUTER_TOL`` in it.
     Returns the direction reached, in the coordinates of ``cs``, with the
-    sign its steps produced, and the component's diagnostics.
+    sign its steps produced, the eigenvector matrix V of the eigen-step
+    that produced it (V[:, -1] = +-u; ``_fixed_point``), and the
+    component's diagnostics.  When no eigen-step finished, V is None and
+    the direction is the projection of ``v``, whatever ``start`` is.
 
     The schedule stops, with ``sigma_underflow``, at the last grid point
     above the floor 2 sigma^2 <= eps max e, or within a round in which every
@@ -424,6 +448,8 @@ def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
         raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
                          f"2^{-scale} to max |x| < 1")
     last = cfg.n_decay - 1
+    x = u if start is None else start
+    V = None
     final_sigma = float("nan")
     outer_total = 0
     converged = True
@@ -434,13 +460,15 @@ def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
             underflow = True
             break
         tol = OUTER_TOL if r == last else np.sqrt(OUTER_TOL)
-        u, outer, round_converged, underflow = _fixed_point(cs, sigma, u, tol, OUTER_MAX_ITER)
+        x, outer, round_converged, underflow, V_round = _fixed_point(cs, sigma, x, tol, OUTER_MAX_ITER)
         outer_total += outer
+        if V_round is not None:  # an eigen-step finished in this round
+            u, V = x, V_round
         if underflow:
             break
         final_sigma = sigma
         converged = converged and round_converged
-    return u, ComponentDiagnostics(
+    return u, V, ComponentDiagnostics(
         final_sigma=_ldexp(final_sigma, scale),
         outer_iterations=outer_total,
         converged=converged and not underflow,
@@ -509,14 +537,22 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
+    start = None
     for i in range(p - 1):
-        # Start at the a-priori eigenvector, with the kernel in units of the
-        # residuals there, so the schedule ends at the same place for any n.
-        u, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg, scale, data_e_max)
+        # sigma_0 is in units of the residuals at the a-priori eigenvector,
+        # so the schedule ends at the same place for any n; the rounds start
+        # at the axis the component before handed down, or at that vector.
+        u, V, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg, scale, data_e_max, start)
         components.append(fix_sign(cs.B @ u))
         diags.append(diag)
-        # the complement of u inside this one; at m = 1 only its basis is read
-        H = complement_basis(u[:, None])
+        # the complement of u inside this one: the other eigenvectors of its
+        # last eigen-step, whose top one, the new coordinates' last axis,
+        # starts the next component, else the eigenvectors of u u^T for its
+        # zero eigenvalue; at m = 1 only its basis is read
+        if V is None:
+            H, start = complement_basis(u[:, None]), None
+        else:
+            H, start = V[:, :-1], np.eye(len(V) - 1)[-1]
         B = cs.B @ H
         if B.shape[1] > 1:
             cs = _Complement.of(B, cs.Y @ H)

@@ -19,8 +19,8 @@ Each piece, and the production step that replaces it:
   are the paper's deflation, and ``NumericalSingularityError`` their failure.
   ``fit`` works in the coordinates of the complement of the found
   components (``mcpi._Complement``) instead, and steps from one complement
-  to the next by removing the component just found, with the one-column
-  ``linalg.complement_basis`` of its coordinates.
+  to the next by removing the component just found, along the other
+  eigenvectors of its last eigen-step.
 
 The paper removes found components through the shifted operator
 K = Q (S - P S - S P) + theta I with Q = (I + P)^-1 kept by rank-one

@@ -161,7 +161,7 @@ def stops_at_floor(Y, sigma, u):
         m.setattr(mcpi, "KERNEL_SPAN", 1.0)
         cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
         cfg = MCPIConfig(n_decay=1, sigma0=sigma)
-        return mcpi._shrinking_rounds(cs, u, cfg, 0)[1].sigma_underflow
+        return mcpi._shrinking_rounds(cs, u, cfg, 0)[2].sigma_underflow
 
 
 class TestExponentOverflows:
