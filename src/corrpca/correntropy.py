@@ -3,8 +3,8 @@
 The weight of a sample is the isotropic Gaussian kernel
 exp(-||r||^2 / 2 sigma^2) of its residual r off the current direction.
 ``rank_one_weights`` computes it for every row at once from the row energies
-and projections, ``all_underflowed`` tells when the kernel has shrunk past
-every sample, and the weighted scatter sum_k w_k x_k x_k^T is what the
+and projections, ``all_underflowed`` tells when the kernel is too narrow
+for every sample, and the weighted scatter sum_k w_k x_k x_k^T is what the
 eigen-step acts on.  ``rank_one_weights`` checks sigma on every call;
 ``rank_one_kernel`` is its arithmetic alone, for a loop that runs many
 steps at one kernel size and checks it once.
@@ -18,7 +18,7 @@ from .linalg import check_positive
 from .reference import residual_weights  # bench/tracing.py resolves it here
 
 # Below this, exp() has underflowed to zero for every practical purpose;
-# an all-underflow weight vector means the kernel size shrank too far.
+# an all-underflow weight vector means the kernel is too narrow for every sample.
 UNDERFLOW_FLOOR = 1e-300
 
 
@@ -45,8 +45,8 @@ def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float,
 def rank_one_kernel(e: np.ndarray, t: np.ndarray, two_sigma2: float,
                     out: np.ndarray | None = None) -> np.ndarray:
     """``rank_one_weights`` at 2 sigma^2 = ``two_sigma2``, unchecked: the
-    caller has checked sigma and formed 2 sigma^2 once, as ``mcpi`` does per
-    round of outer iterations."""
+    caller has checked sigma and formed 2 sigma^2 once, as ``mcpi`` does for
+    each component's round of outer iterations."""
     # One temporary, updated in place.  t^2 - e = -(e - t^2) exactly, so
     # exp(min(t^2 - e, 0) / 2 sigma^2) equals exp(-max(e - t^2, 0) / 2 sigma^2)
     # bit for bit.

@@ -7,7 +7,7 @@ which callers use on a matrix symmetric and finite by construction (``mcpi``
 on its X^T X / n at unit scale).  ``complement_basis`` is the one
 source of orthonormal complements, also through ``eigh``: the eigenvectors
 of the projector F F^T for its zero eigenvalues.  ``mcpi`` steps its chain
-of complements with it past a component whose schedule stopped before any
+of complements with it past a component that stopped before any
 eigen-step (every other step reuses that step's eigenvectors), and
 ``null_space_vector`` gives the unit vector orthogonal to p - 1 given
 orthonormal columns.  All eigenvector outputs follow a single sign

@@ -1,36 +1,22 @@
 """Correntropy power-iteration PCA: ``fit`` and the plain-PCA baseline.
 
-``fit`` finds the components one at a time.  An a-priori eigendecomposition
-of X^T X / n sizes each component's kernel: sigma_0 is ``KERNEL_SCALE``
-times the median residual norm of the samples at its a-priori vector (the
-scale of the reconstruction errors whose correntropy the fit maximises, as
-in He et al., "Robust Principal Component Analysis Based on Maximum
-Correntropy Criterion", IEEE TIP 2011), the schedule's n_decay rounds end
-at the kernel size sigma_0 ``KERNEL_SPAN``, and the last component is the
-one direction left in the complement of the others.  Component 1 starts at
-its a-priori vector, each later one where the component before left off
-(the chain, below).
-Each round is a fixed-point loop at one kernel size: freeze the sample
-weights, take the top eigenvector of the weighted scatter compressed to the
-complement of the components already found, (I - P) S (I - P), refresh the
-weights, repeat.
-
-With the default n_decay = 1 a component takes one round, at 1.2 times its
-median residual norm: the paper's power iteration at one kernel size.  A
-longer schedule shrinks the kernel geometrically from sigma_0 (30 times
-that median) to the same last size, so a schedule never ends below the
-residual scale; n_decay = 2 adds one round at sigma_0, which leaves the
-answer (except on samples small or contaminated enough for the last size
-to have several attracting fixed points) and saves no steps: on 40 samples
-of n = 400 with 5% outliers its last rounds alone take 624 outer steps, the
-default's 542.  Both sizes are per-sample quantities, so the fit is the
-same for any n drawn from one distribution (stacking X on itself leaves it
-unchanged).  Only the fixed point of the last round is the answer, so
-every earlier round stops once a step moves the direction by at most
-sqrt(``OUTER_TOL``) (1e-4) and the last runs to ``OUTER_TOL`` (1e-8).
-Each later round starts from the fixed point of the round before.  A round
-iterates the map u -> top eigenvector of the weighted scatter at u,
-accelerated by Anderson mixing (Walker & Ni, "Anderson acceleration for
+``fit`` finds the components one at a time, each by one round of the
+paper's power iteration at one kernel size: freeze the sample weights, take
+the top eigenvector of the weighted scatter compressed to the complement of
+the components already found, (I - P) S (I - P), refresh the weights,
+repeat.  An a-priori eigendecomposition of X^T X / n sizes the kernel:
+sigma is ``KERNEL_SCALE`` (1.2) times the median residual norm of the
+samples at the component's a-priori vector, the scale of the reconstruction
+errors whose correntropy the fit maximises (as in He et al., "Robust
+Principal Component Analysis Based on Maximum Correntropy Criterion", IEEE
+TIP 2011), where many samples keep weight and the outliers do not.  It is a
+per-sample quantity, so the fit is the same for any n drawn from one
+distribution (stacking X on itself leaves it unchanged).  Component 1
+starts at its a-priori vector, each later one where the component before
+left off (the chain, below), and the last component is the one direction
+left in the complement of the others.
+The round iterates the map u -> top eigenvector of the weighted scatter at
+u, accelerated by Anderson mixing (Walker & Ni, "Anderson acceleration for
 fixed-point iterations", SIAM J. Numer. Anal. 2011): in a complement of
 m >= 3 coordinates each step mixes the last three images along their two
 differences, and falls back to the depth-1 (secant) mix of the last two
@@ -38,39 +24,38 @@ images, and then to the plain image, when the model of the map a mix rests
 on is ill-conditioned or does not contract.  The iterate lives on the unit
 sphere, whose tangent has m - 1 dimensions, so in a complement of m = 2 the
 one difference already spans it and only the secant mix is used.  The loop
-stops once the map moves its iterate by at most the round's tolerance and
+stops once the map moves its iterate by at most ``OUTER_TOL`` (1e-8) and
 returns that image, so every direction it returns is an eigenvector of a
-weighted scatter.  A
-component is ``converged`` when each round met its own tolerance within
-``OUTER_MAX_ITER`` (200) outer iterations.  The schedule stops early when
-the kernel no longer carries information: at the last grid point above the
-floor 2 sigma^2 <= eps max ||y||^2 (only a small ``sigma0`` gets there), or
-when every sample weight underflows in a round.  The component then keeps
-the direction reached so far, reports ``sigma_underflow=True`` and
-``converged=False``, and its ``final_sigma`` is NaN when no round finished.
+weighted scatter.  A component is ``converged`` when its round stops so
+within ``OUTER_MAX_ITER`` (200) outer iterations.  It stops early when the
+kernel carries no information: before the round at the floor
+2 sigma^2 <= eps max ||y||^2 (only a small ``sigma0``, or a complement
+without variance, gets there), or within it when every sample weight
+underflows.  The component then keeps the direction reached so far, reports
+``sigma_underflow=True`` and ``converged=False``, and its ``final_sigma`` is
+NaN.
 The iteration keeps whatever sign its steps produce; the sign convention of
 ``linalg.fix_sign`` is applied once, to the direction a component reports.
 
 The loop runs in the coordinates of the complement of the k found
-components, shared by a component's rounds: an orthonormal p x m basis B of
-that complement (m = p - k), Y = X B stored column-major, and the row
-energies e = ||y||^2.  Complements nest: that of k + 1 components is the
-complement of one unit vector inside that of the first k.  So ``fit`` walks
-one chain, as He et al. deflate: it starts at B = I, Y = X, and after a
-component found at coordinates u it steps to an orthonormal m x (m - 1)
-basis H of u's complement, B <- B H and Y <- Y H, and recomputes e.  The
-component is B u.  The last eigen-step of u's schedule already holds one:
-it eigendecomposed the weighted scatter whose top eigenvector u is, so with
-its eigenvectors V (eigenvalues ascending, V[:, -1] = +-u) the chain takes
-H = V[:, :-1] and no ``eigh`` of its own.  The last column of H, the
-scatter's second eigenvector, is the direction of most weighted variance
-left once u is taken, at the weights that found u, and the next component
-starts there, at the last axis of its coordinates: closer to its robust
-fixed point than its a-priori vector (component 2 takes 210 outer steps on
-40 samples of n = 400 with 5% outliers where it took 290 from there).
-Its sigma_0 is still taken at its a-priori vector, so every round solves
-the same fixed-point problem, and only where it starts moves.  A component
-whose schedule stopped before any eigen-step finished has no V: it keeps
+components: an orthonormal p x m basis B of that complement (m = p - k),
+Y = X B stored column-major, and the row energies e = ||y||^2.  Complements
+nest: that of k + 1 components is the complement of one unit vector inside
+that of the first k.  So ``fit`` walks one chain, as He et al. deflate: it
+starts at B = I, Y = X, and after a component found at coordinates u it
+steps to an orthonormal m x (m - 1) basis H of u's complement, B <- B H and
+Y <- Y H, and recomputes e.  The component is B u.  The last eigen-step of
+u's round already holds one: it eigendecomposed the weighted scatter whose
+top eigenvector u is, so with its eigenvectors V (eigenvalues ascending,
+V[:, -1] = +-u) the chain takes H = V[:, :-1] and no ``eigh`` of its own.
+The last column of H, the scatter's second eigenvector, is the direction of
+most weighted variance left once u is taken, at the weights that found u,
+and the next component starts there, at the last axis of its coordinates:
+closer to its robust fixed point than its a-priori vector (component 2
+takes 210 outer steps on 40 samples of n = 400 with 5% outliers where it
+took 290 from there).  Its kernel size is still taken at its a-priori
+vector, so the start moves and the fixed-point problem does not.  A
+component that stopped before any eigen-step finished has no V: it keeps
 its a-priori vector, the chain steps to H = ``linalg.complement_basis`` of
 the one column u (one m x m ``eigh``), and the next component starts at its
 own a-priori vector.  The last step, to m = 1, forms B H alone: its one
@@ -106,8 +91,8 @@ once, and hands X^T X / n, symmetric by construction and finite at unit
 scale, to ``linalg.eigh_descending`` without ``sym_evd``'s checks.
 
 Rank deficiency is a state, not an error.  Where the data have no variance
-left off a component's a-priori vector, its residuals are all 0, so its
-schedule stops at the kernel-size floor, keeps that vector and reports
+left off a component's a-priori vector, its residuals are all 0, so it
+stops at the kernel-size floor, keeps that vector and reports
 ``sigma_underflow``.  With rank r < p and the default sigma0 that is the
 r-th component, the last with variance (one collinear column flags the one
 before the last).  Each complement after it holds only the rounding of the
@@ -127,7 +112,7 @@ commutes with rounding away from the subnormal range, so for data whose
 X^T X / n is normal every output is bit for bit that of the same arithmetic
 on the unscaled data.  Three values cross the boundary: a user ``sigma0`` is
 multiplied by 2^-e on the way in (a ValueError if that leaves float64; one
-that rounds to 0 stops the schedule at the floor), and on the way out each
+that rounds to 0 stops the component at the floor), and on the way out each
 ``final_sigma`` by 2^e and the a-priori eigenvalues by 4^e, rounded as IEEE
 does beyond float64's range.
 """
@@ -143,7 +128,6 @@ from .correntropy import all_underflowed, rank_one_kernel, weighted_scatter
 from .linalg import (
     SingularDirectionError,
     as_real,
-    check_integer,
     check_positive,
     complement_basis,
     eigh_descending,
@@ -153,17 +137,13 @@ from .linalg import (
 from .reference import DeflationState, build_deflated_operator, woodbury_update
 
 
-# sigma_0 of a component, in units of the median residual norm at its
-# a-priori vector, and the last round's kernel size over sigma_0: every
-# schedule, the default one round too, ends at 1.2 times that median, where
-# many samples keep weight.
-KERNEL_SCALE = 30.0
-KERNEL_SPAN = 0.04
-# The step size at which the last round of a schedule stops (every earlier
-# round stops at its square root), and the outer iterations a round may take.
+# A component's kernel size, in units of the median residual norm at its
+# a-priori vector: the scale of the residuals, where many samples keep weight.
+KERNEL_SCALE = 1.2
+# The step size at which a round stops, and the outer iterations it may take.
 OUTER_TOL = 1e-8
 OUTER_MAX_ITER = 200
-# float64's machine epsilon: a schedule's rounding floor is EPS max ||y||^2.
+# float64's machine epsilon: the rounding floor of 2 sigma^2 is EPS max ||y||^2.
 EPS = np.finfo(float).eps
 
 
@@ -172,37 +152,31 @@ class DegenerateInputError(ValueError):
     entries.  Its scale is never a fault: ``fit`` and ``standard_pca`` work
     on the input times the power of two that brings max |x| into [1/2, 1),
     so any finite input is fitted.  Nor is its rank: a component whose
-    residuals are all 0 stops its schedule at the kernel-size floor and
+    residuals are all 0 stops at the kernel-size floor and
     reports ``sigma_underflow``, and the directions without variance are
     the last components."""
 
 
 @dataclass(frozen=True)
 class MCPIConfig:
-    """The kernel-shrinking schedule and the centring of the input; frozen,
-    and checked on construction (and so on ``dataclasses.replace``).
+    """The kernel size and the centring of the input; frozen, and checked on
+    construction (and so on ``dataclasses.replace``).
 
-    ``fit`` runs ``n_decay`` rounds for each component, at the kernel sizes
-    sigma_0 ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, and the
-    default n_decay = 1 runs one, at sigma_0 ``KERNEL_SPAN``: every schedule
-    ends at that size, and a larger n_decay only adds rounds from sigma_0
-    down to it.  The last round runs to ``OUTER_TOL``, every earlier one to
-    sqrt(``OUTER_TOL``), each within ``OUTER_MAX_ITER`` outer iterations.
-    sigma_0 is ``KERNEL_SCALE`` times the component's median residual norm
-    at its a-priori vector; ``sigma0``, in the input's units, overrides it
-    for every component when set (a large one freezes sigma large and
-    recovers plain PCA).  ``center`` subtracts the column means first.
+    ``fit`` runs one round for each component, at one kernel size, solved to
+    ``OUTER_TOL`` within ``OUTER_MAX_ITER`` outer iterations.  That size is
+    ``KERNEL_SCALE`` times the component's median residual norm at its
+    a-priori vector; ``sigma0``, in the input's units, is the size of every
+    component's round when set (a large one recovers plain PCA).
+    ``center`` subtracts the column means first.
     """
 
-    n_decay: int = 1
     center: bool = False
     sigma0: float | None = None
 
     def __post_init__(self) -> None:
-        """ValueError unless ``n_decay`` is an integer >= 1 and ``sigma0``,
-        when set, a positive finite real (neither a bool).  ``center`` is
-        checked with the input, by ``_scatter_evd``."""
-        check_integer("n_decay", self.n_decay, 1)
+        """ValueError unless ``sigma0``, when set, is a positive finite real
+        (not a bool).  ``center`` is checked with the input, by
+        ``_scatter_evd``."""
         if self.sigma0 is not None:
             check_positive("sigma0", self.sigma0)
 
@@ -210,15 +184,12 @@ class MCPIConfig:
 @dataclass
 class ComponentDiagnostics:
     """How one component was found.  For an iterated component,
-    ``outer_iterations`` counts the outer steps of all its rounds and
-    ``final_sigma`` is the kernel size of its last finished round, NaN when
-    the schedule stopped before any round finished.  ``converged`` is true
-    when the schedule ran to its end and every round met its own tolerance
-    within ``OUTER_MAX_ITER`` outer iterations, ``OUTER_TOL`` at the last
-    grid point, sigma_0 ``KERNEL_SPAN``, and sqrt(``OUTER_TOL``) before it
-    (the default schedule has no earlier round).
-    ``sigma_underflow`` marks a schedule stopped early, at the kernel-size
-    floor or when every weight underflowed."""
+    ``outer_iterations`` counts the outer steps of its round and
+    ``final_sigma`` is the round's kernel size, NaN when the component
+    stopped early.  ``converged`` is true when the round met ``OUTER_TOL``
+    within ``OUTER_MAX_ITER`` outer iterations.  ``sigma_underflow`` marks a
+    component stopped early, at the kernel-size floor before its round or
+    when every weight underflowed in it."""
 
     final_sigma: float
     outer_iterations: int
@@ -228,7 +199,7 @@ class ComponentDiagnostics:
 
     @classmethod
     def direct(cls, method: str) -> "ComponentDiagnostics":
-        """A component solved in one step, without a kernel schedule."""
+        """A component solved in one step, without a round of outer iterations."""
         return cls(final_sigma=float("nan"), outer_iterations=0, converged=True, method=method)
 
     def as_dict(self) -> dict:
@@ -291,10 +262,10 @@ class _Complement:
         return u / nrm
 
 
-def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_iter: int):
+def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
     """Outer iterations at a fixed kernel size, in complement coordinates,
     accelerated by Anderson mixing, until the map moves its iterate by at
-    most ``tol``.
+    most ``OUTER_TOL``.
 
     Step k maps the iterate x_k to g_k, the top eigenvector of the weighted
     scatter at x_k, aligned in sign with x_k.  With f_k = g_k - x_k and the
@@ -318,7 +289,7 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
     tangent, which has m - 1 dimensions.  In a complement of m = 2 one
     difference spans that tangent and a second adds only the curvature
     term, so there only the secant mix is tried.  The loop stops when
-    ||f_k|| <= ``tol`` and returns g_k, so the result is always an
+    ||f_k|| <= ``OUTER_TOL`` and returns g_k, so the result is always an
     eigenvector of a weighted scatter, never a mixed iterate.
 
     ValueError, before any step, unless ``sigma`` is positive and finite.
@@ -350,7 +321,7 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, tol: float, max_i
         if u.dot(x) < 0.0:  # sign ambiguity must not stall convergence
             u = -u
         f = u - x
-        if math.sqrt(f.dot(f)) <= tol:  # np.linalg.norm's arithmetic, without its overhead
+        if math.sqrt(f.dot(f)) <= OUTER_TOL:  # np.linalg.norm's arithmetic, without its overhead
             return u, outer + 1, True, False, V
         x = u
         if f_prev is not None:
@@ -390,7 +361,7 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     of the rows at ``u``, with squared residuals at or below the rounding
     ``floor`` counted as 0; the RMS residual when over half the rows have
     residual 0 (the RMS is 0 only when every row has, and the floor then
-    stops the schedule)."""
+    stops the component)."""
     r2 = cs.e - (cs.Y @ u) ** 2
     r2[r2 <= floor] = 0.0
     # the median; np.median loads numpy.ma (1 MB) on first use.  sqrt is
@@ -403,75 +374,53 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     return KERNEL_SCALE * (scale if scale > 0.0 else math.sqrt(r2.mean()))
 
 
-def _shrinking_rounds(cs: _Complement, v, cfg: MCPIConfig, scale: int,
-                      data_e_max: float | None = None, start: np.ndarray | None = None):
-    """One component: rounds at the kernel sizes sigma_0
-    ``KERNEL_SPAN``^(r / (n_decay - 1)), r < n_decay, one round at sigma_0
-    ``KERNEL_SPAN`` when n_decay is 1, in the complement ``cs`` of the
-    components already found, from the unit vector ``start`` in its
-    coordinates, or from the a-priori vector ``v`` projected onto it when
-    ``start`` is None.  ``data_e_max`` is the largest row energy of the data
-    the chain started from, ``cs.e_max`` when ``cs`` is that data's own
-    complement (the default).
+def _solve_component(cs: _Complement, v, cfg: MCPIConfig, scale: int,
+                     data_e_max: float | None = None, start: np.ndarray | None = None):
+    """One component: one round of ``_fixed_point`` at one kernel size, in
+    the complement ``cs`` of the components already found, from the unit
+    vector ``start`` in its coordinates, or from the a-priori vector ``v``
+    projected onto it when ``start`` is None.  ``data_e_max`` is the largest
+    row energy of the data the chain started from, ``cs.e_max`` when ``cs``
+    is that data's own complement (the default).
 
-    ``cs`` holds the input times 2^-``scale``.  sigma_0 is ``cfg.sigma0``
-    2^-``scale`` when set (ValueError when that is beyond float64), else
-    ``_kernel_size`` at the projection of ``v``, wherever the rounds start,
-    and the diagnostics are in the input's units: ``final_sigma`` is the
-    last finished round's size times 2^``scale``.  Each round after the
-    first starts from the fixed point of the one before, and each is solved
-    by ``_fixed_point`` within ``OUTER_MAX_ITER`` outer iterations, to
-    sqrt(``OUTER_TOL``) before the last round and to ``OUTER_TOL`` in it.
-    Returns the direction reached, in the coordinates of ``cs``, with the
-    sign its steps produced, the eigenvector matrix V of the eigen-step
-    that produced it (V[:, -1] = +-u; ``_fixed_point``), and the
-    component's diagnostics.  When no eigen-step finished, V is None and
-    the direction is the projection of ``v``, whatever ``start`` is.
+    ``cs`` holds the input times 2^-``scale``.  The kernel size is
+    ``cfg.sigma0`` 2^-``scale`` when set (ValueError when that is beyond
+    float64), else ``_kernel_size`` at the projection of ``v``, wherever the
+    round starts, and the diagnostics are in the input's units:
+    ``final_sigma`` is that size times 2^``scale``.  Returns the direction
+    reached, in the coordinates of ``cs``, with the sign its steps produced,
+    the eigenvector matrix V of the eigen-step that produced it (V[:, -1] =
+    +-u; ``_fixed_point``), and the component's diagnostics.  When no
+    eigen-step finished, V is None and the direction is the projection of
+    ``v``, whatever ``start`` is.
 
-    The schedule stops, with ``sigma_underflow``, at the last grid point
-    above the floor 2 sigma^2 <= eps max e, or within a round in which every
-    weight underflows; the component keeps the direction reached so far, and
-    its ``final_sigma`` is NaN when no round finished.  A complement whose
-    max e is at most eps ``data_e_max``, below the data's own rounding floor,
-    holds no variance, only the rounding of the chain's products: its
-    schedule stops before any round, whatever ``cfg.sigma0`` is.
+    The component stops early, with ``sigma_underflow`` and a NaN
+    ``final_sigma``: before the round at the floor 2 sigma^2 <= eps max e,
+    or within it when every weight underflows, keeping the direction reached
+    so far.  A complement whose max e is at most eps ``data_e_max``, below
+    the data's own rounding floor, holds no variance, only the rounding of
+    the chain's products: it stops at the floor, whatever ``cfg.sigma0`` is.
     """
     u = cs.coordinates(v)
     floor = EPS * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
     if cs.e_max <= EPS * (cs.e_max if data_e_max is None else data_e_max):
-        sigma0 = 0.0  # no variance left: 2 sigma^2 = 0 is at the floor
+        sigma = 0.0  # no variance left: 2 sigma^2 = 0 is at the floor
     elif cfg.sigma0 is None:
-        sigma0 = _kernel_size(cs, u, floor)
+        sigma = _kernel_size(cs, u, floor)
     else:
-        sigma0 = _ldexp(cfg.sigma0, -scale)
-    if sigma0 == math.inf:
+        sigma = _ldexp(cfg.sigma0, -scale)
+    if sigma == math.inf:
         raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
                          f"2^{-scale} to max |x| < 1")
-    last = cfg.n_decay - 1
-    x = u if start is None else start
-    V = None
-    final_sigma = float("nan")
-    outer_total = 0
-    converged = True
-    underflow = False
-    for r in range(cfg.n_decay):
-        sigma = sigma0 * KERNEL_SPAN ** (r / last if last else 1.0)
-        if 2.0 * sigma * sigma <= floor:
-            underflow = True
-            break
-        tol = OUTER_TOL if r == last else np.sqrt(OUTER_TOL)
-        x, outer, round_converged, underflow, V_round = _fixed_point(cs, sigma, x, tol, OUTER_MAX_ITER)
-        outer_total += outer
-        if V_round is not None:  # an eigen-step finished in this round
-            u, V = x, V_round
-        if underflow:
-            break
-        final_sigma = sigma
-        converged = converged and round_converged
-    return u, V, ComponentDiagnostics(
-        final_sigma=_ldexp(final_sigma, scale),
-        outer_iterations=outer_total,
-        converged=converged and not underflow,
+    if 2.0 * sigma * sigma <= floor:
+        x, outer, converged, underflow, V = u, 0, False, True, None
+    else:
+        x, outer, converged, underflow, V = _fixed_point(cs, sigma, u if start is None else start,
+                                                         OUTER_MAX_ITER)
+    return u if V is None else x, V, ComponentDiagnostics(
+        final_sigma=math.nan if underflow else _ldexp(sigma, scale),
+        outer_iterations=outer,
+        converged=converged,
         sigma_underflow=underflow,
     )
 
@@ -525,8 +474,8 @@ def _result(components, values, scale: int, diags) -> PCAResult:
 
 
 def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
-    """Full robust decomposition via the kernel-shrinking schedule, run on
-    the input at unit scale (see ``PCAResult``).  ValueError when ``sigma0``
+    """Full robust decomposition, one round of outer iterations per
+    component, run on the input at unit scale (see ``PCAResult``).  ValueError when ``sigma0``
     is beyond float64 at that scale."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, scale, apriori = _scatter_evd(X, cfg.center)
@@ -539,10 +488,10 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
 
     start = None
     for i in range(p - 1):
-        # sigma_0 is in units of the residuals at the a-priori eigenvector,
-        # so the schedule ends at the same place for any n; the rounds start
-        # at the axis the component before handed down, or at that vector.
-        u, V, diag = _shrinking_rounds(cs, apriori.vectors[:, i], cfg, scale, data_e_max, start)
+        # the kernel size is in units of the residuals at the a-priori
+        # eigenvector, so it is the same for any n; the round starts at the
+        # axis the component before handed down, or at that vector
+        u, V, diag = _solve_component(cs, apriori.vectors[:, i], cfg, scale, data_e_max, start)
         components.append(fix_sign(cs.B @ u))
         diags.append(diag)
         # the complement of u inside this one: the other eigenvectors of its

@@ -55,7 +55,7 @@ def test_criterion_1_eigendecomposition_fidelity():
 
 def test_criterion_2_clean_data_agreement():
     t0 = time.perf_counter()
-    cfg = cp.MCPIConfig()  # eta=0.95, n_decay=65
+    cfg = cp.MCPIConfig()
     agree = np.empty((N_SEEDS, 3))
     for r in range(N_SEEDS):
         spec = cp.ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, seed=r)
@@ -107,7 +107,7 @@ def test_criterion_4_large_sigma_pca_reduction():
         spec = cp.ExperimentSpec(n=40 * p, p=p, scatter=scatter, seed=1000 + trial)
         X = cp.sample_mvn(spec)
         sigma = 1e6 * float(np.max(np.linalg.norm(X, axis=1)))
-        res = cp.fit(X, cp.MCPIConfig(sigma0=sigma, n_decay=1))
+        res = cp.fit(X, cp.MCPIConfig(sigma0=sigma))
         base = cp.standard_pca(X)
         cos = np.abs(np.sum(res.components * base.components, axis=0))
         ok = ok and bool(np.all(cos >= 1.0 - 1e-4))
@@ -133,7 +133,7 @@ def test_criterion_5_woodbury_identity_suite():
 
 
 def test_criterion_6_structural_invariants():
-    cfg = cp.MCPIConfig(n_decay=10)
+    cfg = cp.MCPIConfig()
     spec = cp.ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, seed=60)
     X = cp.sample_mvn(spec)
 

@@ -178,7 +178,8 @@ class TestDemo:
         assert len(doc["replicates"]) == 2
         assert doc["schema_version"] == 4
         assert doc["config"]["seed"] == 0
-        assert "eta" not in doc["config"] and "n_decay" not in doc["config"]
+        assert set(doc["config"]) == {"n", "p", "outlier_fraction", "nu", "center", "seed", "replicates",
+                                      "outlier_basis", "scatter_rows"}
         lines = plot.read_text().strip().splitlines()
         # header + 80 samples + 3 direction sets x 3 components
         assert len(lines) == 1 + 80 + 9

@@ -152,20 +152,17 @@ class TestRankOneWeights:
 
 
 def stops_at_floor(Y, sigma, u):
-    """Whether a one-step schedule from u at this sigma reports underflow.
+    """Whether a one-step round from u at this sigma reports underflow.
     Some row of Y has e - t^2 <= 0 at u, so its weight on that step is
-    exactly 1 and only the kernel-size floor can stop the schedule.  With
-    ``KERNEL_SPAN`` 1 the one round of ``n_decay=1`` is at sigma0 itself."""
+    exactly 1 and only the kernel-size floor can stop the component."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcpi, "OUTER_MAX_ITER", 1)
-        m.setattr(mcpi, "KERNEL_SPAN", 1.0)
         cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
-        cfg = MCPIConfig(n_decay=1, sigma0=sigma)
-        return mcpi._shrinking_rounds(cs, u, cfg, 0)[2].sigma_underflow
+        return mcpi._solve_component(cs, u, MCPIConfig(sigma0=sigma), 0)[2].sigma_underflow
 
 
 class TestExponentOverflows:
-    """The floor 2 sigma^2 <= eps max e that ends a kernel schedule covers
+    """The floor 2 sigma^2 <= eps max e that stops a component covers
     every sigma at which the weights' exponents overflow or 2 sigma^2 is 0."""
 
     def test_zero_and_overflowing_scale(self):

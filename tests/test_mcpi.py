@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -63,7 +64,7 @@ def with_rows_along_second_apriori(X, k=5, scale=3.0):
     return np.vstack([X, np.outer(np.tile([scale, -scale], k), v2)])
 
 
-def plain_fixed_point(cs, sigma, u, tol, max_iter):
+def plain_fixed_point(cs, sigma, u, max_iter):
     """Oracle for ``mcpi._fixed_point`` without the secant step: the plain
     loop u <- top eigenvector of the weighted scatter at u, with the same
     stop rule, sign alignment, underflow rule and return tuple (the last
@@ -79,12 +80,12 @@ def plain_fixed_point(cs, sigma, u, tol, max_iter):
             u_new = -u_new
         step = np.linalg.norm(u_new - u)
         u = u_new
-        if step <= tol:
+        if step <= mcpi.OUTER_TOL:
             return u, outer + 1, True, False, V
     return u, max_iter, False, False, V
 
 
-def one_difference_fixed_point(cs, sigma, u, tol, max_iter):
+def one_difference_fixed_point(cs, sigma, u, max_iter):
     """Oracle for ``mcpi._fixed_point`` with the one-difference secant step
     alone: with f_k = g_k - x_k and df = f_k - f_{k-1}, the next iterate is
     g_k - gamma (g_k - g_{k-1}), normalised, gamma = df.f_k / df.df, when
@@ -103,7 +104,7 @@ def one_difference_fixed_point(cs, sigma, u, tol, max_iter):
         if float(u @ x) < 0.0:
             u = -u
         f = u - x
-        if np.linalg.norm(f) <= tol:
+        if np.linalg.norm(f) <= mcpi.OUTER_TOL:
             return u, outer + 1, True, False, V
         x = u
         if f_prev is not None:
@@ -117,7 +118,7 @@ def one_difference_fixed_point(cs, sigma, u, tol, max_iter):
     return u, max_iter, False, False, V
 
 
-def two_difference_fixed_point(cs, sigma, u, tol, max_iter):
+def two_difference_fixed_point(cs, sigma, u, max_iter):
     """Oracle for ``mcpi._fixed_point`` written with the checked, allocating
     public helpers: ``rank_one_weights`` checks sigma on every step,
     ``weighted_scatter`` allocates its scaled rows, ``np.linalg.norm`` takes
@@ -142,7 +143,7 @@ def two_difference_fixed_point(cs, sigma, u, tol, max_iter):
             u = -u
         g.append(u)
         f.append(u - x)
-        if np.linalg.norm(f[-1]) <= tol:
+        if np.linalg.norm(f[-1]) <= mcpi.OUTER_TOL:
             return u, outer + 1, True, False, V
         x = u
         if len(f) >= 2:
@@ -199,15 +200,12 @@ def handed_down(cs, V):
 
 
 def ith_component(X, components, sigma, v):
-    """The next component after the unit vectors in ``components``: a
-    one-round schedule at kernel size ``sigma`` from ``v``, solved to
-    ``mcpi.OUTER_TOL``.  With ``KERNEL_SPAN`` 1 the one round of
-    ``n_decay=1`` is at sigma0 itself.  Returns (direction, diagnostics,
-    the start it hands down: ``handed_down``)."""
+    """The next component after the unit vectors in ``components``: the
+    round at kernel size ``sigma`` from ``v``, solved to ``mcpi.OUTER_TOL``.
+    Returns (direction, diagnostics, the start it hands down:
+    ``handed_down``)."""
     cs = complement_of(X, components)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(mcpi, "KERNEL_SPAN", 1.0)
-        u, V, diag = mcpi._shrinking_rounds(cs, v, MCPIConfig(n_decay=1, sigma0=sigma), 0)
+    u, V, diag = mcpi._solve_component(cs, v, MCPIConfig(sigma0=sigma), 0)
     return fix_sign(cs.B @ u), diag, handed_down(cs, V)
 
 
@@ -217,16 +215,12 @@ def one_step(monkeypatch, X, components, sigma, v):
     return ith_component(X, components, sigma, v)[0]
 
 
-def every_round_reference(X, cfg):
-    """Per-round reference for the schedule of ``fit``: each decay round is
-    one ``ith_component`` call started at the previous round's (signed)
-    result, every one solved to ``OUTER_TOL``, at the ``n_decay`` kernel
-    sizes geometrically spaced from sigma_0, that of
-    ``kernel_size_reference`` at the a-priori vector, to sigma_0
-    ``KERNEL_SPAN`` (one round, at sigma_0 ``KERNEL_SPAN``, when n_decay is
-    1).  The first round of component 1 starts at the a-priori vector, that
-    of each later component at the start handed down by the last round of
-    the component before that finished an eigen-step.
+def one_round_reference(X):
+    """Reference for ``fit``: one ``ith_component`` call per component, at
+    the kernel size of ``kernel_size_reference`` at the a-priori vector.
+    Component 1 starts at its a-priori vector, each later one at the start
+    handed down by the component before, or at its a-priori vector when
+    that finished no eigen-step.
     It runs the production corrector; ``TestSecantCorrector`` checks that
     against the plain loop.  Returns the iterated components as columns."""
     pairs = sym_evd(X.T @ X / X.shape[0])
@@ -234,29 +228,21 @@ def every_round_reference(X, cfg):
     start = None
     for i in range(X.shape[1] - 1):
         v = pairs.vectors[:, i]
-        sigma0 = kernel_size_reference(X, components, v)
-        sigmas = (np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay) if cfg.n_decay > 1
-                  else [sigma0 * mcpi.KERNEL_SPAN])
-        v, start = (v if start is None else start), None
-        for sigma in sigmas:
-            v, _, handed = ith_component(X, components, sigma, v)
-            start = start if handed is None else handed
+        sigma = kernel_size_reference(X, components, v)
+        v, _, start = ith_component(X, components, sigma, v if start is None else start)
         components.append(v)
     return np.column_stack(components)
 
 
-def record_rounds(monkeypatch, tolerances=None):
+def record_rounds(monkeypatch):
     """Patch ``mcpi._fixed_point`` to log every round as (complement set-up,
-    sigma, start, u, steps, converged, underflow, V), and its tolerance to
-    the list ``tolerances`` when one is given."""
+    sigma, start, u, steps, converged, underflow, V)."""
     rounds = []
     solve = mcpi._fixed_point
 
-    def recorded(cs, sigma, u, tol, max_iter):
-        result = solve(cs, sigma, u, tol, max_iter)
+    def recorded(cs, sigma, u, max_iter):
+        result = solve(cs, sigma, u, max_iter)
         rounds.append((cs, sigma, u, *result))
-        if tolerances is not None:
-            tolerances.append(tol)
         return result
 
     monkeypatch.setattr(mcpi, "_fixed_point", recorded)
@@ -458,7 +444,7 @@ class TestComplementStep:
 
     @pytest.mark.parametrize("p, k", [(3, 0), (3, 1), (3, 2), (10, 3)])
     def test_fixed_point_step_is_the_plain_eigen_step_bit_for_bit(self, p, k):
-        # one buffered step of _fixed_point, tolerance 0, against the same
+        # one buffered step of _fixed_point against the same
         # step written with the allocating calls
         rng = np.random.default_rng(31 + p + k)
         scatter = np.diag(np.arange(p, 0, -1, dtype=float))
@@ -468,7 +454,7 @@ class TestComplementStep:
         cs = complement_of(X, components)
         u = cs.coordinates(rng.standard_normal(p))
         sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
-        g, steps, _, underflow, V = mcpi._fixed_point(cs, sigma, u, 0.0, 1)
+        g, steps, _, underflow, V = mcpi._fixed_point(cs, sigma, u, 1)
 
         V_ref = np.linalg.eigh(weighted_scatter(cs.Y, rank_one_weights(cs.e, cs.Y @ u, sigma)))[1]
         ref = V_ref[:, -1]
@@ -565,7 +551,7 @@ class TestSecantCorrector:
         for i, d in enumerate(res.diagnostics[:-1]):
             cs = complement_of(X, list(res.components[:, :i].T))
             v = res.components[:, i]
-            u, steps, _, underflow, _ = plain_fixed_point(cs, d.final_sigma, cs.coordinates(v), 0.0, 1)
+            u, steps, _, underflow, _ = plain_fixed_point(cs, d.final_sigma, cs.coordinates(v), 1)
             assert steps == 1 and not underflow
             assert np.max(np.abs(cs.B @ u - v)) <= 1e-7
 
@@ -630,7 +616,7 @@ class TestLeanLoop:
         u = cs.coordinates(np.ones(3))
         for max_iter in (0, mcpi.OUTER_MAX_ITER):
             with pytest.raises(ValueError, match="kernel size"):
-                mcpi._fixed_point(cs, sigma, u, mcpi.OUTER_TOL, max_iter)
+                mcpi._fixed_point(cs, sigma, u, max_iter)
 
 
 class TestComplementChain:
@@ -647,8 +633,8 @@ class TestComplementChain:
         start = None
         for i in range(X.shape[1] - 1):
             cs = complement_of(X, components)
-            u, V, diag = mcpi._shrinking_rounds(cs, apriori[:, i], cfg, 0,
-                                                start=None if start is None else cs.coordinates(start))
+            u, V, diag = mcpi._solve_component(cs, apriori[:, i], cfg, 0,
+                                               start=None if start is None else cs.coordinates(start))
             components.append(fix_sign(cs.B @ u))
             diags.append(diag)
             start = handed_down(cs, V)
@@ -662,9 +648,9 @@ class TestComplementChain:
         V, diags = self.from_scratch_fit(X, cfg)
         res = fit(X, cfg)
         assert np.max(np.abs(res.components - V)) <= 1e-12
-        # the iterated components' diagnostics; sigma_0 is a median taken in
-        # another basis of the same complement, so final_sigma may differ by
-        # rounding
+        # the iterated components' diagnostics; the kernel size is a median
+        # taken in another basis of the same complement, so final_sigma may
+        # differ by rounding
         for got, want in zip(res.diagnostics, diags):
             assert {**got.as_dict(), "final_sigma": None} == {**want.as_dict(), "final_sigma": None}
             assert got.final_sigma == pytest.approx(want.final_sigma, rel=1e-12)
@@ -685,20 +671,21 @@ class TestComplementChain:
             assert np.max(np.abs(V[:, :k].T @ B), initial=0.0) <= 1e-14
         assert np.max(np.abs(V.T @ V - np.eye(p))) <= 1e-14
 
-    @pytest.mark.parametrize("n_decay", [1, 3])
-    def test_later_components_start_at_the_handed_down_axis(self, monkeypatch, n_decay):
-        # round 1 of component k >= 2 starts at the last coordinate axis of
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_later_components_start_at_the_handed_down_axis(self, monkeypatch, seed):
+        # the round of component k >= 2 starts at the last coordinate axis of
         # its complement, whose basis vector there is the second eigenvector
         # of component k - 1's last eigen-step
         rounds = record_rounds(monkeypatch)
-        X = outlier_data(p=10, seed=3)
-        fit(X, MCPIConfig(n_decay=n_decay))
+        X = outlier_data(p=10, seed=seed)
+        fit(X)
         components = per_component(rounds)
-        for before, after in zip(components, components[1:]):
-            cs, _, start = after[0][:3]
+        assert [len(component) for component in components] == [1] * 9
+        for (before,), (after,) in zip(components, components[1:]):
+            cs, _, start = after[:3]
             m = cs.B.shape[1]
             assert np.array_equal(start, np.eye(m)[-1])
-            last_cs, last_V = before[-1][0], before[-1][7]
+            last_cs, last_V = before[0], before[7]
             assert np.max(np.abs(cs.B[:, -1] - last_cs.B @ last_V[:, -2])) <= 1e-14
 
     def test_no_eigen_step_hands_down_the_apriori_start(self, monkeypatch):
@@ -706,7 +693,7 @@ class TestComplementChain:
         # no eigen-step finished, so component 2 starts at its a-priori vector
         rounds = record_rounds(monkeypatch)
         X = clean_data(seed=9)
-        res = fit(X, MCPIConfig(sigma0=1e-6, n_decay=2))
+        res = fit(X, MCPIConfig(sigma0=1e-6))
         (first,), (second,) = per_component(rounds)
         assert first[4] == 0 and first[6] and first[7] is None
         apriori = mcpi._scatter_evd(X, False)[2].vectors
@@ -717,7 +704,7 @@ class TestComplementChain:
     @pytest.mark.parametrize("sigma0", [None, 1.0])
     @pytest.mark.parametrize("data", ["zeros", "ones", "collinear"])
     def test_stopped_components_keep_their_apriori_direction(self, data, sigma0):
-        # a component whose schedule stopped before any eigen-step keeps its
+        # a component that stopped before any eigen-step keeps its
         # a-priori vector projected off the components before it, and the
         # flags of each case are those of a fit that hands nothing down
         X = {"zeros": np.zeros((10, 3)), "ones": np.ones((10, 3))}.get(data)
@@ -765,19 +752,6 @@ class TestFit:
         cos = np.abs(np.sum(V * standard_pca(X).components, axis=0))
         assert np.all(cos >= 0.99)
 
-    def test_unconverged_earlier_round_reported(self, monkeypatch):
-        # round 1 stops at OUTER_MAX_ITER short of even sqrt(OUTER_TOL),
-        # round 2 converges to OUTER_TOL from where it left off; the
-        # component must not report convergence
-        X, _ = generate_experiment(ExperimentSpec(n=200, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.1,
-                                                  nu=15.0, seed=4))
-        pairs = sym_evd(X.T @ X / X.shape[0])
-        monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 10)
-        rounds = record_rounds(monkeypatch)
-        res = fit(X, MCPIConfig(sigma0=0.5 * float(np.sqrt(pairs.values[0])), n_decay=2))
-        assert [round_[5] for round_ in per_component(rounds)[0]] == [False, True]
-        assert not res.diagnostics[0].converged
-
     def test_result_is_fixed_point_at_final_sigma(self):
         X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
                                                   nu=15.0, seed=3))
@@ -799,93 +773,39 @@ class TestFit:
         ],
     )
     def test_matches_every_round_at_outer_tol(self, p, fraction, basis):
-        # reference: every decay round solved to OUTER_TOL
+        # reference: each component's one round, solved to OUTER_TOL
         scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
         X, _ = generate_experiment(ExperimentSpec(n=400, p=p, scatter=scatter, outlier_fraction=fraction,
                                                   nu=15.0, seed=5, outlier_basis=basis))
-        cfg = MCPIConfig()
-        ref = every_round_reference(X, cfg)
-        V = fit(X, cfg).components
+        ref = one_round_reference(X)
+        V = fit(X).components
         assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
-
-    @pytest.mark.parametrize("n_decay", [1, 2, 3])
-    def test_short_schedules_match_every_round_reference(self, n_decay):
-        # each round starts from the fixed point of the round before, the
-        # first from the a-priori vector
-        X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05,
-                                                  nu=15.0, seed=5))
-        cfg = MCPIConfig(n_decay=n_decay)
-        ref = every_round_reference(X, cfg)
-        V = fit(X, cfg).components
-        assert np.max(np.abs(V[:, :-1] - ref)) <= 1e-6
-
-    def test_each_round_starts_at_the_last_fixed_point(self, monkeypatch):
-        # every grid point is visited, in order, and hands its fixed point on
-        rounds = record_rounds(monkeypatch)
-        X = outlier_data(seed=3)
-        cfg = MCPIConfig(n_decay=4)
-        res = fit(X, cfg)
-        components = per_component(rounds)
-        assert [len(component) for component in components] == [cfg.n_decay] * 2
-        for component, d in zip(components, res.diagnostics):
-            for before, after in zip(component, component[1:]):
-                assert after[1] < before[1]
-                assert np.array_equal(after[2], before[3])
-            assert d.final_sigma == in_input_units(component[-1][1], X)
-            assert d.outer_iterations == sum(round_[4] for round_ in component)
 
     @pytest.mark.parametrize("p", [3, 10])
     def test_default_is_one_round_at_the_final_size(self, monkeypatch, p):
-        # one round per iterated component, at sigma_0 KERNEL_SPAN bit for
-        # bit, sigma_0 taken at the a-priori vector, solved to OUTER_TOL;
-        # component 1 starts at its a-priori vector, every later one at the
-        # last axis of its complement, the axis the component before handed down
-        tolerances = []
-        rounds = record_rounds(monkeypatch, tolerances)
+        # one round per iterated component, at the kernel size taken at the
+        # a-priori vector, bit for bit; component 1 starts at its a-priori
+        # vector, every later one at the last axis of its complement, the
+        # axis the component before handed down.  At that size the final
+        # weights spread over many rows.
+        rounds = record_rounds(monkeypatch)
         X = outlier_data(p=p)
         res = fit(X)
         components = per_component(rounds)
         assert [len(component) for component in components] == [1] * (p - 1)
-        assert tolerances == [mcpi.OUTER_TOL] * (p - 1)
         apriori = mcpi._scatter_evd(X, False)[2].vectors
         for i, ((round_,), d) in enumerate(zip(components, res.diagnostics)):
             cs, sigma, start = round_[:3]
             prior = cs.coordinates(apriori[:, i])
             assert np.array_equal(start, prior if i == 0 else np.eye(p - i)[-1])
-            assert sigma == mcpi._kernel_size(cs, prior, mcpi.EPS * cs.e_max) * mcpi.KERNEL_SPAN
+            assert sigma == mcpi._kernel_size(cs, prior, mcpi.EPS * cs.e_max)
             assert d.final_sigma == in_input_units(sigma, X)
-            sigma0 = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
-            assert d.final_sigma == pytest.approx(sigma0 * mcpi.KERNEL_SPAN, rel=1e-12)
-
-    def test_two_rounds_add_the_warm_up_before_the_default_round(self, monkeypatch):
-        # n_decay=2 visits (sigma_0, sigma_0 KERNEL_SPAN) with tolerances
-        # (sqrt(OUTER_TOL), OUTER_TOL), the second round from the first's
-        # fixed point; for component 1, whose complement is the whole space
-        # in both runs, that is a round at sigma_0 from the default's start,
-        # then a round at the default's kernel size
-        X = outlier_data(seed=3)
-        tolerances = {1: [], 2: []}
-        runs = {}
-        for n_decay in (1, 2):
-            with monkeypatch.context() as m:
-                rounds = record_rounds(m, tolerances[n_decay])
-                fit(X, MCPIConfig(n_decay=n_decay))
-            runs[n_decay] = per_component(rounds)
-        assert tolerances[2] == [math.sqrt(mcpi.OUTER_TOL), mcpi.OUTER_TOL] * 2
-        for warm_up, last in runs[2]:
-            assert warm_up[1] * mcpi.KERNEL_SPAN == last[1]
-            assert np.array_equal(last[2], warm_up[3])
-        (default,), (warm_up, last) = runs[1][0], runs[2][0]
-        assert np.array_equal(warm_up[2], default[2]) and last[1] == default[1]
-
-    @pytest.mark.parametrize("n, p, fraction, seed", [ORACLE_CASES[0], ORACLE_CASES[2]])
-    def test_warm_up_round_leaves_the_answer(self, n, p, fraction, seed):
-        # the round at sigma_0 neither moves the fixed point nor saves steps
-        X = outlier_data(n, p, fraction, seed)
-        res, warm = fit(X), fit(X, MCPIConfig(n_decay=2))
-        assert np.max(np.abs(res.components - warm.components)) <= 1e-7
-        assert all(d.converged for d in res.diagnostics)
-        assert total_outer_iterations(res) < total_outer_iterations(warm)
+            assert d.outer_iterations == round_[4] and d.converged and not d.sigma_underflow
+            ref = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
+            assert d.final_sigma == pytest.approx(ref, rel=1e-12)
+            found = res.components[:, :i + 1]
+            w = residual_weights(X, np.eye(p) - found @ found.T, d.final_sigma)
+            assert np.sum(w) ** 2 / np.sum(w * w) >= X.shape[0] / 4
 
     def test_small_samples_converge(self):
         # n = 20..80 at 5% outliers, where the final-size objective can have
@@ -913,16 +833,14 @@ class TestFit:
     def test_zero_median_residual_falls_back_to_rms(self):
         # component 2 starts at e2 in the complement of e1: the 30 rows along
         # e1 and the 30 along e2 have residual 0, so the median is 0 and
-        # sigma_0 is KERNEL_SCALE times the RMS of the residuals x_3; the
-        # one round of n_decay=1 is at KERNEL_SPAN sigma_0
+        # the kernel size is KERNEL_SCALE times the RMS of the residuals x_3
         X = axis_rows()
-        res = fit(X, MCPIConfig(n_decay=1))
+        res = fit(X)
         assert np.array_equal(np.abs(res.components), np.eye(3))
         rms = np.sqrt(np.mean(X[:, 2] ** 2))
-        last = mcpi.KERNEL_SCALE * mcpi.KERNEL_SPAN
-        assert res.diagnostics[1].final_sigma == pytest.approx(last * rms, rel=1e-12)
+        assert res.diagnostics[1].final_sigma == pytest.approx(mcpi.KERNEL_SCALE * rms, rel=1e-12)
         assert res.diagnostics[0].final_sigma == pytest.approx(
-            last * np.median(np.linalg.norm(X[:, 1:], axis=1)), rel=1e-12)
+            mcpi.KERNEL_SCALE * np.median(np.linalg.norm(X[:, 1:], axis=1)), rel=1e-12)
 
     @pytest.mark.parametrize("fraction", [0.05, 0.3])
     def test_robustness_does_not_fall_with_n(self, fraction):
@@ -938,55 +856,11 @@ class TestFit:
         ]
         assert np.all(np.diff(medians, axis=0) >= -0.01), medians
 
-    def test_first_step_underflow_keeps_last_fixed_point(self, monkeypatch):
-        # sigma_r = 0.0125 KERNEL_SPAN^(r / 5): the rounds at r = 0, 1, 2 keep
-        # weights (sigma >= 0.0034), every weight underflows on the first step
-        # of the fourth round (sigma = 0.0018), so component 1 keeps the
-        # fixed point of the third
-        rounds = record_rounds(monkeypatch)
-        X = symmetric_rows()
-        res = fit(X, MCPIConfig(sigma0=0.0125, n_decay=6))
-        *earlier, (_, _, start, u, steps, converged, underflow, V) = per_component(rounds)[0]
-        assert underflow and not converged and steps == 0 and len(earlier) == 3 and V is None
-        assert all(round_[5] and not round_[6] for round_ in earlier)
-        _, sigma_last, _, u_last, _, _, _, _ = earlier[-1]
-        assert np.array_equal(start, u_last) and np.array_equal(u, u_last)
-        d = res.diagnostics[0]
-        assert d.sigma_underflow and not d.converged
-        assert d.final_sigma == in_input_units(sigma_last, X)
-        assert np.array_equal(res.components[:, 0], fix_sign(u_last))
-        assert np.array_equal(np.abs(u_last), [1.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "data, n_decay, stopped",
-        [("clean", 200, [1]), ("axis", 400, [0, 1]), ("outliers", 200, [1])],
-    )
-    def test_floor_stop_reports_last_grid_sigma_above_floor(self, data, n_decay, stopped):
-        # a grid from 1e-6 to 4e-8 straddles the floor sqrt(eps max e / 2)
-        # ~ 1e-7; rows along the fixed point keep their weight down to it
-        # (on the axis data exactly, elsewhere rows along the second
-        # a-priori vector), while on the clean and outlier data every weight
-        # of component 1 underflows at once
-        if data == "axis":
-            X = axis_rows()
-        else:
-            X = clean_data(seed=9) if data == "clean" else outlier_data(fraction=0.05, seed=0)
-            X = with_rows_along_second_apriori(X)
-        cfg = MCPIConfig(sigma0=1e-6, n_decay=n_decay)
-        res = fit(X, cfg)
-        grid = cfg.sigma0 * mcpi.KERNEL_SPAN ** (np.arange(n_decay) / (n_decay - 1))
-        for i in stopped:
-            floor = np.finfo(float).eps * complement_of(X, list(res.components[:, :i].T)).e_max
-            above = grid[2.0 * grid * grid > floor]
-            assert 0 < len(above) < n_decay
-            d = res.diagnostics[i]
-            assert d.sigma_underflow and not d.converged and d.final_sigma == above[-1]
-
     @pytest.mark.parametrize("data", ["demo", "axis"])
     def test_tiny_sigma_ends_as_underflow(self, data):
         # at sigma0 = 1e-170, 2 sigma^2 is 0 and a row along u would get
         # weight 0/0; on the axis data such rows keep weight 1 at any sigma,
-        # so only the floor stops the schedule
+        # so only the floor stops the component
         if data == "demo":
             X, _ = generate_experiment(ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, seed=9))
         else:
@@ -998,77 +872,30 @@ class TestFit:
 
     def test_floor_stops_schedule_on_clean_data(self):
         # the rows along the second a-priori vector have e - t^2 at rounding
-        # level, so they would keep weight below the floor too and the round
+        # level, so they would keep weight below the floor too and a round
         # at 4e-8 would report convergence, its direction set by those rows
-        # and the rounding of e - t^2 alone; the floor stops the two-round
-        # schedule after its round at 1e-6
+        # and the rounding of e - t^2 alone; the floor stops component 2
+        # before that round
         X = with_rows_along_second_apriori(clean_data(seed=9))
-        res = fit(X, MCPIConfig(sigma0=1e-6, n_decay=2))
+        res = fit(X, MCPIConfig(sigma0=4e-8))
         d = res.diagnostics[1]
-        assert d.sigma_underflow and not d.converged and d.final_sigma == 1e-6
+        assert d.sigma_underflow and not d.converged and d.outer_iterations == 0 and np.isnan(d.final_sigma)
         cs = complement_of(X, [res.components[:, 0]])
-        assert 2.0 * (1e-6 * mcpi.KERNEL_SPAN) ** 2 <= np.finfo(float).eps * cs.e_max
-        w = rank_one_weights(cs.e, cs.Y @ cs.coordinates(res.components[:, 1]), 1e-6 * mcpi.KERNEL_SPAN)
+        assert 2.0 * 4e-8**2 <= np.finfo(float).eps * cs.e_max
+        w = rank_one_weights(cs.e, cs.Y @ cs.coordinates(res.components[:, 1]), 4e-8)
         assert not all_underflowed(w)
 
     def test_underflow_reported(self):
-        res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=3))
+        res = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6))
         assert all(d.sigma_underflow and not d.converged for d in res.diagnostics[:2])
         V = res.components
         assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
 
     def test_no_finished_round_reports_nan_sigma(self):
         # every weight of component 1 underflows on the first step at 1e-6,
-        # so no round finishes and no kernel size is reported
-        d = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6, n_decay=2)).diagnostics[0]
+        # so the round does not finish and no kernel size is reported
+        d = fit(clean_data(seed=9), MCPIConfig(sigma0=1e-6)).diagnostics[0]
         assert d.sigma_underflow and d.outer_iterations == 0 and np.isnan(d.final_sigma)
-
-    def test_underflow_after_finished_rounds_not_converged(self):
-        # the round at sigma0 finishes to sqrt(OUTER_TOL), every weight
-        # underflows in the last one, at 0.04 sigma0; the direction is then
-        # converged only to sqrt(OUTER_TOL)
-        res = fit(symmetric_rows(), MCPIConfig(sigma0=0.0125, n_decay=2))
-        d = res.diagnostics[0]
-        assert d.sigma_underflow and d.final_sigma == 0.0125 and d.outer_iterations > 0
-        assert not d.converged
-        V = res.components
-        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-8
-
-    @pytest.mark.parametrize("n_decay", [3, 4, 10])
-    @pytest.mark.parametrize("fraction", [0.0, 0.05])
-    def test_longer_schedules_end_at_the_residual_scale(self, fraction, n_decay):
-        # more rounds only subdivide the span: every component still ends
-        # converged at KERNEL_SPAN sigma_0, where the final weights spread
-        # over many rows, and at the default fit's answer
-        X = clean_data(seed=13) if fraction == 0.0 else outlier_data(fraction=fraction, seed=5)
-        res = fit(X, MCPIConfig(n_decay=n_decay))
-        apriori = sym_evd(X.T @ X / X.shape[0]).vectors
-        for i, d in enumerate(res.diagnostics[:-1]):
-            assert d.converged and not d.sigma_underflow
-            found = list(res.components[:, :i].T)
-            sigma0 = kernel_size_reference(X, found, apriori[:, i])
-            assert d.final_sigma == pytest.approx(sigma0 * mcpi.KERNEL_SPAN, rel=1e-12)
-            w = residual_weights(X, np.eye(3) - res.components[:, :i + 1] @ res.components[:, :i + 1].T,
-                                 d.final_sigma)
-            assert np.sum(w) ** 2 / np.sum(w * w) >= X.shape[0] / 4
-        assert np.max(np.abs(res.components - fit(X).components)) <= 1e-6
-
-    def test_longer_schedules_keep_robustness(self):
-        # median over 40 seeds of the worst |cos| to the truth at 30%
-        # outliers: extra rounds inside the span cost no robustness against
-        # n_decay=2, whose warm-up round at sigma_0 they share, and the
-        # default, which starts later components at the handed-down axis
-        # instead, is at least as robust as n_decay=2
-        truth = sym_evd(DEMO_SCATTER).vectors
-        data = [outlier_data(fraction=0.3, seed=seed) for seed in range(40, 80)]
-
-        def median_min_cos(cfg):
-            return np.median([np.min(np.abs(np.sum(fit(X, cfg).components * truth, axis=0))) for X in data])
-
-        two_rounds = median_min_cos(MCPIConfig(n_decay=2))
-        assert median_min_cos(MCPIConfig()) >= two_rounds
-        for n_decay in (3, 4, 10):
-            assert median_min_cos(MCPIConfig(n_decay=n_decay)) >= two_rounds - 0.01, n_decay
 
     @pytest.mark.parametrize("seed", [0, 8])
     def test_handed_down_start_keeps_the_robust_fixed_point(self, seed):
@@ -1120,9 +947,48 @@ class TestFit:
         X = 2.0**-1000 * outlier_data(seed=1)
         with pytest.raises(ValueError, match=r"sigma0 = 1e\+300 is beyond float64"):
             fit(X, MCPIConfig(sigma0=1e300))
-        res = fit(X, MCPIConfig(sigma0=1e5))
+        res = fit(X, MCPIConfig(sigma0=4e3))
         assert np.max(np.abs(res.components - standard_pca(X).components)) <= 1e-12
-        assert [d.final_sigma for d in res.diagnostics[:2]] == [1e5 * mcpi.KERNEL_SPAN] * 2
+        assert [d.final_sigma for d in res.diagnostics[:2]] == [4e3] * 2
+
+    @pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+    def test_sigma0_is_the_kernel_size_of_the_round(self, monkeypatch, c):
+        # the round runs at sigma0 2^-e on X 2^-e and reports sigma0 itself,
+        # bit for bit, at any scale of the data
+        rounds = record_rounds(monkeypatch)
+        X = c * outlier_data(seed=1)
+        sigma0 = 2.5 * c
+        res = fit(X, MCPIConfig(sigma0=sigma0))
+        assert [in_input_units(round_[1], X) for round_ in rounds] == [sigma0] * 2
+        for d in res.diagnostics[:-1]:
+            assert d.converged and d.final_sigma == sigma0
+
+    def test_underflow_within_the_round_keeps_the_last_step_with_weights(self, monkeypatch):
+        # every weight underflows on step 3 of component 1 (patched): it keeps
+        # the image of step 2, reports sigma_underflow and no kernel size, and
+        # hands step 2's eigenvectors down the chain; a round cut at two
+        # steps ends at the same image but keeps its kernel size and reports
+        # only that it did not converge
+        X = outlier_data(seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(mcpi, "OUTER_MAX_ITER", 2)
+            cut = fit(X)
+        step = itertools.count(1)
+        monkeypatch.setattr(mcpi, "all_underflowed", lambda w: next(step) == 3)
+        rounds = record_rounds(monkeypatch)
+        res = fit(X)
+        cs, sigma, start = rounds[0][:3]
+        g, steps, _, _, V = two_difference_fixed_point(cs, sigma, start, 2)
+        assert steps == 2
+        assert np.array_equal(res.components[:, 0], fix_sign(cs.B @ g))
+        assert np.array_equal(rounds[1][0].B, cs.B @ V[:, :-1])
+        d = res.diagnostics[0]
+        assert (d.outer_iterations, d.converged, d.sigma_underflow) == (2, False, True)
+        assert np.isnan(d.final_sigma)
+        d = cut.diagnostics[0]
+        assert (d.outer_iterations, d.converged, d.sigma_underflow) == (2, False, False)
+        assert d.final_sigma == in_input_units(sigma, X)
+        assert np.array_equal(cut.components[:, 0], res.components[:, 0])
 
     def test_sigma0_underflowing_at_unit_scale_stops_at_floor(self):
         # fit works on X 2^-997 here, where sigma0 = 1e-300 is 0
@@ -1151,7 +1017,7 @@ class TestFit:
 
     def test_frozen_huge_sigma_matches_pca(self):
         X = clean_data(seed=11)
-        cfg = MCPIConfig(sigma0=huge_sigma(X), n_decay=1)
+        cfg = MCPIConfig(sigma0=huge_sigma(X))
         res = fit(X, cfg)
         base = standard_pca(X)
         cos = np.abs(np.sum(res.components * base.components, axis=0))
@@ -1164,20 +1030,6 @@ class TestFit:
         r2 = fit(X, cfg)
         assert r1.components.tobytes() == r2.components.tobytes()
         assert r1.apriori_eigenvalues.tobytes() == r2.apriori_eigenvalues.tobytes()
-
-    def test_sigma_schedule_is_geometric(self, monkeypatch):
-        # n_decay sizes geometrically spaced from sigma_0 to KERNEL_SPAN sigma_0
-        rounds = record_rounds(monkeypatch)
-        X = clean_data(seed=13)
-        cfg = MCPIConfig(n_decay=7)
-        res = fit(X, cfg)
-        apriori = sym_evd(X.T @ X / X.shape[0]).vectors
-        for i, component in enumerate(per_component(rounds)):  # iterated components only
-            sigma0 = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
-            expected = np.geomspace(sigma0, sigma0 * mcpi.KERNEL_SPAN, cfg.n_decay)
-            sigmas = [in_input_units(round_[1], X) for round_ in component]
-            assert sigmas == pytest.approx(expected, rel=1e-12)
-            assert res.diagnostics[i].final_sigma == pytest.approx(expected[-1], rel=1e-12)
 
     def test_last_component_via_null_space(self):
         X = clean_data(seed=14)
@@ -1338,18 +1190,18 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"n_decay": 0},
+            {"sigma0": 0},
             {"sigma0": 0.0},
             {"sigma0": -np.inf},
             {"sigma0": -1.0},
-            {"n_decay": np.nan},
-            {"n_decay": None},
-            {"n_decay": np.inf},
+            {"sigma0": -0.0},
+            {"sigma0": -1},
+            {"sigma0": np.float32(np.inf)},
             {"sigma0": np.nan},
             {"sigma0": np.inf},
-            {"n_decay": 2.5},
-            {"n_decay": 3.0},
-            {"n_decay": "2"},
+            {"sigma0": np.int64(0)},
+            {"sigma0": 1.0 + 0.0j},
+            {"sigma0": [1.0]},
             {"center": 0},
             {"center": "no"},
             {"center": 1},
@@ -1358,7 +1210,7 @@ class TestConfigValidation:
             {"sigma0": "1"},
             {"sigma0": True},
             {"sigma0": np.bool_(True)},
-            {"n_decay": True},
+            {"center": 1.0},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -1368,7 +1220,7 @@ class TestConfigValidation:
     def test_frozen_and_checked_on_replace(self):
         cfg = MCPIConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.n_decay = 3
+            cfg.center = True
         with pytest.raises(ValueError, match="sigma0"):
             dataclasses.replace(cfg, sigma0=-1.0)
 
@@ -1379,5 +1231,5 @@ class TestConfigValidation:
         assert np.array_equal(standard_pca(X, np.bool_(True)).components, standard_pca(X, True).components)
 
     def test_accepts_numpy_integers(self):
-        cfg = MCPIConfig(n_decay=np.int64(3))
-        assert fit(clean_data(seed=1), cfg).diagnostics[0].final_sigma > 0.0
+        cfg = MCPIConfig(sigma0=np.int64(3))
+        assert fit(clean_data(seed=1), cfg).diagnostics[0].final_sigma == 3.0
