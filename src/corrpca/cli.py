@@ -18,7 +18,11 @@ float64's range (inf), is written as ``null``.
 from __future__ import annotations
 
 import argparse
+import bz2
+import gzip
 import json
+import lzma
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -42,6 +46,15 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
+# Rows formatted per ``%`` call by _write_matrix_csv: enough that the Python
+# overhead per call vanishes, few enough that a block's text and Python floats
+# (~60 bytes a cell, ~180 kB at p = 3) stay small next to a large matrix.
+CSV_BLOCK_ROWS = 1024
+
+# Output suffixes that _write_matrix_csv compresses, as np.savetxt does
+# (".lzma" too writes the xz format).
+_CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
+
 
 def _default_scatter(p: int) -> np.ndarray:
     if p == 3:
@@ -60,6 +73,18 @@ def _read_matrix_csv(path: str, header: bool = False) -> np.ndarray:
     if X.size == 0:
         raise ValueError(f"cannot parse {path}: empty input")
     return X
+
+
+def _write_matrix_csv(path: str, X: np.ndarray) -> None:
+    """Write X with the bytes of ``np.savetxt(path, X, delimiter=",",
+    fmt="%.17g")``, compressed by the suffix as savetxt does, formatting
+    CSV_BLOCK_ROWS rows per ``%`` call instead of one."""
+    opener = _CSV_OPENERS.get(os.path.splitext(path)[1], open)
+    row_fmt = ",".join(["%.17g"] * X.shape[1]) + "\n"
+    with opener(path, "wt") as fh:
+        for start in range(0, X.shape[0], CSV_BLOCK_ROWS):
+            block = X[start:start + CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -112,6 +137,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    """Write the experiment's rows to ``--output`` as CSV and its spec, with
+    the outlier row indices, to ``<output>.meta.json``.
+
+    The CSV has one row per line and each cell formatted ``%.17g``, so every
+    float64 reads back to the same bits: the bytes of ``np.savetxt(output, X,
+    delimiter=",", fmt="%.17g")``.  An output ending in ``.gz``, ``.bz2`` or
+    ``.xz`` is compressed in that format, which ``fit`` reads as well."""
     try:
         spec = _experiment(args)
     except ValueError as err:
@@ -130,7 +162,7 @@ def cmd_synth(args) -> int:
         "outlier_basis": spec.outlier_basis,
         "outlier_indices": idx.tolist(),
     }
-    np.savetxt(args.output, X, delimiter=",", fmt="%.17g")
+    _write_matrix_csv(args.output, X)
     _write_json(args.output + ".meta.json", sidecar)
     return EXIT_OK
 

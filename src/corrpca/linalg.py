@@ -13,7 +13,10 @@ eigen-step (every other step reuses that step's eigenvectors), and
 orthonormal columns.  All eigenvector outputs follow a single sign
 convention: each vector is flipped so that its entry of largest absolute
 value is positive (lowest index wins ties), which makes results
-deterministic and regression-testable.
+deterministic and regression-testable.  The tie rule sees exact ties only:
+where the largest magnitudes agree only up to rounding, as in the direction
+(1, 1, 0, -1)/sqrt(3), their last bits pick the entry, so two equivalent
+computations of one direction can come out with opposite signs.
 
 These helpers run several times per fit on 3 x 3 matrices, where numpy's
 fixed cost per call outweighs the arithmetic, so they use few calls:
@@ -39,7 +42,11 @@ class SingularDirectionError(ValueError):
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip v so its largest-magnitude entry is positive (ties: lowest index)."""
+    """Flip v so its largest-magnitude entry is positive (ties: lowest index).
+
+    Only exact ties go to the lowest index.  Entries whose magnitudes tie up
+    to rounding, like those of (1, 1, 0, -1)/sqrt(3), are ranked by their last
+    bits, so equivalent arithmetic can give either sign."""
     return -v if v[abs(v).argmax()] < 0.0 else v
 
 

@@ -1,9 +1,13 @@
+import bz2
+import gzip
 import json
+import lzma
 
 import numpy as np
 import pytest
 
-from corrpca.cli import main
+from corrpca.cli import CSV_BLOCK_ROWS, _default_scatter, _read_matrix_csv, _write_matrix_csv, main
+from corrpca.datagen import ExperimentSpec, generate_experiment
 from corrpca.mcpi import fit
 
 
@@ -35,6 +39,60 @@ class TestSynth:
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", a])
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", b])
         assert a.read_bytes() == b.read_bytes()
+
+
+def savetxt_bytes(path, X):
+    np.savetxt(path, X, delimiter=",", fmt="%.17g")
+    return path.read_bytes()
+
+
+class TestSynthCsv:
+    """synth's block writer against np.savetxt, whose bytes it reproduces."""
+
+    def assert_savetxt_bytes(self, path, X):
+        _write_matrix_csv(str(path), X)
+        assert path.read_bytes() == savetxt_bytes(path.with_suffix(".savetxt"), X)
+        # %.17g round-trips every float64, -0.0 and subnormals included
+        assert _read_matrix_csv(str(path)).tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                   3 * CSV_BLOCK_ROWS + 7])
+    def test_bytes_equal_savetxt(self, tmp_path, n, p):
+        rng = np.random.default_rng(n * p)
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 301, size=(n, p))
+        self.assert_savetxt_bytes(tmp_path / "x.csv", X)
+
+    def test_extreme_values_equal_savetxt(self, tmp_path):
+        row = np.array([-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1])
+        self.assert_savetxt_bytes(tmp_path / "row.csv", row[None, :])
+        self.assert_savetxt_bytes(tmp_path / "column.csv", row[:, None])
+
+    def test_synth_writes_savetxt_bytes(self, tmp_path):
+        out = tmp_path / "w.csv"
+        run(["synth", "--n", 3 * CSV_BLOCK_ROWS + 7, "--p", 4, "--outlier-frac", 0.05,
+             "--seed", 2, "--output", out])
+        X, _ = generate_experiment(ExperimentSpec(n=3 * CSV_BLOCK_ROWS + 7, p=4,
+                                                  scatter=_default_scatter(4),
+                                                  outlier_fraction=0.05, seed=2))
+        assert out.read_bytes() == savetxt_bytes(tmp_path / "savetxt.csv", X)
+
+    @pytest.mark.parametrize("suffix,magic,codec", [(".gz", b"\x1f\x8b", gzip),
+                                                    (".bz2", b"BZh", bz2),
+                                                    (".xz", b"\xfd7zXZ", lzma)],
+                             ids=["gz", "bz2", "xz"])
+    def test_compressed_by_suffix(self, tmp_path, suffix, magic, codec):
+        flags = ["synth", "--n", CSV_BLOCK_ROWS + 1, "--p", 3, "--outlier-frac", 0.05,
+                 "--seed", 4, "--output"]
+        plain, packed = tmp_path / "x.csv", tmp_path / f"x.csv{suffix}"
+        assert run([*flags, plain]) == 0 and run([*flags, packed]) == 0
+        assert packed.read_bytes().startswith(magic)
+        assert codec.decompress(packed.read_bytes()) == plain.read_bytes()
+        components = []
+        for data in (plain, packed):
+            assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 0
+            components.append(json.loads((tmp_path / "r.json").read_text())["components_rows"])
+        assert components[1] == components[0]
 
 
 class TestFit:
