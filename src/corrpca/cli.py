@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import bz2
 import gzip
+import io
 import json
 import lzma
 import os
@@ -51,9 +52,16 @@ EXIT_IO = 4
 # (~60 bytes a cell, ~180 kB at p = 3) stay small next to a large matrix.
 CSV_BLOCK_ROWS = 1024
 
+
+def _gzip_open(path: str, mode: str):
+    """``gzip.open(path, mode)`` in a text write mode, with mtime 0 in the
+    gzip header in place of the clock, so that reruns give the same bytes."""
+    return io.TextIOWrapper(gzip.GzipFile(path, mode.replace("t", "b"), mtime=0))
+
+
 # Output suffixes that _write_matrix_csv compresses, as np.savetxt does
 # (".lzma" too writes the xz format).
-_CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
+_CSV_OPENERS = {".gz": _gzip_open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
 
 
 def _default_scatter(p: int) -> np.ndarray:

@@ -115,6 +115,19 @@ multiplied by 2^-e on the way in (a ValueError if that leaves float64; one
 that rounds to 0 stops the component at the floor), and on the way out each
 ``final_sigma`` by 2^e and the a-priori eigenvalues by 4^e, rounded as IEEE
 does beyond float64's range.
+
+Besides the caller's input, ``fit`` holds at most two n x p arrays at a time,
+and O(n) vectors.  The unit-scale copy is dropped once the chain's
+column-major copy of it exists (one array when the input is column-major);
+after that the chain's Y lives beside either ``_fixed_point``'s scaled rows
+or the next step's Y H, which is formed column-major, as (H^T Y^T)^T, so
+``_Complement.of`` copies nothing.  max |x| is max(max x, -min x), which
+allocates no abs(X).  The peak that tracemalloc (numpy reports its
+allocations to it) reads during a fit is 2.67, 2.20 and 2.07 times the
+input's bytes at n = 40000 and p = 3, 10 and 30, the vectors e and t making
+up the rest.  Below n = 4097 numpy's ufunc buffer adds up to 8192 values
+(64 kB) to that: the weights broadcast over the scatter's columns, 1.0 times
+the input at 2000 x 3.
 """
 
 from __future__ import annotations
@@ -239,7 +252,8 @@ class _Complement:
     ``Y = X B`` is stored column-major for the weighted scatter, ``e``
     holds the row energies ||y_k||^2 and ``e_max`` the largest of them.
     ``fit`` starts its chain at ``of(I, X)`` and steps from the complement
-    of k components to that of k + 1 with ``of(B H, Y H)``.
+    of k components to that of k + 1 with ``of(B H, Y H)``, Y H formed
+    column-major so that ``of`` copies nothing.
     """
 
     B: np.ndarray
@@ -445,11 +459,13 @@ def _scatter_evd(X, center: bool):
     n, p = X.shape
     if n < p or p < 1:
         raise DegenerateInputError(f"need n >= p >= 1, got n={n}, p={p}")
-    top = float(abs(X).max())
+    top = float(max(X.max(), -X.min()))  # max |x|, without an abs(X) temporary
     if not top < np.inf:
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")
     scale = math.frexp(top)[1]
-    X = np.ldexp(X, -scale)  # a new array in X's layout, which the bits of X^T X depend on
+    # a new array in X's layout, which the bits of the centring's column means
+    # depend on (numpy sums pairwise only along a contiguous axis)
+    X = np.ldexp(X, -scale)
     if center:
         X -= X.mean(axis=0)
     # X^T X is symmetric by construction (numpy forms it with one syrk) and
@@ -482,6 +498,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     p = X.shape[1]
     B = np.eye(p)
     cs = _Complement.of(B, X)
+    del X  # the chain's column-major copy (X itself if column-major) replaces it
     data_e_max = cs.e_max
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
@@ -504,7 +521,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
             H, start = V[:, :-1], np.eye(len(V) - 1)[-1]
         B = cs.B @ H
         if B.shape[1] > 1:
-            cs = _Complement.of(B, cs.Y @ H)
+            cs = _Complement.of(B, (H.T @ cs.Y.T).T)  # Y H, column-major
 
     components.append(fix_sign(B[:, 0]))
     diags.append(ComponentDiagnostics.direct("null_space"))

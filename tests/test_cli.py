@@ -2,6 +2,7 @@ import bz2
 import gzip
 import json
 import lzma
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ class TestSynth:
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", a])
         run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", b])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rerun_identical_gzip_files(self, tmp_path, monkeypatch):
+        # gzip.open stamps the clock into the header; two runs that see
+        # different clocks write the same bytes
+        outputs = []
+        for clock in (1e9, 2e9):
+            monkeypatch.setattr(time, "time", lambda: clock)
+            out = tmp_path / str(int(clock)) / "x.csv.gz"
+            out.parent.mkdir()
+            assert run(["synth", "--n", 50, "--p", 3, "--seed", 3, "--output", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def savetxt_bytes(path, X):
