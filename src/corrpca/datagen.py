@@ -10,8 +10,9 @@ indices, then the outlier block.  Normal deviates use numpy's ziggurat via
 this implementation.
 
 A spec's scatter is checked once, when the spec is built, so a literal-basis
-draw takes the scatter's eigenvalues with ``linalg.eigh_descending``, the
-eigensolver without ``sym_evd``'s checks.
+draw takes the scatter's eigenvalues straight from ``numpy.linalg.eigh``,
+without ``sym_evd``'s checks and without sorting or sign-fixing the
+eigenvectors it does not use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_real, check_integer, check_positive, check_symmetric, eigh_descending, is_real
+from .linalg import as_real, check_integer, check_positive, check_symmetric, is_real
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -113,8 +114,9 @@ def generate_experiment(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     idx = np.sort(rng.choice(spec.n, size=k, replace=False))
     Z = rng.standard_normal((k, spec.p))
     if spec.outlier_basis == "literal":
-        # the spec's scatter is real, finite and symmetric: its check passed
-        X[idx] = Z * np.sqrt(spec.nu * eigh_descending(spec.scatter).values)
+        # the spec's scatter is real, finite and symmetric: its check passed.
+        # eigh's ascending values reversed; tied values are equal, so their order is moot
+        X[idx] = Z * np.sqrt(spec.nu * np.linalg.eigh(spec.scatter)[0][::-1])
     else:
         X[idx] = Z @ cholesky(spec.nu * spec.scatter).T
     return X, idx

@@ -44,7 +44,9 @@ nest: that of k + 1 components is the complement of one unit vector inside
 that of the first k.  So ``fit`` walks one chain, as He et al. deflate: it
 starts at B = I, Y = X, and after a component found at coordinates u it
 steps to an orthonormal m x (m - 1) basis H of u's complement, B <- B H and
-Y <- Y H, and recomputes e.  The component is B u.  The last eigen-step of
+Y <- Y H, and recomputes e.  It forms Y H in place, one block of rows at a
+time, in the first m - 1 columns of Y, whose column-major view is the next
+Y.  The component is B u.  The last eigen-step of
 u's round already holds one: it eigendecomposed the weighted scatter whose
 top eigenvector u is, so with its eigenvectors V (eigenvalues ascending,
 V[:, -1] = +-u) the chain takes H = V[:, :-1] and no ``eigh`` of its own.
@@ -80,11 +82,13 @@ once per round what a round holds fixed: it checks sigma (a ValueError
 before any step) and forms 2 sigma^2 for ``correntropy.rank_one_kernel``,
 the unchecked arithmetic of ``rank_one_weights``, and it allocates two
 buffers and reuses them at every outer iteration, a length-n
-vector that receives t = Y u and then, in place, the weights, and an n x m
-Fortran-ordered array that receives the scaled rows w_k y_k (the layout
-``w[:, None] * Y`` has, so the scatter's product is the same gemm), step
-norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``, and each mixing
-step reuses the last step's difference of images and its squared norm.
+vector that receives t = Y u and then, in place, the weights, and a
+Fortran-ordered block of min(n, ``correntropy.block_rows(m)``) x m that
+receives the scaled rows w_k y_k of ``weighted_scatter``'s blocks (the
+layout ``w[:, None] * Y`` has, so the scatter's products are the same
+gemms), step norms are sqrt(f.f), the arithmetic of ``np.linalg.norm``, and
+each mixing step reuses the last step's difference of images and its
+squared norm.
 Every iterate is bit for bit that of the checked, allocating calls.  The
 data's checks stay at the public boundary: ``_scatter_evd`` checks the input
 once, and hands X^T X / n, symmetric by construction and finite at unit
@@ -105,7 +109,10 @@ flagged.  Columns that differ only in scale are fitted like any others.
 ``fit`` and its plain eigendecomposition baseline ``standard_pca`` both work
 at unit scale.  One reduction, max |x|, is the finiteness check and gives
 the exponent e with 2^(e - 1) <= max |x| < 2^e; the input times 2^-e is an
-exact copy in its own layout, every |x| below 1, centred in place when asked.
+exact column-major copy, every |x| below 1, centred in place when asked.
+It is column-major whatever the input's layout, so its column means (numpy
+sums pairwise only along a contiguous axis), and with them a centred fit,
+have the same bits for a C- and a Fortran-ordered input.
 So X^T X / n cannot overflow, and no scatter is subnormal merely because the
 data are small: any finite input is fitted.  Scaling by a power of two
 commutes with rounding away from the subnormal range, so for data whose
@@ -116,18 +123,22 @@ that rounds to 0 stops the component at the floor), and on the way out each
 ``final_sigma`` by 2^e and the a-priori eigenvalues by 4^e, rounded as IEEE
 does beyond float64's range.
 
-Besides the caller's input, ``fit`` holds at most two n x p arrays at a time,
-and O(n) vectors.  The unit-scale copy is dropped once the chain's
-column-major copy of it exists (one array when the input is column-major);
-after that the chain's Y lives beside either ``_fixed_point``'s scaled rows
-or the next step's Y H, which is formed column-major, as (H^T Y^T)^T, so
-``_Complement.of`` copies nothing.  max |x| is max(max x, -min x), which
-allocates no abs(X).  The peak that tracemalloc (numpy reports its
-allocations to it) reads during a fit is 2.67, 2.20 and 2.07 times the
-input's bytes at n = 40000 and p = 3, 10 and 30, the vectors e and t making
-up the rest.  Below n = 4097 numpy's ufunc buffer adds up to 8192 values
-(64 kB) to that: the weights broadcast over the scatter's columns, 1.0 times
-the input at 2000 x 3.
+Besides the caller's input, ``fit`` holds one n x p array, O(n) vectors and
+one block of the scatter's scaled rows.  The array is the column-major
+unit-scale copy: it is the chain's first Y, and each chain step overwrites
+it with Y H, so the complement of k components is dead once that of k + 1
+exists.  ``weighted_scatter`` scales and multiplies one block of
+``correntropy.BLOCK_BYTES`` (256 KiB) at a time, which also keeps the block
+in cache for the product, and the chain step reads and writes one block of
+Y at a time.  max |x| is max(max x, -min x), which allocates no abs(X).
+The peak that tracemalloc (numpy reports its allocations to it) reads
+during a fit is 2.01, 1.34 and 1.12 times the input's bytes at n = 40000
+and p = 3, 10 and 30, and 1.30 at 200000 x 10, the vectors e and t making up
+most of the rest (two n x p arrays read 2.67, 2.20, 2.07 and 2.20).  When
+n is at most one block's rows the block is n x m, and below n = 4097
+numpy's ufunc buffer adds up to 8192 values (64 kB), the weights broadcast
+over the scatter's columns: 2.64 times the input at 2000 x 10 and 3.75 at
+2000 x 3.
 """
 
 from __future__ import annotations
@@ -137,7 +148,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correntropy import all_underflowed, rank_one_kernel, weighted_scatter
+from .correntropy import all_underflowed, block_rows, rank_one_kernel, weighted_scatter
 from .linalg import (
     SingularDirectionError,
     as_real,
@@ -251,9 +262,12 @@ class _Complement:
     ``B`` is an orthonormal p x m basis of that complement (m = p - k),
     ``Y = X B`` is stored column-major for the weighted scatter, ``e``
     holds the row energies ||y_k||^2 and ``e_max`` the largest of them.
-    ``fit`` starts its chain at ``of(I, X)`` and steps from the complement
-    of k components to that of k + 1 with ``of(B H, Y H)``, Y H formed
-    column-major so that ``of`` copies nothing.
+    ``fit`` starts its chain at ``of(I, X)``, X its column-major unit-scale
+    copy, and steps from the complement of k components to that of k + 1
+    with ``of(B H, Y H)``.  It forms Y H in place, in the first m - 1 columns
+    of Y, so Y H is the column-major view ``Y[:, :-1]`` and ``of`` copies
+    nothing; the complement of k components is dead from then on, its Y
+    overwritten.
     """
 
     B: np.ndarray
@@ -321,7 +335,8 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
     Y, e = cs.Y, cs.e
     eigh = np.linalg.eigh
     t = np.empty(Y.shape[0])  # t = Y x, then the weights, in place
-    wY = np.empty(Y.shape, order="F")  # the rows w_k y_k, in Y's layout
+    # the rows w_k y_k of one block of the scatter, in Y's layout
+    wY = np.empty((min(Y.shape[0], block_rows(Y.shape[1])), Y.shape[1]), order="F")
     two_tangents = Y.shape[1] >= 3  # the unit sphere's tangent at x has m - 1 dimensions
     x = u
     V = u_prev = f_prev = df_prev = None
@@ -463,9 +478,10 @@ def _scatter_evd(X, center: bool):
     if not top < np.inf:
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")
     scale = math.frexp(top)[1]
-    # a new array in X's layout, which the bits of the centring's column means
-    # depend on (numpy sums pairwise only along a contiguous axis)
-    X = np.ldexp(X, -scale)
+    # a new column-major array, whatever X's layout: the chain's first Y, and
+    # the layout the bits of the centring's column means depend on (numpy
+    # sums pairwise only along a contiguous axis)
+    X = np.ldexp(X, -scale, order="F")
     if center:
         X -= X.mean(axis=0)
     # X^T X is symmetric by construction (numpy forms it with one syrk) and
@@ -497,8 +513,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     X, scale, apriori = _scatter_evd(X, cfg.center)
     p = X.shape[1]
     B = np.eye(p)
-    cs = _Complement.of(B, X)
-    del X  # the chain's column-major copy (X itself if column-major) replaces it
+    cs = _Complement.of(B, X)  # X is the chain's Y, overwritten by its steps
     data_e_max = cs.e_max
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
@@ -521,7 +536,14 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
             H, start = V[:, :-1], np.eye(len(V) - 1)[-1]
         B = cs.B @ H
         if B.shape[1] > 1:
-            cs = _Complement.of(B, (H.T @ cs.Y.T).T)  # Y H, column-major
+            # Y H, in place: each block of rows of Y is read whole before its
+            # first m - 1 columns are overwritten
+            Y = cs.Y
+            rows = block_rows(Y.shape[1])
+            for j in range(0, Y.shape[0], rows):
+                Yb = Y[j:j + rows]
+                Yb[:, :-1] = (H.T @ Yb.T).T
+            cs = _Complement.of(B, Y[:, :-1])
 
     components.append(fix_sign(B[:, 0]))
     diags.append(ComponentDiagnostics.direct("null_space"))

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from corrpca.correntropy import all_underflowed, rank_one_kernel, rank_one_weights, weighted_scatter
+from corrpca.correntropy import (
+    BLOCK_BYTES,
+    all_underflowed,
+    block_rows,
+    rank_one_kernel,
+    rank_one_weights,
+    weighted_scatter,
+)
 from corrpca.linalg import sym_evd
 from corrpca import mcpi
 from corrpca.mcpi import MCPIConfig
@@ -241,3 +248,50 @@ class TestWeightedScatter:
         S = weighted_scatter(X, w, out=out)
         assert S.tobytes() == weighted_scatter(X, w).tobytes()
         assert out.tobytes() == (w[:, None] * X).tobytes()
+
+
+class TestBlockedScatter:
+    """``weighted_scatter`` sums the products of blocks of ``block_rows(m)``
+    rows; with one block it is the one-product scatter, bit for bit."""
+
+    @staticmethod
+    def one_product(X, w):
+        return np.multiply(X.T, w) @ X
+
+    def test_block_rows_fill_the_block_bytes(self):
+        assert [block_rows(m) for m in (1, 3, 10)] == [BLOCK_BYTES // 8 // m for m in (1, 3, 10)]
+        assert block_rows(10 ** 9) == 1
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [3, 10])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 7)])
+    def test_matches_the_one_product_scatter(self, order, m, blocks, extra):
+        # n below, at and above the block rows, and two blocks and a part
+        rows = block_rows(m)
+        n = blocks * rows + extra
+        rng = np.random.default_rng(m + n)
+        X = np.asarray(rng.standard_normal((n, m)), order=order)
+        w = rng.uniform(0.0, 1.0, n)
+        S, ref = weighted_scatter(X, w), self.one_product(X, w)
+        assert np.max(np.abs(S - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if n <= rows:  # one block: the one product, also with an n-row ``out``
+            out = np.empty((n, m), order=order)
+            assert S.tobytes() == ref.tobytes() == weighted_scatter(X, w, out=out).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_holds_one_block(self, order):
+        # over one block, ``out`` is block_rows(m) x m, and a call with it
+        # gives the bits of a call without it; any other shape is a ValueError
+        m = 3
+        rows = block_rows(m)
+        n = 2 * rows + 7
+        rng = np.random.default_rng(17)
+        X = np.asarray(rng.standard_normal((n, m)), order=order)
+        w = rng.uniform(0.0, 1.0, n)
+        out = np.empty((rows, m), order=order)
+        S = weighted_scatter(X, w, out=out)
+        assert S.tobytes() == weighted_scatter(X, w).tobytes()
+        assert out[:7].tobytes() == (w[-7:, None] * X[-7:]).tobytes()
+        for shape in [(n, m), (rows - 1, m), (rows, m + 1)]:
+            with pytest.raises(ValueError):
+                weighted_scatter(X, w, out=np.empty(shape, order=order))

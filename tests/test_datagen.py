@@ -213,13 +213,26 @@ def checked_experiment(spec):
 
 class TestOutlierFactors:
     """A literal-basis draw takes the eigenvalues of the spec's scatter,
-    checked when the spec was built, without ``sym_evd``'s checks."""
+    checked when the spec was built, from ``eigh`` alone, without
+    ``sym_evd``'s checks, sort and sign rule."""
 
     @pytest.mark.parametrize("basis", ["literal", "rotated"])
     @pytest.mark.parametrize("seed", range(3))
     def test_draws_match_checked_formulas(self, basis, seed):
         spec = ExperimentSpec(n=400, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.05, nu=15.0,
                               seed=seed, outlier_basis=basis)
+        X, idx = checked_experiment(spec)
+        Y, idy = generate_experiment(spec)
+        assert Y.tobytes() == X.tobytes() and idy.tobytes() == idx.tobytes()
+
+    @pytest.mark.parametrize("scatter", [np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([4.0, 1.0, 4.0]),
+                                         np.eye(10)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_eigenvalues(self, scatter, seed):
+        # only the sequence of values is used, so the order of tied
+        # eigenvectors cannot change a draw
+        spec = ExperimentSpec(n=200, p=len(scatter), scatter=scatter, outlier_fraction=0.2,
+                              seed=seed)
         X, idx = checked_experiment(spec)
         Y, idy = generate_experiment(spec)
         assert Y.tobytes() == X.tobytes() and idy.tobytes() == idx.tobytes()
