@@ -18,6 +18,15 @@ where the largest magnitudes agree only up to rounding, as in the direction
 (1, 1, 0, -1)/sqrt(3), their last bits pick the entry, so two equivalent
 computations of one direction can come out with opposite signs.
 
+``eigh_vectors`` is the eigen-step of ``mcpi``'s outer iterations: the
+eigenvectors of a small weighted scatter, unchecked and unsigned, as
+``np.linalg.eigh`` returns them.  Every fit with p >= 2 runs one round in a
+complement of two coordinates, where ``eigh`` spends ~3.8 us per call,
+mostly in its Python wrapper, and the 2 x 2 symmetric Schur rotation in
+Python floats ~1 us (timeit, one BLAS thread), so m = 2 takes that closed
+form; its bits depend only on S, not on the LAPACK build.  m >= 3 calls
+``eigh``.
+
 These helpers run several times per fit on 3 x 3 matrices, where numpy's
 fixed cost per call outweighs the arithmetic, so they use few calls:
 ndarray-method reductions, a reversal instead of a sort, and one ``eigh`` per
@@ -26,6 +35,7 @@ complement step.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -137,6 +147,37 @@ def eigh_descending(A: np.ndarray) -> EigenPairs:
     # fix_sign on every column at once: argmax picks the lowest index on ties
     V = np.multiply(V, np.copysign(1.0, V[abs(V).argmax(axis=0), np.arange(V.shape[1])]), order="F")
     return EigenPairs(values=values[order], vectors=V)
+
+
+def eigh_vectors(S: np.ndarray) -> np.ndarray:
+    """The eigenvectors of a real, finite, symmetric m x m float matrix S,
+    unchecked, as ``np.linalg.eigh(S)[1]`` gives them: orthonormal columns
+    in ascending eigenvalue order, read from the lower triangle.
+
+    For m = 2 the symmetric Schur rotation (Golub & Van Loan, "Matrix
+    Computations", section 8.5, symSchur2) of S = [[a, b], [b, c]]:
+    tau = (c - a) / 2b, t = sign(tau) / (|tau| + sqrt(1 + tau^2)) (hypot,
+    so a huge tau gives t ~ 1 / 2 tau, not 0), cos = 1 / sqrt(1 + t^2) and
+    sin = t cos; the identity when b = 0.  The columns (cos, -sin) and
+    (sin, cos) have eigenvalues a - t b and c + t b, swapped when the first
+    is the larger.  Each is within a few ulps of ``eigh``'s column up to
+    sign, and a diagonal matrix gives ``eigh``'s bits: the identity, or the
+    exchange of the two axes when a > c.  2 b must not overflow, which
+    holds for entries below 8.9e307."""
+    if len(S) != 2:
+        return np.linalg.eigh(S)[1]
+    (a, _), (b, c) = S.tolist()
+    t = 0.0
+    cos, sin = 1.0, 0.0
+    if b != 0.0:
+        tau = (c - a) / (2.0 * b)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+        cos = 1.0 / math.sqrt(1.0 + t * t)
+        sin = t * cos
+    minus_sin = 0.0 - sin  # +0, not -0, when sin is 0, as in eigh's output
+    if a - t * b > c + t * b:
+        return np.array([[sin, cos], [cos, minus_sin]])
+    return np.array([[cos, sin], [minus_sin, cos]])
 
 
 def complement_basis(F: np.ndarray) -> np.ndarray:

@@ -76,6 +76,10 @@ keeps every weight in (0, 1].  At the floor that error reaches about 1 for
 the largest exponent, so the weights are rounding noise; the floor also lies
 far above the sizes at which an exponent overflows or 2 sigma^2 is 0.
 
+The eigen-step is ``linalg.eigh_vectors``: ``np.linalg.eigh``'s
+eigenvectors, from a closed-form 2 x 2 rotation in a complement of m = 2.
+``_fixed_point`` looks it up on the ``linalg`` module at every step, with no
+local binding, so a tracer that wraps the module attribute sees each call.
 At n = 400 and m <= 3 each of those steps is a few microseconds of
 arithmetic, so ``_fixed_point`` keeps numpy's per-call cost down and does
 once per round what a round holds fixed: it checks sigma (a ValueError
@@ -148,6 +152,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .correntropy import all_underflowed, block_rows, rank_one_kernel, weighted_scatter
 from .linalg import (
     SingularDirectionError,
@@ -320,6 +325,10 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
     ||f_k|| <= ``OUTER_TOL`` and returns g_k, so the result is always an
     eigenvector of a weighted scatter, never a mixed iterate.
 
+    Each step's eigenvectors come from ``linalg.eigh_vectors``, looked up
+    on the module every time, with no local binding, so a tracer can wrap
+    the eigen-step by name.
+
     ValueError, before any step, unless ``sigma`` is positive and finite.
     Returns (u, outer iterations, converged, underflow, V), V the m x m
     eigenvector matrix of the step whose image u is, eigenvalues ascending,
@@ -333,7 +342,6 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
     sigma = check_positive("kernel size", sigma)
     two_sigma2 = 2.0 * sigma * sigma
     Y, e = cs.Y, cs.e
-    eigh = np.linalg.eigh
     t = np.empty(Y.shape[0])  # t = Y x, then the weights, in place
     # the rows w_k y_k of one block of the scatter, in Y's layout
     wY = np.empty((min(Y.shape[0], block_rows(Y.shape[1])), Y.shape[1]), order="F")
@@ -345,7 +353,7 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
         w = rank_one_kernel(e, t, two_sigma2, out=t)
         if all_underflowed(w):
             return u, outer, False, True, V
-        V = eigh(weighted_scatter(Y, w, out=wY))[1]
+        V = linalg.eigh_vectors(weighted_scatter(Y, w, out=wY))
         u = V[:, -1]
         if u.dot(x) < 0.0:  # sign ambiguity must not stall convergence
             u = -u
@@ -533,7 +541,8 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
         if V is None:
             H, start = complement_basis(u[:, None]), None
         else:
-            H, start = V[:, :-1], np.eye(len(V) - 1)[-1]
+            H, start = V[:, :-1], np.zeros(len(V) - 1)
+            start[-1] = 1.0
         B = cs.B @ H
         if B.shape[1] > 1:
             # Y H, in place: each block of rows of Y is read whole before its

@@ -11,7 +11,7 @@ Each piece, and the production step that replaces it:
 - ``power_iteration`` (with its start-vector check ``check_unit`` and its
   ``PowerIterationResult``) iterates the deflated operator K to its dominant
   eigenvector.  ``fit`` takes the top eigenvector of the small weighted
-  scatter directly, with ``numpy.linalg.eigh``.
+  scatter directly, with ``linalg.eigh_vectors``.
 - ``orthogonalize_against`` is one Gram-Schmidt pass against the found
   components.  ``fit`` projects onto the complement instead, in the basis
   its chain of complements has reached.

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from corrpca.correntropy import weighted_scatter
 from corrpca.linalg import (
     SingularDirectionError,
     check_integer,
@@ -10,6 +11,7 @@ from corrpca.linalg import (
     check_symmetric,
     complement_basis,
     eigh_descending,
+    eigh_vectors,
     fix_sign,
     null_space_vector,
     sym_evd,
@@ -126,6 +128,78 @@ class TestSymEvd:
             for pairs in (sym_evd(A), eigh_descending(A)):
                 assert pairs.values.tobytes() == values[order].tobytes()
                 assert pairs.vectors.tobytes() == expected.tobytes()
+
+
+# 2 x 2 inputs of ``eigh_vectors`` at the edges of the Schur rotation and
+# of float64's range
+TWO_BY_TWO = {
+    "diagonal-a<c": np.diag([1.0, 2.0]),
+    "diagonal-a>c": np.diag([2.0, 1.0]),
+    "negative-b": np.array([[3.0, -1.0], [-1.0, 2.0]]),
+    "negative-b-a<c": np.array([[2.0, -1.0], [-1.0, 3.0]]),
+    "equal-diagonal": np.array([[2.0, 1.0], [1.0, 2.0]]),
+    "equal-diagonal-negative-b": np.array([[2.0, -1.0], [-1.0, 2.0]]),
+    # tau = 5e159, whose square overflows
+    "tiny-b": np.array([[1.0, 1e-160], [1e-160, 2.0]]),
+    "subnormal-b": np.array([[1.0, 5e-324], [5e-324, 2.0]]),
+    "subnormal-b-a>c": np.array([[2.0, -5e-324], [-5e-324, 1.0]]),
+    "huge": 1e300 * np.array([[3.0, 1.0], [1.0, 2.0]]),
+    "huge-diagonal": np.array([[1e300, 1e-300], [1e-300, 3e299]]),
+    "tiny": 1e-300 * np.array([[3.0, 1.0], [1.0, 2.0]]),
+    # a gemm scatter can be asymmetric by an ulp
+    "ulp-asymmetric": np.array([[3.0, np.nextafter(0.3, 1.0)], [0.3, 2.0]]),
+}
+
+
+class TestEighVectors:
+    """``eigh_vectors`` is ``np.linalg.eigh(S)[1]``: bit for bit for m >= 3,
+    and by the symmetric Schur rotation for m = 2, within a few ulps of it."""
+
+    @staticmethod
+    def check_two_by_two(S):
+        eps = np.finfo(float).eps
+        V = eigh_vectors(S)
+        ref = np.linalg.eigh(S)[1]
+        assert V.shape == (2, 2) and V.dtype == np.float64
+        assert np.max(np.abs(V.T @ V - np.eye(2))) <= 2 * eps
+        # the Rayleigh quotients of the lower triangle's matrix, ascending
+        L = np.tril(S) + np.tril(S, -1).T
+        values = np.einsum("ij,ik,kj->j", V, L, V)
+        assert values[0] <= values[1]
+        signs = np.copysign(1.0, np.sum(V * ref, axis=0))
+        assert np.max(np.abs(V - signs * ref)) <= 4 * eps
+
+    def test_weighted_scatters(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            Y = rng.standard_normal((int(rng.integers(2, 400)), 2)) * rng.uniform(0.1, 3.0, 2)
+            self.check_two_by_two(weighted_scatter(Y, rng.random(len(Y))))
+
+    @pytest.mark.parametrize("name", TWO_BY_TWO)
+    def test_edge_cases(self, name):
+        self.check_two_by_two(TWO_BY_TWO[name])
+
+    def test_reads_the_lower_triangle(self):
+        # the upper triangle's b is an ulp larger, which moves the rotation's bits
+        S = TWO_BY_TWO["ulp-asymmetric"]
+        assert eigh_vectors(S).tobytes() == eigh_vectors(np.tril(S) + np.tril(S, -1).T).tobytes()
+        assert eigh_vectors(S).tobytes() != eigh_vectors(S.T).tobytes()
+
+    def test_diagonal_matrix_is_eigh_bit_for_bit(self):
+        # a scalar matrix, the exact tie, gives the identity
+        for c in (0.0, 1.0, 3.0, -2.0, 1e-300, 1e300):
+            S = c * np.eye(2)
+            assert eigh_vectors(S).tobytes() == np.eye(2).tobytes() == np.linalg.eigh(S)[1].tobytes()
+        for S in (np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.array([[2.0, -0.0], [-0.0, 1.0]])):
+            assert eigh_vectors(S).tobytes() == np.linalg.eigh(S)[1].tobytes()
+
+    @pytest.mark.parametrize("m", [3, 10])
+    def test_larger_matrices_are_eigh_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            Y = rng.standard_normal((200, m))
+            S = weighted_scatter(Y, rng.random(200))
+            assert eigh_vectors(S).tobytes() == np.linalg.eigh(S)[1].tobytes()
 
 
 class TestCheckSymmetric:

@@ -9,7 +9,7 @@ import pytest
 
 from corrpca.datagen import ExperimentSpec, generate_experiment, sample_mvn
 from corrpca.correntropy import all_underflowed, rank_one_weights, weighted_scatter
-from corrpca import mcpi
+from corrpca import linalg, mcpi
 from corrpca.linalg import complement_basis, fix_sign, sym_evd
 from corrpca.mcpi import DegenerateInputError, MCPIConfig, fit, standard_pca
 from corrpca.metrics import component_alignment
@@ -75,7 +75,7 @@ def plain_fixed_point(cs, sigma, u, max_iter):
         w = rank_one_weights(cs.e, cs.Y @ u, sigma)
         if all_underflowed(w):
             return u, outer, False, True, V
-        V = np.linalg.eigh(weighted_scatter(cs.Y, w))[1]
+        V = linalg.eigh_vectors(weighted_scatter(cs.Y, w))
         u_new = V[:, -1]
         if float(u_new @ u) < 0.0:
             u_new = -u_new
@@ -100,7 +100,7 @@ def one_difference_fixed_point(cs, sigma, u, max_iter):
         w = rank_one_weights(cs.e, cs.Y @ x, sigma)
         if all_underflowed(w):
             return u, outer, False, True, V
-        V = np.linalg.eigh(weighted_scatter(cs.Y, w))[1]
+        V = linalg.eigh_vectors(weighted_scatter(cs.Y, w))
         u = V[:, -1]
         if float(u @ x) < 0.0:
             u = -u
@@ -123,7 +123,10 @@ def two_difference_fixed_point(cs, sigma, u, max_iter):
     """Oracle for ``mcpi._fixed_point`` written with the checked, allocating
     public helpers: ``rank_one_weights`` checks sigma on every step,
     ``weighted_scatter`` allocates its scaled rows, ``np.linalg.norm`` takes
-    the step norms, and each mixing step recomputes its differences.  The
+    the step norms, and each mixing step recomputes its differences.  Its
+    eigen-step is ``linalg.eigh_vectors``, a primitive here as in
+    ``_fixed_point``, which ``tests/test_linalg.py`` checks against
+    ``np.linalg.eigh``.  The
     next iterate is, normalised, the depth-2 mix g_k - g1 (g_k - g_{k-1})
     - g2 (g_{k-1} - g_{k-2}) when m >= 3, two differences exist, their Gram
     determinant is above 1e-2 of the product of their squared norms and
@@ -138,7 +141,7 @@ def two_difference_fixed_point(cs, sigma, u, max_iter):
         w = rank_one_weights(cs.e, cs.Y @ x, sigma)
         if all_underflowed(w):
             return u, outer, False, True, V
-        V = np.linalg.eigh(weighted_scatter(cs.Y, w))[1]
+        V = linalg.eigh_vectors(weighted_scatter(cs.Y, w))
         u = V[:, -1]
         if float(u @ x) < 0.0:
             u = -u
@@ -458,7 +461,7 @@ class TestComplementStep:
         sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
         g, steps, _, underflow, V = mcpi._fixed_point(cs, sigma, u, 1)
 
-        V_ref = np.linalg.eigh(weighted_scatter(cs.Y, rank_one_weights(cs.e, cs.Y @ u, sigma)))[1]
+        V_ref = linalg.eigh_vectors(weighted_scatter(cs.Y, rank_one_weights(cs.e, cs.Y @ u, sigma)))
         ref = V_ref[:, -1]
         if float(ref @ u) < 0.0:
             ref = -ref
@@ -607,6 +610,15 @@ class TestLeanLoop:
         assert res.apriori_eigenvalues.tobytes() == ref.apriori_eigenvalues.tobytes()
         assert res.diagnostics[:-1] == ref.diagnostics[:-1]  # the last one is direct, its final_sigma NaN
         assert res.diagnostics[-1].method == ref.diagnostics[-1].method == "null_space"
+
+    def test_every_eigen_step_goes_through_the_linalg_attribute(self, monkeypatch):
+        # so a tracer that wraps linalg.eigh_vectors sees each one
+        sizes = []
+        step = linalg.eigh_vectors
+        monkeypatch.setattr(linalg, "eigh_vectors", lambda S: sizes.append(len(S)) or step(S))
+        res = fit(outlier_data(seed=1))
+        assert len(sizes) == total_outer_iterations(res)
+        assert sorted(set(sizes)) == [2, 3]
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_bad_kernel_size_rejected_before_any_step(self, monkeypatch, sigma):
