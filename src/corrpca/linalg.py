@@ -47,8 +47,9 @@ SYMMETRY_TOL = 1e-9
 
 
 class SingularDirectionError(ValueError):
-    """A start vector lies in the span of the found components; the next
-    direction is undefined."""
+    """A vector of ``corrpca.reference``'s power iteration or Gram-Schmidt
+    pass vanished, so its direction is undefined.  Only the reference
+    raises it; ``mcpi.fit`` meets no such vector."""
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
@@ -197,10 +198,6 @@ def null_space_vector(V: np.ndarray) -> np.ndarray:
     return fix_sign(complement_basis(check_orthonormal(V, 1e-8))[:, 0])
 
 
-def __getattr__(name):
-    # bench/tracing.py resolves these two reference names on this module;
-    # imported on use, since reference imports this module.
-    if name in ("power_iteration", "orthogonalize_against"):
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Reference names that bench/tracing.py resolves here; imported last, since
+# reference imports this module.
+from .reference import orthogonalize_against, power_iteration  # noqa: E402

@@ -53,10 +53,12 @@ V[:, -1] = +-u) the chain takes H = V[:, :-1] and no ``eigh`` of its own.
 The last column of H, the scatter's second eigenvector, is the direction of
 most weighted variance left once u is taken, at the weights that found u,
 and the next component starts there, at the last axis of its coordinates:
-closer to its robust fixed point than its a-priori vector (component 2
-takes 210 outer steps on 40 samples of n = 400 with 5% outliers where it
-took 290 from there).  Its kernel size is still taken at its a-priori
-vector, so the start moves and the fixed-point problem does not.  A
+closer to its robust fixed point than its a-priori vector.  Its kernel
+size is still taken at its a-priori vector, so the start moves and the
+fixed-point problem does not.  Where the components already found span
+that vector up to rounding (a projection of norm at most sqrt(eps) onto
+the complement, as on data whose rows each lie on one axis), its
+direction there is noise, and the last axis stands in for it.  A
 component that stopped before any eigen-step finished has no V: it keeps
 its a-priori vector, the chain steps to H = ``linalg.complement_basis`` of
 the one column u (one m x m ``eigh``), and the next component starts at its
@@ -121,11 +123,12 @@ So X^T X / n cannot overflow, and no scatter is subnormal merely because the
 data are small: any finite input is fitted.  Scaling by a power of two
 commutes with rounding away from the subnormal range, so for data whose
 X^T X / n is normal every output is bit for bit that of the same arithmetic
-on the unscaled data.  Three values cross the boundary: a user ``sigma0`` is
-multiplied by 2^-e on the way in (a ValueError if that leaves float64; one
-that rounds to 0 stops the component at the floor), and on the way out each
-``final_sigma`` by 2^e and the a-priori eigenvalues by 4^e, rounded as IEEE
-does beyond float64's range.
+on the unscaled data.  Only ``fit`` and ``_result`` cross the boundary:
+``fit`` multiplies a user ``sigma0`` by 2^-e once, before the chain starts
+(a ValueError if that leaves float64; one that rounds to 0 stops every
+component at the floor), and ``_result`` multiplies each ``final_sigma`` by
+2^e and the a-priori eigenvalues by 4^e, rounded as IEEE does beyond
+float64's range.  Every component's round works at unit scale.
 
 Besides the caller's input, ``fit`` holds one n x p array, O(n) vectors and
 one block of the scatter's scaled rows.  The array is the column-major
@@ -138,11 +141,10 @@ Y at a time.  max |x| is max(max x, -min x), which allocates no abs(X).
 The peak that tracemalloc (numpy reports its allocations to it) reads
 during a fit is 2.01, 1.34 and 1.12 times the input's bytes at n = 40000
 and p = 3, 10 and 30, and 1.30 at 200000 x 10, the vectors e and t making up
-most of the rest (two n x p arrays read 2.67, 2.20, 2.07 and 2.20).  When
-n is at most one block's rows the block is n x m, and below n = 4097
-numpy's ufunc buffer adds up to 8192 values (64 kB), the weights broadcast
-over the scatter's columns: 2.64 times the input at 2000 x 10 and 3.75 at
-2000 x 3.
+most of the rest.  When n is at most one block's rows the block is n x m,
+and below n = 4097 numpy's ufunc buffer adds up to 8192 values (64 kB), the
+weights broadcast over the scatter's columns: 2.64 times the input at
+2000 x 10 and 3.75 at 2000 x 3.
 """
 
 from __future__ import annotations
@@ -154,14 +156,7 @@ import numpy as np
 
 from . import linalg
 from .correntropy import all_underflowed, block_rows, rank_one_kernel, weighted_scatter
-from .linalg import (
-    SingularDirectionError,
-    as_real,
-    check_positive,
-    complement_basis,
-    eigh_descending,
-    fix_sign,
-)
+from .linalg import as_real, check_positive, complement_basis, eigh_descending, fix_sign
 # Reference names that bench/tracing.py and tests/test_acceptance.py read here.
 from .reference import DeflationState, build_deflated_operator, woodbury_update
 
@@ -287,12 +282,19 @@ class _Complement:
         return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """Unit vector of the projection of v onto the complement, in B."""
+        """Unit vector of the projection of the unit vector v onto the
+        complement, in B.  When that projection's norm is at most sqrt(eps),
+        v lies in the span of the found components up to rounding and its
+        direction is noise, so the last axis of the coordinates stands in:
+        the start ``fit`` hands down after an eigen-step, a direction fixed
+        by the data, not by their rotation."""
         u = self.B.T @ v
-        nrm = math.sqrt(u.dot(u))  # np.linalg.norm's arithmetic, without its overhead
-        if nrm <= 1e-300:
-            raise SingularDirectionError("start vector lies in the span of the found components")
-        return u / nrm
+        nrm2 = u.dot(u)
+        if nrm2 <= EPS:
+            u = np.zeros(len(u))
+            u[-1] = 1.0
+            return u
+        return u / math.sqrt(nrm2)  # np.linalg.norm's arithmetic, without its overhead
 
 
 def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
@@ -407,55 +409,40 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     k = len(r2) // 2
     s = np.partition(r2, k)
     lo = s[k] if len(r2) % 2 else s[:k].max()
-    scale = 0.5 * (math.sqrt(lo) + math.sqrt(s[k]))
-    return KERNEL_SCALE * (scale if scale > 0.0 else math.sqrt(r2.mean()))
+    median = 0.5 * (math.sqrt(lo) + math.sqrt(s[k]))
+    return KERNEL_SCALE * (median if median > 0.0 else math.sqrt(r2.mean()))
 
 
-def _solve_component(cs: _Complement, v, cfg: MCPIConfig, scale: int,
-                     data_e_max: float | None = None, start: np.ndarray | None = None):
-    """One component: one round of ``_fixed_point`` at one kernel size, in
-    the complement ``cs`` of the components already found, from the unit
-    vector ``start`` in its coordinates, or from the a-priori vector ``v``
-    projected onto it when ``start`` is None.  ``data_e_max`` is the largest
-    row energy of the data the chain started from, ``cs.e_max`` when ``cs``
-    is that data's own complement (the default).
-
-    ``cs`` holds the input times 2^-``scale``.  The kernel size is
-    ``cfg.sigma0`` 2^-``scale`` when set (ValueError when that is beyond
-    float64), else ``_kernel_size`` at the projection of ``v``, wherever the
-    round starts, and the diagnostics are in the input's units:
-    ``final_sigma`` is that size times 2^``scale``.  Returns the direction
-    reached, in the coordinates of ``cs``, with the sign its steps produced,
-    the eigenvector matrix V of the eigen-step that produced it (V[:, -1] =
-    +-u; ``_fixed_point``), and the component's diagnostics.  When no
-    eigen-step finished, V is None and the direction is the projection of
-    ``v``, whatever ``start`` is.
+def _solve_component(cs: _Complement, v: np.ndarray, sigma: float | None, start: np.ndarray | None):
+    """One component: one round of ``_fixed_point`` in the complement ``cs``
+    of the components already found, at the kernel size ``sigma`` in the
+    units of ``cs``, or at ``_kernel_size`` at the projection of the
+    a-priori vector ``v`` when ``sigma`` is None, wherever the round starts.
+    It starts at the unit vector ``start`` in the coordinates of ``cs``, or
+    at that projection when ``start`` is None.  Returns the direction
+    reached, in those coordinates, with the sign its steps produced, the
+    eigenvector matrix V of the eigen-step that produced it (V[:, -1] =
+    +-u; ``_fixed_point``), and the component's diagnostics, whose
+    ``final_sigma`` is the round's kernel size.  When no eigen-step
+    finished, V is None and the direction is ``cs.coordinates(v)``,
+    whatever ``start`` is.
 
     The component stops early, with ``sigma_underflow`` and a NaN
-    ``final_sigma``: before the round at the floor 2 sigma^2 <= eps max e,
-    or within it when every weight underflows, keeping the direction reached
-    so far.  A complement whose max e is at most eps ``data_e_max``, below
-    the data's own rounding floor, holds no variance, only the rounding of
-    the chain's products: it stops at the floor, whatever ``cfg.sigma0`` is.
+    ``final_sigma``: before the round at the floor 2 sigma^2 <= eps max e
+    (``sigma`` = 0 always is), or within it when every weight underflows,
+    keeping the direction reached so far.
     """
     u = cs.coordinates(v)
     floor = EPS * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
-    if cs.e_max <= EPS * (cs.e_max if data_e_max is None else data_e_max):
-        sigma = 0.0  # no variance left: 2 sigma^2 = 0 is at the floor
-    elif cfg.sigma0 is None:
+    if sigma is None:
         sigma = _kernel_size(cs, u, floor)
-    else:
-        sigma = _ldexp(cfg.sigma0, -scale)
-    if sigma == math.inf:
-        raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
-                         f"2^{-scale} to max |x| < 1")
     if 2.0 * sigma * sigma <= floor:
         x, outer, converged, underflow, V = u, 0, False, True, None
     else:
         x, outer, converged, underflow, V = _fixed_point(cs, sigma, u if start is None else start,
                                                          OUTER_MAX_ITER)
     return u if V is None else x, V, ComponentDiagnostics(
-        final_sigma=math.nan if underflow else _ldexp(sigma, scale),
+        final_sigma=math.nan if underflow else sigma,
         outer_iterations=outer,
         converged=converged,
         sigma_underflow=underflow,
@@ -507,31 +494,42 @@ def _ldexp(x: float, k: int) -> float:
 
 
 def _result(components, values, scale: int, diags) -> PCAResult:
-    """The result with the eigenvalues ``values`` of the scatter of the input
-    times 2^-``scale`` mapped to the input's units, times 4^``scale``."""
+    """The result of a fit of the input times 2^-``scale``, with the
+    eigenvalues ``values`` of its scatter and each ``final_sigma`` mapped to
+    the input's units, times 4^``scale`` and 2^``scale``."""
     values = np.array([_ldexp(v, 2 * scale) for v in values.tolist()])
+    for d in diags:
+        d.final_sigma = _ldexp(d.final_sigma, scale)
     return PCAResult(components=components, apriori_eigenvalues=values, diagnostics=diags)
 
 
 def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     """Full robust decomposition, one round of outer iterations per
-    component, run on the input at unit scale (see ``PCAResult``).  ValueError when ``sigma0``
-    is beyond float64 at that scale."""
+    component, run on the input at unit scale (see ``PCAResult``).
+    ValueError, before any round, when ``sigma0`` is beyond float64 at that
+    scale."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, scale, apriori = _scatter_evd(X, cfg.center)
+    sigma0 = None if cfg.sigma0 is None else _ldexp(cfg.sigma0, -scale)
+    if sigma0 == math.inf:
+        raise ValueError(f"sigma0 = {cfg.sigma0!r} is beyond float64 once the input is scaled by "
+                         f"2^{-scale} to max |x| < 1")
     p = X.shape[1]
     B = np.eye(p)
     cs = _Complement.of(B, X)  # X is the chain's Y, overwritten by its steps
-    data_e_max = cs.e_max
+    data_floor = EPS * cs.e_max
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
     start = None
     for i in range(p - 1):
-        # the kernel size is in units of the residuals at the a-priori
-        # eigenvector, so it is the same for any n; the round starts at the
-        # axis the component before handed down, or at that vector
-        u, V, diag = _solve_component(cs, apriori.vectors[:, i], cfg, scale, data_e_max, start)
+        # the kernel size: sigma0, or None to size it at the residuals at
+        # the a-priori eigenvector (the same for any n); 0, at the floor,
+        # in a complement below the data's rounding floor, which holds
+        # only the rounding of the chain's products.  The round starts at
+        # the axis the component before handed down, or at that vector
+        sigma = 0.0 if cs.e_max <= data_floor else sigma0
+        u, V, diag = _solve_component(cs, apriori.vectors[:, i], sigma, start)
         components.append(fix_sign(cs.B @ u))
         diags.append(diag)
         # the complement of u inside this one: the other eigenvectors of its

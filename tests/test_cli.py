@@ -223,6 +223,21 @@ class TestFit:
         assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_apriori_vector_in_the_span_of_found_components_exit_0(self, tmp_path, capsys):
+        # rows each on one axis, where component 3's a-priori vector lies in
+        # the span of components 1 and 2 (tests/test_mcpi.py, axis_data)
+        rng = np.random.default_rng(1)
+        blocks = [(0, 155, 7.6), (0, 24, 22.0), (1, 284, 3.4), (2, 80, 4.4), (2, 12, 46.0), (3, 252, 2.7)]
+        X = np.vstack([np.outer(scale * rng.standard_normal(k), np.eye(4)[col]) for col, k, scale in blocks])
+        data = tmp_path / "axes.csv"
+        np.savetxt(data, X, delimiter=",", fmt="%.17g")
+        assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert all(d["converged"] for d in doc["diagnostics"])
+        V = np.array(doc["components_rows"])
+        assert np.max(np.abs(V.T @ V - np.eye(4))) <= 1e-12
+
     def test_header_flag(self, tmp_path):
         data = tmp_path / "h.csv"
         rng = np.random.default_rng(0)
@@ -231,6 +246,19 @@ class TestFit:
         assert run(
             ["fit", "--input", data, "--header", "--output", tmp_path / "r.json"]
         ) == 0
+
+
+class TestDefaultOutput:
+    @pytest.mark.parametrize("argv", [["fit", "--input", "{data}"], ["demo", "--n", 40, "--replicates", 1]])
+    def test_report_to_stdout_by_default(self, tmp_path, capsys, argv):
+        # --output defaults to "-": the strict-JSON report goes to stdout
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((40, 3)), delimiter=",")
+        assert main([str(a).format(data=data) for a in argv]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+        assert json.loads(capsys.readouterr().out, parse_constant=reject)["command"] == argv[0]
 
 
 class TestDemo:
@@ -315,6 +343,8 @@ EXIT_TABLE = [
     row("demo", ["--replicates", 0], 2),
     row("demo", ["--replicates", -1], 2),
     row("demo", ["--n", 2, "--p", 3], 3),
+    *(row("fit", ["--input", "{tmp}/" + name], 2, name)
+      for name in ("missing.csv", "text.csv", "ragged.csv")),
     *(row(c, ["--output", "{tmp}/no/such/dir/out"], 4, "unwritable-output")
       for c in ("fit", "demo", "synth")),
 ]
@@ -325,6 +355,8 @@ class TestExitCodes:
     def test_exit_code(self, tmp_path, capsys, command, flags, code):
         data = tmp_path / "data.csv"
         np.savetxt(data, np.random.default_rng(0).standard_normal((40, 3)), delimiter=",")
+        (tmp_path / "text.csv").write_text("1,2,3\n4,x,6\n7,8,9\n")
+        (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n7,8,9\n")
         argv = [command, *VALID_FLAGS[command], "--output", tmp_path / "out", *flags]
         argv = [str(a).format(data=data, tmp=tmp_path) for a in argv]
         assert main(argv) == code

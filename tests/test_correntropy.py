@@ -13,7 +13,6 @@ from corrpca.correntropy import (
 )
 from corrpca.linalg import sym_evd
 from corrpca import mcpi
-from corrpca.mcpi import MCPIConfig
 from corrpca.reference import gaussian_kernel, residual_weights
 
 
@@ -165,7 +164,7 @@ def stops_at_floor(Y, sigma, u):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcpi, "OUTER_MAX_ITER", 1)
         cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
-        return mcpi._solve_component(cs, u, MCPIConfig(sigma0=sigma), 0)[2].sigma_underflow
+        return mcpi._solve_component(cs, u, sigma, None)[2].sigma_underflow
 
 
 class TestExponentOverflows:

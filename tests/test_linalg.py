@@ -203,6 +203,11 @@ class TestEighVectors:
 
 
 class TestCheckSymmetric:
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check_symmetric(np.zeros(shape))
+
     @pytest.mark.parametrize("entries", [{(1, 1): np.inf}, {(0, 1): np.inf, (1, 0): -np.inf}])
     def test_non_finite_before_the_symmetry_test(self, entries):
         # A - A^T would be inf - inf = NaN here, with a RuntimeWarning

@@ -209,7 +209,7 @@ def ith_component(X, components, sigma, v):
     Returns (direction, diagnostics, the start it hands down:
     ``handed_down``)."""
     cs = complement_of(X, components)
-    u, V, diag = mcpi._solve_component(cs, v, MCPIConfig(sigma0=sigma), 0)
+    u, V, diag = mcpi._solve_component(cs, v, sigma, None)
     return fix_sign(cs.B @ u), diag, handed_down(cs, V)
 
 
@@ -502,6 +502,17 @@ class TestKernelSize:
         assert np.float64(got).tobytes() == np.float64(self.two_index_reference(cs, u, floor)).tobytes()
 
 
+def axis_data():
+    """807 x 4 rows, each nonzero in one column, with a few rows far out on
+    the first and third axes.  Every axis is a robust fixed point, and
+    components 1 and 2 end on the axis of component 3's a-priori vector, so
+    its projection onto their complement is 0, or rounding noise in a
+    rotated copy of the data."""
+    rng = np.random.default_rng(1)
+    blocks = [(0, 155, 7.6), (0, 24, 22.0), (1, 284, 3.4), (2, 80, 4.4), (2, 12, 46.0), (3, 252, 2.7)]
+    return np.vstack([np.outer(scale * rng.standard_normal(k), np.eye(4)[col]) for col, k, scale in blocks])
+
+
 def outlier_data(n=400, p=3, fraction=0.05, seed=5):
     scatter = DEMO_SCATTER if p == 3 else np.diag(np.arange(p, 0, -1, dtype=float))
     return generate_experiment(ExperimentSpec(n=n, p=p, scatter=scatter, outlier_fraction=fraction,
@@ -669,14 +680,14 @@ class TestComplementChain:
     components and diagnostics."""
 
     @staticmethod
-    def from_scratch_fit(X, cfg):
+    def from_scratch_fit(X):
         apriori = sym_evd(X.T @ X / X.shape[0]).vectors
         components, diags = [], []
         start = None
         for i in range(X.shape[1] - 1):
             cs = complement_of(X, components)
-            u, V, diag = mcpi._solve_component(cs, apriori[:, i], cfg, 0,
-                                               start=None if start is None else cs.coordinates(start))
+            u, V, diag = mcpi._solve_component(cs, apriori[:, i], None,
+                                               None if start is None else cs.coordinates(start))
             components.append(fix_sign(cs.B @ u))
             diags.append(diag)
             start = handed_down(cs, V)
@@ -686,9 +697,8 @@ class TestComplementChain:
     @pytest.mark.parametrize("p", [3, 10])
     def test_matches_complements_from_scratch(self, p):
         X = outlier_data(p=p, seed=3)
-        cfg = MCPIConfig()
-        V, diags = self.from_scratch_fit(X, cfg)
-        res = fit(X, cfg)
+        V, diags = self.from_scratch_fit(X)
+        res = fit(X)
         assert np.max(np.abs(res.components - V)) <= 1e-12
         # the iterated components' diagnostics; the kernel size is a median
         # taken in another basis of the same complement, so final_sigma may
@@ -1031,6 +1041,35 @@ class TestFit:
         assert (d.outer_iterations, d.converged, d.sigma_underflow) == (2, False, False)
         assert d.final_sigma == in_input_units(sigma, X)
         assert np.array_equal(cut.components[:, 0], res.components[:, 0])
+
+    def test_sigma0_beyond_float64_raises_before_any_component(self, monkeypatch):
+        def solved(*args):
+            raise AssertionError("a component was solved before sigma0 was checked")
+
+        monkeypatch.setattr(mcpi, "_solve_component", solved)
+        with pytest.raises(ValueError, match="beyond float64"):
+            fit(2.0**-1000 * outlier_data(seed=1), MCPIConfig(sigma0=1e300))
+
+    def test_apriori_vector_in_the_span_of_found_components(self):
+        # component 3's a-priori vector projects to 0 on the complement of
+        # components 1 and 2; it is sized and started at the handed-down axis
+        res = fit(axis_data())
+        assert all(d.converged for d in res.diagnostics)
+        V = res.components
+        assert np.max(np.abs(V.T @ V - np.eye(4))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_axis_data_rotation_equivariant(self, seed):
+        # in a rotated copy that projection is rounding noise, not 0; it
+        # must not set the kernel size
+        X = axis_data()
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
+        res, rotated = fit(X), fit(X @ Q.T)
+        back = Q.T @ rotated.components
+        back *= np.sign(np.sum(back * res.components, axis=0))  # equal up to sign
+        assert np.max(np.abs(back - res.components)) <= 1e-12
+        for got, want in zip(rotated.diagnostics[:-1], res.diagnostics[:-1]):
+            assert got.final_sigma == pytest.approx(want.final_sigma, rel=1e-12)
 
     def test_sigma0_underflowing_at_unit_scale_stops_at_floor(self):
         # fit works on X 2^-997 here, where sigma0 = 1e-300 is 0

@@ -48,6 +48,11 @@ class TestComponentAlignment:
         with pytest.raises(ValueError):
             component_alignment(bad, V)
 
+    def test_rejects_shape_mismatch(self):
+        # both orthonormal, of different sizes
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 3\) vs \(4, 4\)"):
+            component_alignment(np.eye(3), np.eye(4))
+
     @pytest.mark.parametrize("side", ["estimate", "truth"])
     def test_rejects_nan(self, side):
         V = np.eye(3)
