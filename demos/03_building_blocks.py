@@ -12,6 +12,7 @@ import numpy as np
 
 import corrpca as cp
 from corrpca.correntropy import rank_one_weights
+from corrpca.linalg import null_space_vector
 from corrpca.reference import DeflationState, build_deflated_operator, power_iteration, residual_weights
 
 SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
@@ -66,7 +67,7 @@ def main():
     print("\n-- last component from the null space --")
     v2 = res.vector - float(res.vector @ v) * v
     v2 /= np.linalg.norm(v2)
-    v3 = cp.null_space_vector(np.column_stack([v, v2]))
+    v3 = null_space_vector(np.column_stack([v, v2]))
     print("null-space vector:", np.round(v3, 4))
     print("max |V^T v3|:", float(np.max(np.abs(np.column_stack([v, v2]).T @ v3))))
 

@@ -23,39 +23,34 @@ UNDERFLOW_FLOOR = 1e-300
 # The bytes of one block of rows of the weighted scatter, so that the scaled
 # block is still in a 2 MiB L2 cache when the product reads it (cache
 # blocking as in Goto & van de Geijn, "Anatomy of high-performance matrix
-# multiplication", ACM TOMS 2008).  By timeit on one BLAS thread, 256 KiB
-# was the fastest of 128 KiB to 1 MiB: the scatter of 40000 x 3 rows takes
-# 79 us in it against 116 us in one product, and of 200000 x 10 rows
-# 1.78 ms against 3.85 ms.  Blocks of a fixed 1024 to 4096 rows lost at
-# m = 3, where each block costs ~2 us of Python.
+# multiplication", ACM TOMS 2008).
 BLOCK_BYTES = 256 * 1024
 
 
-def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def rank_one_weights(e: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel weight of each residual y_k - t_k u for a unit vector u.
 
     ``e`` holds the energies ||y_k||^2 and ``t`` the projections y_k . u, so
     the squared residual is e_k - t_k^2.  That difference cancels when y_k
     is nearly parallel to u; it is clamped at 0 so rounding cannot push a
     weight above 1.  Equals the kernel of (I - u u^T) y_k computed directly, up
-    to an exponent error of about eps ||y_k||^2 / (2 sigma^2).
-
-    ``out``, a float array of t's shape (it may be ``t`` itself), receives
-    the weights and is returned; without it a new array is.  Both give the
-    same bits, since every step is elementwise and in place.  ValueError
+    to an exponent error of about eps ||y_k||^2 / (2 sigma^2).  ValueError
     unless ``sigma`` is positive and finite; the arithmetic is
     ``rank_one_kernel``'s.
     """
     sigma = check_positive("kernel size", sigma)
-    return rank_one_kernel(e, t, 2.0 * sigma * sigma, out)
+    return rank_one_kernel(e, t, 2.0 * sigma * sigma)
 
 
 def rank_one_kernel(e: np.ndarray, t: np.ndarray, two_sigma2: float,
                     out: np.ndarray | None = None) -> np.ndarray:
     """``rank_one_weights`` at 2 sigma^2 = ``two_sigma2``, unchecked: the
     caller has checked sigma and formed 2 sigma^2 once, as ``mcpi`` does for
-    each component's round of outer iterations."""
+    each component's round of outer iterations.
+
+    ``out``, a float array of t's shape (it may be ``t`` itself), receives
+    the weights and is returned; without it a new array is.  Both give the
+    same bits, since every step is elementwise and in place."""
     # One temporary, updated in place.  t^2 - e = -(e - t^2) exactly, so
     # exp(min(t^2 - e, 0) / 2 sigma^2) equals exp(-max(e - t^2, 0) / 2 sigma^2)
     # bit for bit.

@@ -21,11 +21,9 @@ computations of one direction can come out with opposite signs.
 ``eigh_vectors`` is the eigen-step of ``mcpi``'s outer iterations: the
 eigenvectors of a small weighted scatter, unchecked and unsigned, as
 ``np.linalg.eigh`` returns them.  Every fit with p >= 2 runs one round in a
-complement of two coordinates, where ``eigh`` spends ~3.8 us per call,
-mostly in its Python wrapper, and the 2 x 2 symmetric Schur rotation in
-Python floats ~1 us (timeit, one BLAS thread), so m = 2 takes that closed
-form; its bits depend only on S, not on the LAPACK build.  m >= 3 calls
-``eigh``.
+complement of two coordinates, where ``eigh``'s cost is mostly its Python
+wrapper, so m = 2 takes a closed form; its bits depend only on S, not on
+the LAPACK build.  m >= 3 calls ``eigh``.
 
 These helpers run several times per fit on 3 x 3 matrices, where numpy's
 fixed cost per call outweighs the arithmetic, so they use few calls:
@@ -44,12 +42,6 @@ import numpy as np
 
 # Largest max |A - A^T| that check_symmetric (and so sym_evd) accepts.
 SYMMETRY_TOL = 1e-9
-
-
-class SingularDirectionError(ValueError):
-    """A vector of ``corrpca.reference``'s power iteration or Gram-Schmidt
-    pass vanished, so its direction is undefined.  Only the reference
-    raises it; ``mcpi.fit`` meets no such vector."""
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ Each piece, and the production step that replaces it:
   scatter directly, with ``linalg.eigh_vectors``.
 - ``orthogonalize_against`` is one Gram-Schmidt pass against the found
   components.  ``fit`` projects onto the complement instead, in the basis
-  its chain of complements has reached.
+  its chain of complements has reached.  ``power_iteration`` and
+  ``orthogonalize_against`` raise ``SingularDirectionError`` when their
+  vector vanishes; ``fit`` meets no such vector.
 - ``DeflationState``, ``woodbury_update`` and ``build_deflated_operator``
   are the paper's deflation, and ``NumericalSingularityError`` their failure.
   ``fit`` works in the coordinates of the complement of the found
@@ -35,7 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularDirectionError, check_positive
+from .linalg import check_positive
+
+
+class SingularDirectionError(ValueError):
+    """A vector of the power iteration or the Gram-Schmidt pass vanished,
+    so its direction is undefined."""
 
 
 def gaussian_kernel(e: np.ndarray, sigma: float) -> float:

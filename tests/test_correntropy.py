@@ -148,12 +148,13 @@ class TestRankOneWeights:
         u /= np.linalg.norm(u)
         e = np.einsum("ij,ij->i", Y, Y)
         for sigma in (1e-8, 0.3, 2.0):
-            expected = rank_one_weights(e, Y @ u, sigma).tobytes()
+            two_sigma2 = 2.0 * sigma * sigma
+            expected = rank_one_kernel(e, Y @ u, two_sigma2).tobytes()
             out = np.full(60, np.nan)
-            assert rank_one_weights(e, Y @ u, sigma, out=out) is out
+            assert rank_one_kernel(e, Y @ u, two_sigma2, out=out) is out
             assert out.tobytes() == expected
-            t = Y @ u  # the projections themselves as the buffer
-            assert rank_one_weights(e, t, sigma, out=t) is t
+            t = Y @ u  # the projections themselves as the buffer, as fit passes them
+            assert rank_one_kernel(e, t, two_sigma2, out=t) is t
             assert t.tobytes() == expected
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from corrpca.correntropy import weighted_scatter
 from corrpca.linalg import (
-    SingularDirectionError,
     check_integer,
     check_positive,
     check_symmetric,
@@ -16,7 +15,7 @@ from corrpca.linalg import (
     null_space_vector,
     sym_evd,
 )
-from corrpca.reference import power_iteration
+from corrpca.reference import SingularDirectionError, power_iteration
 
 DEMO_SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
 
