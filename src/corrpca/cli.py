@@ -1,14 +1,14 @@
 """Command-line entry point: fit a CSV dataset, synthesize one, or run the
 outlier-contamination demo comparing the robust fit against plain PCA.
 
-Exit codes: 0 success; 2 a bad flag or input file, decided by argparse or
-by the one ``try`` in which each command checks all its flags and inputs
-before any work; 3 degenerate input (``DegenerateInputError``: fewer rows
-than columns, or non-finite cells) and 4 a failed write (an ``OSError`` once
-the inputs are read), both decided in ``main``.  Collinear columns are
-fitted, not rejected: the component whose residuals are all 0 reports
-``sigma_underflow``, and the direction without variance is the last
-component.
+Exit codes, every one decided in ``main``: 0 success; 2 a bad flag or
+input file, found by argparse or by the command's read function, which
+checks every flag and input before any work; 3 degenerate input
+(``DegenerateInputError``: fewer rows than columns, or non-finite cells) and
+4 a failed write (an ``OSError``), both raised by the command's run
+function.  Collinear columns are fitted, not rejected: the component whose
+residuals are all 0 reports ``sigma_underflow``, and the direction without
+variance is the last component.
 
 Reports are strict JSON (RFC 8259): a non-finite float, such as the
 null-space component's ``final_sigma`` (NaN) or an eigenvalue beyond
@@ -32,7 +32,7 @@ import numpy as np
 
 from .datagen import ExperimentSpec, generate_experiment
 from .linalg import sym_evd
-from .mcpi import DegenerateInputError, MCPIConfig, PCAResult, fit, standard_pca
+from .mcpi import DegenerateInputError, MCPIConfig, fit, standard_pca
 from .metrics import component_alignment
 
 SCHEMA_VERSION = 4
@@ -95,7 +95,10 @@ def _write_matrix_csv(path: str, X: np.ndarray) -> None:
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_json(path: str | None, payload: dict) -> None:
+def _write_json(path: str | None, command: str, payload: dict) -> None:
+    """Write the report of ``command``, headed by its schema version, as
+    strict JSON to ``path``, or to stdout when that is None or "-"."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
     # NaN and Infinity, which JSON lacks, read back as None and are written as null
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -106,14 +109,6 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def _result_dict(result: PCAResult) -> dict:
-    return {
-        "components_rows": result.components.tolist(),
-        "apriori_eigenvalues": result.apriori_eigenvalues.tolist(),
-        "diagnostics": [d.as_dict() for d in result.diagnostics],
-    }
-
-
 def _experiment(args) -> ExperimentSpec:
     """The experiment of ``synth`` and ``demo`` (checked as it is built), with
     the scatter read from ``--scatter-csv`` or the default one for ``--p``."""
@@ -122,45 +117,10 @@ def _experiment(args) -> ExperimentSpec:
                           nu=args.nu, seed=args.seed, outlier_basis=args.outlier_basis)
 
 
-def cmd_fit(args) -> int:
-    try:
-        X = _read_matrix_csv(args.input, args.header)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    result = fit(X, MCPIConfig(center=args.center))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "config": {
-            "center": args.center,
-            "input": args.input,
-        },
-        "n": int(X.shape[0]),
-        "p": int(X.shape[1]),
-        **_result_dict(result),
-    }
-    _write_json(args.output, report)
-    return EXIT_OK
-
-
-def cmd_synth(args) -> int:
-    """Write the experiment's rows to ``--output`` as CSV and its spec, with
-    the outlier row indices, to ``<output>.meta.json``.
-
-    The CSV has one row per line and each cell formatted ``%.17g``, so every
-    float64 reads back to the same bits: the bytes of ``np.savetxt(output, X,
-    delimiter=",", fmt="%.17g")``.  An output ending in ``.gz``, ``.bz2`` or
-    ``.xz`` is compressed in that format, which ``fit`` reads as well."""
-    try:
-        spec = _experiment(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    X, idx = generate_experiment(spec)
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "synth",
+def _spec_dict(spec: ExperimentSpec) -> dict:
+    """The fields of an experiment, as the ``synth`` sidecar and the ``demo``
+    config write them."""
+    return {
         "seed": spec.seed,
         "n": spec.n,
         "p": spec.p,
@@ -168,11 +128,38 @@ def cmd_synth(args) -> int:
         "outlier_fraction": spec.outlier_fraction,
         "nu": spec.nu,
         "outlier_basis": spec.outlier_basis,
-        "outlier_indices": idx.tolist(),
     }
+
+
+def cmd_fit(args, X: np.ndarray) -> None:
+    result = fit(X, MCPIConfig(center=args.center))
+    _write_json(args.output, "fit", {
+        "config": {
+            "center": args.center,
+            "input": args.input,
+        },
+        "n": int(X.shape[0]),
+        "p": int(X.shape[1]),
+        "components_rows": result.components.tolist(),
+        "apriori_eigenvalues": result.apriori_eigenvalues.tolist(),
+        "diagnostics": [d.as_dict() for d in result.diagnostics],
+    })
+
+
+def cmd_synth(args, spec: ExperimentSpec) -> None:
+    """Write the experiment's rows to ``--output`` as CSV and its spec, with
+    the outlier row indices, to ``<output>.meta.json``.
+
+    The CSV has one row per line and each cell formatted ``%.17g``, so every
+    float64 reads back to the same bits: the bytes of ``np.savetxt(output, X,
+    delimiter=",", fmt="%.17g")``.  An output ending in ``.gz``, ``.bz2`` or
+    ``.xz`` is compressed in that format, which ``fit`` reads as well."""
+    X, idx = generate_experiment(spec)
     _write_matrix_csv(args.output, X)
-    _write_json(args.output + ".meta.json", sidecar)
-    return EXIT_OK
+    _write_json(args.output + ".meta.json", "synth", {
+        **_spec_dict(spec),
+        "outlier_indices": idx.tolist(),
+    })
 
 
 def _write_plot_csv(path, X, idx, eigvals, V_true, V_mcpi, V_pca) -> None:
@@ -191,72 +178,52 @@ def _write_plot_csv(path, X, idx, eigvals, V_true, V_mcpi, V_pca) -> None:
                 fh.write(f"{label},{j}," + ",".join(f"{x:.17g}" for x in d) + "\n")
 
 
-def cmd_demo(args) -> int:
-    try:
-        spec = _experiment(args)
-        if args.replicates < 1:
-            raise ValueError(f"--replicates must be >= 1, got {args.replicates}")
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    cfg = MCPIConfig(center=args.center)
+def _read_demo(args) -> ExperimentSpec:
+    """The experiment of ``demo``, once ``--replicates`` is checked too."""
+    spec = _experiment(args)
+    if args.replicates < 1:
+        raise ValueError(f"--replicates must be >= 1, got {args.replicates}")
+    return spec
+
+
+def cmd_demo(args, spec: ExperimentSpec) -> None:
     truth = sym_evd(spec.scatter)
     V_true = truth.vectors
-
     replicate_rows = []
-    mcpi_scores = np.empty((args.replicates, args.p))
-    pca_scores = np.empty((args.replicates, args.p))
-    first = None
     for r in range(args.replicates):
         rep_spec = replace(spec, seed=args.seed + r)
         X, idx = generate_experiment(rep_spec)
-        res_m = fit(X, cfg)
-        res_p = standard_pca(X, cfg.center)
-        a_m = component_alignment(res_m.components, V_true)
-        a_p = component_alignment(res_p.components, V_true)
-        mcpi_scores[r] = a_m.per_component_abs_cos
-        pca_scores[r] = a_p.per_component_abs_cos
-        if first is None:
-            first = (X, idx, res_m.components, res_p.components)
+        V_m = fit(X, MCPIConfig(center=args.center)).components
+        V_p = standard_pca(X, args.center).components
+        if r == 0:
+            plot_args = (X, idx, truth.values, V_true, V_m, V_p)
         replicate_rows.append(
             {
                 "replicate": r,
                 "seed": rep_spec.seed,
                 "n_outliers": int(idx.size),
-                "mcpi_abs_cos": a_m.per_component_abs_cos.tolist(),
-                "pca_abs_cos": a_p.per_component_abs_cos.tolist(),
+                "mcpi_abs_cos": component_alignment(V_m, V_true).per_component_abs_cos.tolist(),
+                "pca_abs_cos": component_alignment(V_p, V_true).per_component_abs_cos.tolist(),
             }
         )
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "demo",
+    aggregate = {}
+    for method in ("mcpi", "pca"):
+        scores = np.array([row[f"{method}_abs_cos"] for row in replicate_rows])
+        aggregate[f"{method}_median_abs_cos"] = np.median(scores, axis=0).tolist()
+        aggregate[f"{method}_mean_abs_cos"] = np.mean(scores, axis=0).tolist()
+    _write_json(args.output, "demo", {
         "config": {
-            "n": args.n,
-            "p": args.p,
-            "outlier_fraction": args.outlier_frac,
-            "nu": args.nu,
+            **_spec_dict(spec),
             "center": args.center,
-            "seed": args.seed,
             "replicates": args.replicates,
-            "outlier_basis": args.outlier_basis,
-            "scatter_rows": spec.scatter.tolist(),
         },
         "true_eigenvalues": truth.values.tolist(),
         "true_components_rows": V_true.tolist(),
         "replicates": replicate_rows,
-        "aggregate": {
-            "mcpi_median_abs_cos": np.median(mcpi_scores, axis=0).tolist(),
-            "mcpi_mean_abs_cos": np.mean(mcpi_scores, axis=0).tolist(),
-            "pca_median_abs_cos": np.median(pca_scores, axis=0).tolist(),
-            "pca_mean_abs_cos": np.mean(pca_scores, axis=0).tolist(),
-        },
-    }
-    _write_json(args.output, report)
+        "aggregate": aggregate,
+    })
     if args.plot_csv:
-        X, idx, V_m, V_p = first
-        _write_plot_csv(args.plot_csv, X, idx, truth.values, V_true, V_m, V_p)
-    return EXIT_OK
+        _write_plot_csv(args.plot_csv, *plot_args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--output", default="-")
     p_fit.add_argument("--header", action="store_true", help="skip one header line")
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(read=lambda args: _read_matrix_csv(args.input, args.header), run=cmd_fit)
 
     p_demo = sub.add_parser(
         "demo", parents=[config, data], help="synthetic comparison against plain PCA"
@@ -295,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--output", default="-")
     p_demo.add_argument("--plot-csv", default=None)
-    p_demo.set_defaults(func=cmd_demo)
+    p_demo.set_defaults(read=_read_demo, run=cmd_demo)
 
     p_synth = sub.add_parser("synth", parents=[data], help="write a synthetic dataset as CSV")
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--p", type=int, required=True)
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--output", required=True)
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(read=_experiment, run=cmd_synth)
 
     return parser
 
@@ -310,13 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs = args.read(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        args.run(args, inputs)
     except DegenerateInputError as err:
         print(f"error: degenerate input: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except OSError as err:  # the commands read all their inputs before this
+    except OSError as err:  # every input was read above
         print(f"error: cannot write output: {err}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -129,13 +129,11 @@ def eigh_descending(A: np.ndarray) -> EigenPairs:
     """``sym_evd`` of a real, finite, symmetric float matrix, unchecked.
 
     Eigenvalues come back in non-increasing order with ties broken by
-    LAPACK's ascending column order, so output is deterministic: ``eigh``'s
-    ascending output reversed, or stably sorted when two eigenvalues are
-    exactly equal.  The vectors are a new Fortran-ordered array.
+    LAPACK's ascending column order (a stable sort), so output is
+    deterministic.  The vectors are a new Fortran-ordered array.
     """
     values, V = np.linalg.eigh(A)
-    tied = len(set(values.tolist())) < len(values)
-    order = np.argsort(-values, kind="stable") if tied else slice(None, None, -1)
+    order = np.argsort(-values, kind="stable")
     V = V[:, order]
     # fix_sign on every column at once: argmax picks the lowest index on ties
     V = np.multiply(V, np.copysign(1.0, V[abs(V).argmax(axis=0), np.arange(V.shape[1])]), order="F")

@@ -12,7 +12,7 @@ a fixed-point map.  ``_result`` maps the scale back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,15 +75,9 @@ class ComponentDiagnostics:
         return cls(final_sigma=float("nan"), outer_iterations=0, converged=True, method=method)
 
     def as_dict(self) -> dict:
-        return {
-            "final_sigma": self.final_sigma,
-            "outer_iterations": self.outer_iterations,
-            # always 0, since the eigen-step is a direct solve; bench/run.py reads it
-            "inner_iterations": 0,
-            "converged": self.converged,
-            "sigma_underflow": self.sigma_underflow,
-            "method": self.method,
-        }
+        # inner_iterations is always 0, since the eigen-step is a direct
+        # solve; bench/run.py reads it
+        return {**asdict(self), "inner_iterations": 0}
 
 
 @dataclass
@@ -192,7 +186,6 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
             du = u - u_prev  # g_k - g_{k-1}
             dd = float(df.dot(df))
             c = float(df.dot(f))
-            mixed = False
             if df_prev is not None:
                 # least squares over both differences: the normal equations
                 # [dd a; a bb] (g1, g2) = (c, c_prev), solved by Cramer's rule
@@ -206,13 +199,12 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, max_iter: int):
                     g2 = (dd * c_prev - a * c) / det
                     if g1 < 1.0 and g1 + g2 < 0.5:  # the two-difference model contracts
                         x = u - g1 * du - g2 * du_prev
-                        x = x / math.sqrt(x.dot(x))
-                        mixed = True
-            if not mixed:
+            if x is u:
                 gamma = c / dd if 0.0 < dd < np.inf else np.inf
                 if gamma < 0.5:  # the secant model contracts: |rho| < 1
                     x = u - gamma * du
-                    x = x / math.sqrt(x.dot(x))
+            if x is not u:
+                x = x / math.sqrt(x.dot(x))
             if two_tangents:
                 df_prev, bb, du_prev = df, dd, du
         u_prev, f_prev = u, f

@@ -131,7 +131,7 @@ class TestFit:
         short.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
         assert run(["fit", "--input", short, "--output", tmp_path / "r.json"]) == 3
 
-    def test_overflowing_scatter_exit_3(self, tmp_path):
+    def test_overflowing_scatter_fitted_exit_0(self, tmp_path):
         # X^T X of the CSV overflows float64, but fit runs at unit scale
         for n in (50, 400):
             X = np.random.default_rng(1).standard_normal((n, 3))
@@ -141,7 +141,7 @@ class TestFit:
             V = np.array(json.loads((tmp_path / "r.json").read_text())["components_rows"])
             assert np.max(np.abs(V - fit(X).components)) <= 1e-12
 
-    def test_underflowing_scatter_exit_3(self, tmp_path):
+    def test_underflowing_scatter_fitted_exit_0(self, tmp_path):
         # X^T X of the CSV underflows to 0, but fit runs at unit scale
         X = np.random.default_rng(1).standard_normal((400, 3))
         tiny = tmp_path / "tiny.csv"
@@ -362,3 +362,5 @@ class TestExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        if code == 2:  # a bad flag or input is found before any work, so nothing is written
+            assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
