@@ -6,9 +6,10 @@ input file, found by argparse or by the command's read function, which
 checks every flag and input before any work; 3 degenerate input
 (``DegenerateInputError``: fewer rows than columns, or non-finite cells) and
 4 a failed write (an ``OSError``), both raised by the command's run
-function.  Collinear columns are fitted, not rejected: the component whose
-residuals are all 0 reports ``sigma_underflow``, and the direction without
-variance is the last component.
+function.  Each command writes its JSON report last, so a failed write
+leaves no report.  Collinear columns are fitted, not rejected: the
+component whose residuals are all 0 reports ``sigma_underflow``, and the
+direction without variance is the last component.
 
 Reports are strict JSON (RFC 8259): a non-finite float, such as the
 null-space component's ``final_sigma`` (NaN) or an eigenvalue beyond
@@ -26,11 +27,11 @@ import lzma
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .datagen import ExperimentSpec, generate_experiment
+from .datagen import OUTLIER_BASES, ExperimentSpec, generate_experiment
 from .linalg import sym_evd
 from .mcpi import DegenerateInputError, MCPIConfig, fit, standard_pca
 from .metrics import component_alignment
@@ -76,7 +77,11 @@ def _read_matrix_csv(path: str, header: bool = False) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty input is reported as a parse error
             X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    except (OSError, ValueError) as err:
+    except FileNotFoundError as err:  # numpy's message is the path and "not found."
+        raise ValueError(f"cannot read {path}: not found") from err
+    except OSError as err:  # strerror, when set, leaves the path out
+        raise ValueError(f"cannot read {path}: {err.strerror or err}") from err
+    except ValueError as err:
         raise ValueError(f"cannot parse {path}: {err}") from err
     if X.size == 0:
         raise ValueError(f"cannot parse {path}: empty input")
@@ -110,25 +115,20 @@ def _write_json(path: str | None, command: str, payload: dict) -> None:
 
 
 def _experiment(args) -> ExperimentSpec:
-    """The experiment of ``synth`` and ``demo`` (checked as it is built), with
-    the scatter read from ``--scatter-csv`` or the default one for ``--p``."""
+    """The experiment of ``synth`` and ``demo`` (checked as it is built): the
+    spec fields given on the command line, the spec's defaults for the rest,
+    and the scatter read from ``--scatter-csv`` or the default one for ``--p``."""
     scatter = _read_matrix_csv(args.scatter_csv) if args.scatter_csv else _default_scatter(args.p)
-    return ExperimentSpec(n=args.n, p=args.p, scatter=scatter, outlier_fraction=args.outlier_frac,
-                          nu=args.nu, seed=args.seed, outlier_basis=args.outlier_basis)
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec) if hasattr(args, f.name)}
+    return ExperimentSpec(**given, scatter=scatter)
 
 
 def _spec_dict(spec: ExperimentSpec) -> dict:
     """The fields of an experiment, as the ``synth`` sidecar and the ``demo``
-    config write them."""
-    return {
-        "seed": spec.seed,
-        "n": spec.n,
-        "p": spec.p,
-        "scatter_rows": spec.scatter.tolist(),
-        "outlier_fraction": spec.outlier_fraction,
-        "nu": spec.nu,
-        "outlier_basis": spec.outlier_basis,
-    }
+    config write them: the scatter as ``scatter_rows``."""
+    d = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    d["scatter_rows"] = d.pop("scatter").tolist()
+    return d
 
 
 def cmd_fit(args, X: np.ndarray) -> None:
@@ -191,12 +191,12 @@ def cmd_demo(args, spec: ExperimentSpec) -> None:
     V_true = truth.vectors
     replicate_rows = []
     for r in range(args.replicates):
-        rep_spec = replace(spec, seed=args.seed + r)
+        rep_spec = replace(spec, seed=spec.seed + r)
         X, idx = generate_experiment(rep_spec)
         V_m = fit(X, MCPIConfig(center=args.center)).components
         V_p = standard_pca(X, args.center).components
-        if r == 0:
-            plot_args = (X, idx, truth.values, V_true, V_m, V_p)
+        if r == 0 and args.plot_csv:
+            _write_plot_csv(args.plot_csv, X, idx, truth.values, V_true, V_m, V_p)
         replicate_rows.append(
             {
                 "replicate": r,
@@ -222,8 +222,6 @@ def cmd_demo(args, spec: ExperimentSpec) -> None:
         "replicates": replicate_rows,
         "aggregate": aggregate,
     })
-    if args.plot_csv:
-        _write_plot_csv(args.plot_csv, *plot_args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--center", action="store_true")
 
     # The ExperimentSpec options shared by synth and demo (besides --n, --p
-    # and --seed, whose defaults differ).
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--outlier-frac", type=float, default=0.0)
-    data.add_argument("--nu", type=float, default=15.0)
-    data.add_argument("--outlier-basis", choices=("literal", "rotated"), default="literal")
+    # and --seed, which synth requires).  A spec option not given, here or
+    # demo's --seed, leaves its field unset on args: the spec's default applies.
+    data = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    data.add_argument("--outlier-frac", type=float, dest="outlier_fraction", metavar="OUTLIER_FRAC")
+    data.add_argument("--nu", type=float)
+    data.add_argument("--outlier-basis", choices=OUTLIER_BASES)
     data.add_argument("--scatter-csv", default=None, help="override the p x p scatter")
 
     p_fit = sub.add_parser(
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--n", type=int, default=400)
     p_demo.add_argument("--p", type=int, default=3)
     p_demo.add_argument("--replicates", type=int, default=20)
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_demo.add_argument("--output", default="-")
     p_demo.add_argument("--plot-csv", default=None)
     p_demo.set_defaults(read=_read_demo, run=cmd_demo)

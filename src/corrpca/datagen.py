@@ -25,6 +25,11 @@ import numpy as np
 from .linalg import as_real, check_integer, check_positive, check_symmetric, is_real
 
 
+# The values of ``ExperimentSpec.outlier_basis``, and the choices of the CLI's
+# ``--outlier-basis``.
+OUTLIER_BASES = ("literal", "rotated")
+
+
 class NotPositiveDefiniteError(ValueError):
     """Cholesky found the matrix not positive definite."""
 
@@ -37,9 +42,10 @@ class ExperimentSpec:
     ``n`` rows are drawn from N(0, ``scatter``), a p x p symmetric positive
     definite matrix kept as a read-only float copy, and round(
     ``outlier_fraction`` * n) of them are replaced by outliers, all from the
-    stream seeded by ``seed``.  ``outlier_basis="literal"`` draws outliers
-    from N(0, nu diag(eigvals)), the scatter's eigenvalues on the data axes;
-    ``"rotated"`` from N(0, nu scatter).
+    stream seeded by ``seed``.  ``outlier_basis`` is one of ``OUTLIER_BASES``:
+    the literal basis draws outliers from N(0, nu diag(eigvals)), the
+    scatter's eigenvalues on the data axes; the rotated one from
+    N(0, nu scatter).
 
     Specs compare and hash by identity.  The scatter's Cholesky factor,
     computed by the check, is kept for the draws.
@@ -67,9 +73,9 @@ class ExperimentSpec:
         if not (is_real(self.outlier_fraction) and 0.0 <= self.outlier_fraction <= 1.0):
             raise ValueError(f"outlier_fraction must be in [0, 1], got {self.outlier_fraction!r}")
         check_positive("nu", self.nu)
-        if self.outlier_basis not in ("literal", "rotated"):
-            raise ValueError(
-                f"outlier_basis must be 'literal' or 'rotated', got {self.outlier_basis!r}")
+        if self.outlier_basis not in OUTLIER_BASES:
+            raise ValueError(f"outlier_basis must be {' or '.join(map(repr, OUTLIER_BASES))}, "
+                             f"got {self.outlier_basis!r}")
 
     @property
     def n_outliers(self) -> int:

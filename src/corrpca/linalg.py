@@ -27,8 +27,9 @@ the LAPACK build.  m >= 3 calls ``eigh``.
 
 These helpers run several times per fit on 3 x 3 matrices, where numpy's
 fixed cost per call outweighs the arithmetic, so they use few calls:
-ndarray-method reductions, a reversal instead of a sort, and one ``eigh`` per
-complement step.
+ndarray-method reductions, one stable sort and one sign fix for all of
+``eigh_descending``'s columns, and a chain of complements that steps with
+the last eigen-step's other eigenvectors, not a new ``eigh``.
 """
 
 from __future__ import annotations

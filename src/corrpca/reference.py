@@ -6,7 +6,7 @@ Each piece, and the production step that replaces it:
 - ``gaussian_kernel`` is the kernel of one error vector;
   ``residual_weights`` applies it to every row's residual R x_k for a p x p
   residual operator R.  ``fit`` computes the same weights in complement
-  coordinates with ``correntropy.rank_one_weights``, from the row energies
+  coordinates with ``correntropy.rank_one_kernel``, from the row energies
   and one projection per row.
 - ``power_iteration`` (with its start-vector check ``check_unit`` and its
   ``PowerIterationResult``) iterates the deflated operator K to its dominant

@@ -1,14 +1,17 @@
+import argparse
 import bz2
 import gzip
 import json
 import lzma
 import time
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from corrpca.cli import CSV_BLOCK_ROWS, _default_scatter, _read_matrix_csv, _write_matrix_csv, main
-from corrpca.datagen import ExperimentSpec, generate_experiment
+from corrpca.cli import (CSV_BLOCK_ROWS, _default_scatter, _read_matrix_csv, _write_matrix_csv,
+                         build_parser, main)
+from corrpca.datagen import OUTLIER_BASES, ExperimentSpec, generate_experiment
 from corrpca.mcpi import fit
 
 
@@ -34,6 +37,21 @@ class TestSynth:
         ) == 0
         meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
         assert len(meta["outlier_indices"]) == 20
+
+    def test_sidecar_carries_spec_defaults(self, tmp_path):
+        # the spec fields with no flag given take ExperimentSpec's defaults
+        out = tmp_path / "data.csv"
+        assert run(["synth", "--n", 40, "--p", 3, "--seed", 7, "--output", out]) == 0
+        meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
+        defaults = {f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING}
+        assert {name: meta[name] for name in defaults} == {**defaults, "seed": 7}
+
+    @pytest.mark.parametrize("command", ["synth", "demo"])
+    def test_outlier_basis_choices_are_the_spec_bases(self, command):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        action = next(a for a in commands[command]._actions if a.dest == "outlier_basis")
+        assert action.choices == OUTLIER_BASES
 
     def test_rerun_identical_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -347,6 +365,7 @@ EXIT_TABLE = [
       for name in ("missing.csv", "text.csv", "ragged.csv")),
     *(row(c, ["--output", "{tmp}/no/such/dir/out"], 4, "unwritable-output")
       for c in ("fit", "demo", "synth")),
+    row("demo", ["--plot-csv", "{tmp}/no/such/dir/p.csv"], 4, "unwritable-plot"),
 ]
 
 
@@ -362,5 +381,8 @@ class TestExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-        if code == 2:  # a bad flag or input is found before any work, so nothing is written
-            assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
+        if flags[0] == "--input":  # the unreadable input file, named once
+            assert err.count(argv[-1]) == 1
+        # a bad flag or input is found before any work, and every command
+        # writes its report last, so a failed run leaves no report
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
