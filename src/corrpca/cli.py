@@ -4,12 +4,13 @@ outlier-contamination demo comparing the robust fit against plain PCA.
 Exit codes, every one decided in ``main``: 0 success; 2 a bad flag or
 input file, found by argparse or by the command's read function, which
 checks every flag and input before any work; 3 degenerate input
-(``DegenerateInputError``: fewer rows than columns, or non-finite cells) and
-4 a failed write (an ``OSError``), both raised by the command's run
-function.  Each command writes its JSON report last, so a failed write
-leaves no report.  Collinear columns are fitted, not rejected: the
-component whose residuals are all 0 reports ``sigma_underflow``, and the
-direction without variance is the last component.
+(``DegenerateInputError``: non-finite cells) and 4 a failed write (an
+``OSError``), both raised by the command's run function.  Each command
+writes its JSON report last, so a failed write leaves no report, and
+removes the data file it wrote before a report that could not be written.
+Rank-deficient data (collinear columns, or fewer rows than columns) are
+fitted, not rejected: at rank r < p, components r to p - 1 report
+``sigma_underflow``, and the last p - r are the directions without variance.
 
 Reports are strict JSON (RFC 8259): a non-finite float, such as the
 null-space component's ``final_sigma`` (NaN) or an eigenvalue beyond
@@ -100,18 +101,25 @@ def _write_matrix_csv(path: str, X: np.ndarray) -> None:
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_json(path: str | None, command: str, payload: dict) -> None:
+def _write_json(path: str | None, command: str, payload: dict, data: str | None = None) -> None:
     """Write the report of ``command``, headed by its schema version, as
-    strict JSON to ``path``, or to stdout when that is None or "-"."""
+    strict JSON to ``path``, or to stdout when that is None or "-".  A
+    failed write removes ``data``, the data file the run wrote before its
+    report, and re-raises, so that a failed run leaves neither."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
     # NaN and Infinity, which JSON lacks, read back as None and are written as null
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if path is None or path == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    try:
+        if path is None or path == "-":
+            sys.stdout.write(text + "\n")
+        else:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+    except OSError:
+        if data:
+            os.remove(data)
+        raise
 
 
 def _experiment(args) -> ExperimentSpec:
@@ -159,7 +167,7 @@ def cmd_synth(args, spec: ExperimentSpec) -> None:
     _write_json(args.output + ".meta.json", "synth", {
         **_spec_dict(spec),
         "outlier_indices": idx.tolist(),
-    })
+    }, data=args.output)
 
 
 def _write_plot_csv(path, X, idx, eigvals, V_true, V_mcpi, V_pca) -> None:
@@ -221,7 +229,7 @@ def cmd_demo(args, spec: ExperimentSpec) -> None:
         "true_components_rows": V_true.tolist(),
         "replicates": replicate_rows,
         "aggregate": aggregate,
-    })
+    }, data=args.plot_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:

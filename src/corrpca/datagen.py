@@ -45,7 +45,9 @@ class ExperimentSpec:
     stream seeded by ``seed``.  ``outlier_basis`` is one of ``OUTLIER_BASES``:
     the literal basis draws outliers from N(0, nu diag(eigvals)), the
     scatter's eigenvalues on the data axes; the rotated one from
-    N(0, nu scatter).
+    N(0, nu scatter).  ``nu`` times the scatter's trace must be finite: for a
+    positive definite scatter the trace bounds every entry of nu scatter and
+    its largest eigenvalue, so either basis draws finite rows.
 
     Specs compare and hash by identity.  The scatter's Cholesky factor,
     computed by the check, is kept for the draws.
@@ -72,7 +74,8 @@ class ExperimentSpec:
             raise ValueError(f"bad scatter matrix: {err}") from err
         if not (is_real(self.outlier_fraction) and 0.0 <= self.outlier_fraction <= 1.0):
             raise ValueError(f"outlier_fraction must be in [0, 1], got {self.outlier_fraction!r}")
-        check_positive("nu", self.nu)
+        if not check_positive("nu", self.nu) * float(np.trace(self.scatter)) < np.inf:
+            raise ValueError(f"nu * trace(scatter) must be finite, got nu={self.nu!r}")
         if self.outlier_basis not in OUTLIER_BASES:
             raise ValueError(f"outlier_basis must be {' or '.join(map(repr, OUTLIER_BASES))}, "
                              f"got {self.outlier_basis!r}")

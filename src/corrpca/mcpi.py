@@ -34,9 +34,9 @@ EPS = np.finfo(float).eps
 
 
 class DegenerateInputError(ValueError):
-    """Input matrix is complex, not n x p with n >= p >= 1, or has non-finite
-    entries.  Neither its scale (``_scatter_evd``) nor its rank
-    (``_solve_component``) is a fault."""
+    """Input is not a finite, real, non-empty n x p matrix.  Neither its
+    scale (``_scatter_evd``) nor its rank (``_solve_component``) is a fault,
+    so n < p is fitted."""
 
 
 @dataclass(frozen=True)
@@ -281,15 +281,17 @@ def _scatter_evd(X, center: bool):
     float64), and ``_result`` the eigenvalues by 4^e and ``final_sigma`` by
     2^e, rounding as IEEE does, to inf, a subnormal or 0, without warning.
     ValueError unless ``center`` is a bool; DegenerateInputError unless X
-    is real (a complex one is not cast), n x p with n >= p >= 1 and finite."""
+    is real (a complex one is not cast), n x p with n, p >= 1 (an empty X
+    has no max) and finite.  Any n is fitted: with n < p the data have rank
+    below p, a state (``_solve_component``), not an error."""
     if not isinstance(center, (bool, np.bool_)):
         raise ValueError(f"center must be a bool, got {center!r}")
     X = as_real(X, DegenerateInputError)
     if X.ndim != 2:
         raise DegenerateInputError(f"expected an n x p matrix, got shape {X.shape}")
     n, p = X.shape
-    if n < p or p < 1:
-        raise DegenerateInputError(f"need n >= p >= 1, got n={n}, p={p}")
+    if n < 1 or p < 1:
+        raise DegenerateInputError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     top = float(max(X.max(), -X.min()))  # max |x|, without an abs(X) temporary
     if not top < np.inf:
         raise DegenerateInputError("input has non-finite entries (NaN or inf)")

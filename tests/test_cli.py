@@ -144,10 +144,20 @@ class TestFit:
         empty.write_text("")
         assert run(["fit", "--input", empty, "--output", tmp_path / "r.json"]) == 2
 
-    def test_n_less_than_p_exit_3(self, tmp_path):
+    def test_n_less_than_p_exit_0(self, tmp_path):
+        # two rows span a plane of the three coordinates: the second
+        # component stops at the floor, and the last is the plane's normal
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         short = tmp_path / "short.csv"
-        short.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-        assert run(["fit", "--input", short, "--output", tmp_path / "r.json"]) == 3
+        np.savetxt(short, X, delimiter=",")
+        assert run(["fit", "--input", short, "--output", tmp_path / "r.json"]) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["n"] == 2 and doc["p"] == 3
+        assert [d["sigma_underflow"] for d in doc["diagnostics"]] == [False, True, False]
+        assert [d["method"] for d in doc["diagnostics"]] == ["mcpi", "mcpi", "null_space"]
+        V = np.array(doc["components_rows"])
+        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(X @ V[:, 2])) <= 1e-12 * np.max(np.abs(X))
 
     def test_overflowing_scatter_fitted_exit_0(self, tmp_path):
         # X^T X of the CSV overflows float64, but fit runs at unit scale
@@ -360,12 +370,17 @@ EXIT_TABLE = [
                 ["--seed", -1])),
     row("demo", ["--replicates", 0], 2),
     row("demo", ["--replicates", -1], 2),
-    row("demo", ["--n", 2, "--p", 3], 3),
+    *(row(c, ["--nu", 1e308], 2) for c in ("synth", "demo")),
     *(row("fit", ["--input", "{tmp}/" + name], 2, name)
       for name in ("missing.csv", "text.csv", "ragged.csv")),
+    row("fit", ["--input", "{tmp}/nan.csv"], 3, "nan.csv"),
     *(row(c, ["--output", "{tmp}/no/such/dir/out"], 4, "unwritable-output")
       for c in ("fit", "demo", "synth")),
     row("demo", ["--plot-csv", "{tmp}/no/such/dir/p.csv"], 4, "unwritable-plot"),
+    # the data file is written, then its report fails: the run removes it
+    row("synth", ["--output", "{tmp}/sidecar"], 4, "unwritable-sidecar"),
+    row("demo", ["--plot-csv", "{tmp}/p.csv", "--output", "{tmp}/no/such/dir/out"], 4,
+        "plot-then-unwritable-output"),
 ]
 
 
@@ -376,13 +391,17 @@ class TestExitCodes:
         np.savetxt(data, np.random.default_rng(0).standard_normal((40, 3)), delimiter=",")
         (tmp_path / "text.csv").write_text("1,2,3\n4,x,6\n7,8,9\n")
         (tmp_path / "ragged.csv").write_text("1,2,3\n4,5\n7,8,9\n")
+        (tmp_path / "nan.csv").write_text("1,2,3\nnan,5,6\n")
+        (tmp_path / "sidecar.meta.json").mkdir()  # synth's sidecar cannot be written
         argv = [command, *VALID_FLAGS[command], "--output", tmp_path / "out", *flags]
         argv = [str(a).format(data=data, tmp=tmp_path) for a in argv]
+        before = sorted(tmp_path.iterdir())
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-        if flags[0] == "--input":  # the unreadable input file, named once
+        if flags[0] == "--input" and code == 2:  # the unreadable input file, named once
             assert err.count(argv[-1]) == 1
-        # a bad flag or input is found before any work, and every command
-        # writes its report last, so a failed run leaves no report
-        assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
+        # a bad flag or input is found before any work, every command writes
+        # its report last, and a data file written before a report that fails
+        # is removed, so a failed run leaves no file
+        assert sorted(tmp_path.iterdir()) == before

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -195,6 +196,23 @@ class TestGenerateExperiment:
         fresh = generate_experiment(ExperimentSpec(**kwargs))[0]
         assert first.tobytes() == second.tobytes() == fresh.tobytes()
         assert sample_mvn(spec).tobytes() == sample_mvn(ExperimentSpec(**kwargs)).tobytes()
+
+    @pytest.mark.parametrize("basis", ["literal", "rotated"])
+    def test_nu_whose_outliers_overflow_rejected(self, basis):
+        # trace(DEMO_SCATTER) = 18 bounds every entry of nu DEMO_SCATTER and
+        # its eigenvalues, so the largest nu with a finite nu * 18 draws
+        # finite outlier rows, and the next float up is rejected
+        kwargs = dict(n=40, p=3, scatter=DEMO_SCATTER, outlier_fraction=0.5, outlier_basis=basis)
+        nu = float(np.finfo(float).max) / 18.0
+        while not nu * 18.0 < np.inf:
+            nu = math.nextafter(nu, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, idx = generate_experiment(ExperimentSpec(**kwargs, nu=nu))
+        assert idx.size == 20 and np.isfinite(X).all()
+        for big in (math.nextafter(nu, np.inf), 1e308):
+            with pytest.raises(ValueError, match=r"^nu \* trace\(scatter\) must be finite"):
+                ExperimentSpec(**kwargs, nu=big)
 
 
 def checked_experiment(spec):

@@ -602,6 +602,18 @@ class TestTwoDifferenceCorrector:
         res = fit(X)
         assert total_outer_iterations(res) <= 0.85 * total_outer_iterations(ref)
 
+    @pytest.mark.xfail(strict=True, reason="_fixed_point mixes along two differences when m >= 3 "
+                       "coordinates, not when the data span 3 dimensions: zero columns change the "
+                       "rule, and component 4 reaches another fixed point")
+    def test_zero_columns_leave_the_fit_unchanged(self):
+        spec = ExperimentSpec(n=21, p=5, scatter=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]),
+                              outlier_fraction=0.1, seed=20)
+        X, _ = generate_experiment(spec)
+        res = fit(X, MCPIConfig(center=True))
+        padded = fit(np.hstack([X, np.zeros((21, 11))]), MCPIConfig(center=True))
+        assert not padded.components[5:, :5].any()
+        assert np.max(np.abs(padded.components[:5, :5] - res.components)) <= 1e-10
+
 
 class TestLeanLoop:
     """``_fixed_point`` checks sigma and forms 2 sigma^2 once per round and
@@ -1174,9 +1186,26 @@ class TestFit:
         ref = standard_pca(X).components
         assert np.min(np.abs(np.sum(res.components * ref, axis=0))) >= 0.99
 
-    def test_n_less_than_p_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            fit(np.ones((2, 3)), MCPIConfig())
+    def test_n_less_than_p_fitted(self):
+        # n < p is rank-deficient data: at rank r, components r to p - 1 stop
+        # at the floor, and the last p - r are orthogonal to every row
+        for X, r, flags in [(np.ones((2, 3)), 1, [True, True, False]),
+                            (np.random.default_rng(3).standard_normal((2, 3)), 2, [False, True, False])]:
+            res = fit(X, MCPIConfig())
+            V = res.components
+            assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-12
+            assert np.max(np.abs(X @ V[:, r:])) <= 1e-12 * np.max(np.abs(X))
+            assert [d.sigma_underflow for d in res.diagnostics] == flags
+
+    @pytest.mark.xfail(strict=True, reason="the floor is one ulp of a complement's e_max, but e - t^2 "
+                       "is off by a few ulps of e: a kernel sized at rounding runs a round that "
+                       "leaves the row span")
+    def test_rank_deficient_data_on_spread_column_scales_keep_the_row_span(self):
+        rng = np.random.default_rng(904)
+        X = rng.standard_normal((3, 6)) * 10.0 ** rng.integers(-5, 6, size=6)
+        X = np.vstack([X, X])  # n = p = 6, rank 3
+        V = fit(X).components
+        assert np.max(np.abs(X @ V[:, 3:])) <= 1e-8 * np.max(np.abs(X))
 
     def test_centering_flag(self):
         rng = np.random.default_rng(15)

@@ -1,14 +1,15 @@
 """Invariances of ``fit`` under row order, row signs, repeated rows, data
 scale and rotations, checked with hypothesis on small contaminated samples.
 Each draw gives one sample of p = 3 and one of p = 2: a p = 2 fit is a
-single round in a complement of m = 2, whose eigen-step is in closed form."""
+single round in a complement of m = 2, whose eigen-step is in closed form.
+Fewer rows than columns are checked on their own draws."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrpca.datagen import ExperimentSpec, generate_experiment
-from corrpca.mcpi import fit
+from corrpca.mcpi import MCPIConfig, fit, standard_pca
 
 DEMO_SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
 TWO_SCATTER = np.array([[3.0, 1.0], [1.0, 2.0]])
@@ -74,3 +75,32 @@ def test_rotation(Xs, rot_seed):
         W = fit(X @ R).components
         RV = R.T @ fit(X).components
         assert np.max(np.abs(W * np.sign(np.sum(W * RV, axis=0)) - RV)) <= TOL
+
+
+@st.composite
+def wide(draw):
+    """1 <= n < p <= 12 rows: Gaussian about a random mean, or integers in
+    [-2, 2], with ties, repeated rows and zero columns; times 2^k."""
+    p = draw(st.integers(min_value=2, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=p - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if draw(st.booleans()):
+        X = rng.standard_normal((n, p)) + 3.0 * rng.standard_normal(p)
+    else:
+        X = rng.integers(-2, 3, size=(n, p)).astype(float)
+    return X * 2.0 ** draw(st.integers(min_value=-600, max_value=600))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(X=wide(), center=st.booleans())
+def test_fewer_rows_than_columns(X, center):
+    # rank r < p is a state, not an error: finite orthonormal components, and
+    # the last p - r orthogonal to every (centred) row
+    p = X.shape[1]
+    robust = fit(X, MCPIConfig(center=center))
+    for res in (robust, standard_pca(X, center)):
+        V = res.components
+        assert np.isfinite(V).all() and np.max(np.abs(V.T @ V - np.eye(p))) <= 1e-10
+    Xc = X - X.mean(axis=0) if center else X
+    null = robust.components[:, np.linalg.matrix_rank(Xc):]
+    assert np.max(np.abs(Xc @ null), initial=0.0) <= 1e-10 * np.max(np.abs(X))
