@@ -3,6 +3,7 @@ import bz2
 import gzip
 import json
 import lzma
+import math
 import time
 from dataclasses import MISSING, fields
 
@@ -12,11 +13,18 @@ import pytest
 from corrpca.cli import (CSV_BLOCK_ROWS, _default_scatter, _read_matrix_csv, _write_matrix_csv,
                          build_parser, main)
 from corrpca.datagen import OUTLIER_BASES, ExperimentSpec, generate_experiment
-from corrpca.mcpi import fit
+from corrpca.mcpi import MCPIConfig, fit
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(text):
+    """The parsed report; NaN and infinities are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestSynth:
@@ -31,12 +39,12 @@ class TestSynth:
 
     def test_outlier_indices_listed(self, tmp_path):
         out = tmp_path / "data.csv"
-        assert run(
-            ["synth", "--n", 400, "--p", 3, "--seed", 1, "--outlier-frac", 0.05,
-             "--output", out]
-        ) == 0
-        meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
-        assert len(meta["outlier_indices"]) == 20
+        for flags, basis, count in [(["--outlier-frac", 0.05], "literal", 20),
+                                    (["--outlier-frac", 0.1, "--outlier-basis", "rotated"], "rotated", 40)]:
+            assert run(["synth", "--n", 400, "--p", 3, "--seed", 1, *flags, "--output", out]) == 0
+            meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
+            assert meta["outlier_basis"] == basis
+            assert len(meta["outlier_indices"]) == count
 
     def test_sidecar_carries_spec_defaults(self, tmp_path):
         # the spec fields with no flag given take ExperimentSpec's defaults
@@ -126,18 +134,42 @@ class TestSynthCsv:
         assert components[1] == components[0]
 
 
+# (n, p, seed, flags) of synth runs: default ones, and contaminated ones at
+# p = 2, 3 and 10, with literal and rotated outliers
+SYNTH_FITS = [
+    (120, 3, 5, []),
+    (400, 3, 1, []),
+    (400, 3, 1, ["--outlier-frac", 0.1, "--outlier-basis", "rotated"]),
+    (400, 2, 5, ["--outlier-frac", 0.05]),
+    (2000, 10, 1, ["--outlier-frac", 0.05]),
+    (20000, 10, 4, ["--outlier-frac", 0.05]),
+]
+
+
 class TestFit:
     def test_round_trip_from_synth(self, tmp_path):
+        # every component converges at a finite kernel size, the basis is
+        # orthonormal to rounding, and the report has fit's bits, plain and
+        # centred (fit of the CSV's rows, C- or column-major)
         data = tmp_path / "data.csv"
         report = tmp_path / "report.json"
-        run(["synth", "--n", 120, "--p", 3, "--seed", 5, "--output", data])
-        assert run(["fit", "--input", data, "--output", report]) == 0
-        doc = json.loads(report.read_text())
-        assert doc["schema_version"] == 4
-        assert doc["n"] == 120 and doc["p"] == 3
-        V = np.array(doc["components_rows"])
-        assert np.max(np.abs(V.T @ V - np.eye(3))) <= 1e-6
-        assert doc["config"] == {"center": False, "input": str(data)}
+        for n, p, seed, flags in SYNTH_FITS:
+            run(["synth", "--n", n, "--p", p, "--seed", seed, *flags, "--output", data])
+            X = np.loadtxt(data, delimiter=",")
+            for center, want in [(False, fit(X)),
+                                 (True, fit(np.asfortranarray(X), MCPIConfig(center=True)))]:
+                argv = ["fit", "--input", data, "--output", report] + ["--center"] * center
+                assert run(argv) == 0
+                doc = json.loads(report.read_text())
+                assert doc["schema_version"] == 4
+                assert doc["n"] == n and doc["p"] == p
+                assert doc["config"] == {"center": center, "input": str(data)}
+                assert all(d["converged"] and not d["sigma_underflow"] for d in doc["diagnostics"])
+                assert all(0.0 < d["final_sigma"] < math.inf
+                           for d in doc["diagnostics"] if d["method"] == "mcpi")
+                V = np.array(doc["components_rows"])
+                assert np.max(np.abs(V.T @ V - np.eye(p))) <= 1e-12
+                assert doc["components_rows"] == want.components.tolist()
 
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -193,20 +225,15 @@ class TestFit:
     def test_reports_are_strict_json(self, tmp_path):
         # the null-space component's final_sigma is NaN and, with --center on
         # the large-offset CSV, the eigenvalues are inf: both written as null
-        def strict(path):
-            def reject(token):
-                raise ValueError(f"{token} is not JSON")
-            return json.loads(path.read_text(), parse_constant=reject)
-
         data, offset = tmp_path / "data.csv", tmp_path / "offset.csv"
         run(["synth", "--n", 120, "--p", 3, "--seed", 5, "--output", data])
         offset.write_text("1.5e308,1e308\n1e308,-1.7e308\n-1e308,1.2e308\n")
         assert run(["fit", "--input", data, "--output", tmp_path / "r.json"]) == 0
         assert run(["fit", "--input", offset, "--center", "--output", tmp_path / "o.json"]) == 0
-        doc = strict(tmp_path / "r.json")
+        doc = strict_json((tmp_path / "r.json").read_text())
         assert doc["diagnostics"][-1]["final_sigma"] is None
         assert all(d["final_sigma"] > 0.0 for d in doc["diagnostics"][:-1])
-        assert strict(tmp_path / "o.json")["apriori_eigenvalues"] == [None, None]
+        assert strict_json((tmp_path / "o.json").read_text())["apriori_eigenvalues"] == [None, None]
 
     def test_collinear_columns_exit_0(self, tmp_path, capsys):
         # the direction without variance is fitted, and reported: the
@@ -277,16 +304,14 @@ class TestFit:
 
 
 class TestDefaultOutput:
-    @pytest.mark.parametrize("argv", [["fit", "--input", "{data}"], ["demo", "--n", 40, "--replicates", 1]])
+    @pytest.mark.parametrize("argv", [["fit", "--input", "{data}"], ["demo", "--n", 40, "--replicates", 1],
+                                      ["demo", "--n", 2, "--p", 3, "--replicates", 1]])
     def test_report_to_stdout_by_default(self, tmp_path, capsys, argv):
         # --output defaults to "-": the strict-JSON report goes to stdout
         data = tmp_path / "data.csv"
         np.savetxt(data, np.random.default_rng(0).standard_normal((40, 3)), delimiter=",")
         assert main([str(a).format(data=data) for a in argv]) == 0
-
-        def reject(token):
-            raise ValueError(f"{token} is not JSON")
-        assert json.loads(capsys.readouterr().out, parse_constant=reject)["command"] == argv[0]
+        assert strict_json(capsys.readouterr().out)["command"] == argv[0]
 
 
 class TestDemo:
@@ -297,7 +322,7 @@ class TestDemo:
             ["demo", "--n", 80, "--replicates", 2, "--seed", 0,
              "--output", out, "--plot-csv", plot]
         ) == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         agg = doc["aggregate"]
         for key in ("mcpi_median_abs_cos", "pca_median_abs_cos",
                     "mcpi_mean_abs_cos", "pca_mean_abs_cos"):
@@ -311,6 +336,12 @@ class TestDemo:
         # header + 80 samples + 3 direction sets x 3 components
         assert len(lines) == 1 + 80 + 9
         assert lines[0] == "kind,index,c1,c2,c3"
+        # the headline run, 5 replicates at 5% outliers, keeps acceptance
+        # criterion 3's floor and beats PCA on components 1 and 2
+        assert run(["demo", "--replicates", 5, "--outlier-frac", 0.05, "--output", out]) == 0
+        agg = strict_json(out.read_text())["aggregate"]
+        m, p = agg["mcpi_median_abs_cos"], agg["pca_median_abs_cos"]
+        assert min(m) >= 0.95 and m[0] > p[0] and m[1] > p[1]
 
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

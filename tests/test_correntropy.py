@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from corrpca.correntropy import (
     BLOCK_BYTES,
-    all_underflowed,
     block_rows,
     rank_one_kernel,
     rank_one_weights,
@@ -13,85 +10,7 @@ from corrpca.correntropy import (
 )
 from corrpca.linalg import sym_evd
 from corrpca import mcpi
-from corrpca.reference import gaussian_kernel, residual_weights
-
-
-class TestGaussianKernel:
-    def test_zero_error(self):
-        assert gaussian_kernel(np.zeros(3), 2.0) == 1.0
-
-    def test_analytic_exp_minus_one(self):
-        # ||e||^2 = 2 sigma^2
-        sigma = 1.7
-        e = np.array([sigma * math.sqrt(2.0), 0.0])
-        assert gaussian_kernel(e, sigma) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_analytic_3_4_5(self):
-        assert gaussian_kernel(np.array([3.0, 4.0]), 5.0) == pytest.approx(
-            math.exp(-0.5), rel=1e-12
-        )
-
-    def test_range_and_monotone(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            e = rng.standard_normal(4) * rng.uniform(0.1, 10)
-            sigma = rng.uniform(0.1, 5)
-            k = gaussian_kernel(e, sigma)
-            assert 0.0 <= k <= 1.0
-            if float(e @ e) / (2 * sigma * sigma) < 700:  # no exp underflow
-                assert k > 0.0
-            assert gaussian_kernel(1.5 * e, sigma) <= k
-
-    def test_rejects_bad_sigma(self):
-        for sigma in (0.0, -1.0, np.inf, np.nan, "1", True):
-            with pytest.raises(ValueError):
-                gaussian_kernel(np.ones(2), sigma)
-
-
-class TestResidualWeights:
-    def test_zero_residual_operator(self):
-        X = np.random.default_rng(1).standard_normal((7, 3))
-        w = residual_weights(X, np.zeros((3, 3)), 1.0)
-        assert np.array_equal(w, np.ones(7))
-
-    def test_identity_operator_equal_norms(self):
-        c = 2.0
-        X = np.array([[c, 0.0], [0.0, c], [-c, 0.0]])
-        sigma = 1.3
-        w = residual_weights(X, np.eye(2), sigma)
-        assert np.allclose(w, math.exp(-c * c / (2 * sigma * sigma)))
-
-    def test_matches_row_oracle(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((20, 4))
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        R = np.eye(4) - np.outer(v, v)
-        sigma = 0.9
-        w = residual_weights(X, R, sigma)
-        expected = np.array([gaussian_kernel(R @ x, sigma) for x in X])
-        assert np.max(np.abs(w - expected)) <= 1e-14
-
-    def test_large_sigma_all_ones(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((50, 3)) * 4.0
-        sigma = 1e6 * np.max(np.linalg.norm(X, axis=1))
-        w = residual_weights(X, np.eye(3), sigma)
-        assert np.max(np.abs(w - 1.0)) <= 1e-9
-
-    def test_scaling_invariance(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((15, 3))
-        R = np.eye(3) - 0.3 * np.ones((3, 3)) / 3
-        w1 = residual_weights(X, R, 0.7)
-        w2 = residual_weights(5.0 * X, R, 5.0 * 0.7)
-        assert np.max(np.abs(w1 - w2)) <= 1e-12
-
-    def test_underflow_detection(self):
-        X = np.full((5, 2), 100.0)
-        w = residual_weights(X, np.eye(2), 1e-3)
-        assert all_underflowed(w)
-        assert not all_underflowed(np.array([0.0, 1e-200]))
+from corrpca.reference import residual_weights
 
 
 class TestRankOneWeights:

@@ -15,7 +15,6 @@ from corrpca.linalg import (
     null_space_vector,
     sym_evd,
 )
-from corrpca.reference import SingularDirectionError, power_iteration
 
 DEMO_SCATTER = np.array([[8.0, 3.0, -1.0], [3.0, 4.0, -2.0], [-1.0, -2.0, 6.0]])
 
@@ -217,49 +216,6 @@ class TestCheckSymmetric:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
                 check_symmetric(A)
-
-
-class TestPowerIteration:
-    def test_dominant_axis(self):
-        res = power_iteration(np.diag([3.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2), 1e-12, 500)
-        assert res.converged
-        assert np.allclose(np.abs(res.vector), [1.0, 0.0], atol=1e-6)
-
-    def test_identity_fixed_point(self):
-        v0 = np.array([0.6, 0.8])
-        res = power_iteration(np.eye(2), v0, 1e-12, 10)
-        assert res.converged and res.iterations == 1
-        assert np.allclose(res.vector, v0)
-
-    def test_matches_evd_on_psd(self):
-        rng = np.random.default_rng(3)
-        B = rng.standard_normal((5, 5))
-        K = B @ B.T
-        top = sym_evd(K).vectors[:, 0]
-        v0 = rng.standard_normal(5)
-        v0 /= np.linalg.norm(v0)
-        res = power_iteration(K, v0, 1e-13, 5000)
-        assert abs(float(res.vector @ top)) >= 1.0 - 1e-6
-
-    def test_unit_norm_output(self):
-        rng = np.random.default_rng(5)
-        K = rng.standard_normal((4, 4))
-        v0 = np.zeros(4)
-        v0[0] = 1.0
-        res = power_iteration(K, v0, 1e-10, 200)
-        assert abs(np.linalg.norm(res.vector) - 1.0) <= 1e-12
-
-    def test_singular_direction(self):
-        with pytest.raises(SingularDirectionError):
-            power_iteration(np.zeros((2, 2)), np.array([1.0, 0.0]), 1e-10, 10)
-
-    def test_rejects_non_unit_start(self):
-        with pytest.raises(ValueError):
-            power_iteration(np.eye(2), np.array([1.0, 1.0]), 1e-10, 10)
-
-    def test_rejects_nan_start(self):
-        with pytest.raises(ValueError, match="unit vector"):
-            power_iteration(np.eye(3), np.array([np.nan, 0.0, 0.0]), 1e-10, 10)
 
 
 class TestNullSpaceVector:
