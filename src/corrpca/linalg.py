@@ -84,12 +84,15 @@ def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
 
 
 def as_real(A, error: type[ValueError] = ValueError) -> np.ndarray:
-    """A as a float array, or ``error`` for a complex dtype, raised before
-    the cast, which would keep only the real part."""
-    A = np.asarray(A)
-    if np.iscomplexobj(A):
-        raise error(f"expected a real matrix, got dtype {A.dtype}")
-    return np.asarray(A, dtype=float)
+    """A as a float array; ``error``, from numpy's, if numpy cannot make one,
+    or for a complex dtype, before a cast would keep only the real part."""
+    try:
+        A = np.asarray(A)
+        if not np.iscomplexobj(A):
+            return np.asarray(A, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise error(f"expected a real numeric matrix: {err}") from err
+    raise error(f"expected a real matrix, got dtype {A.dtype}")
 
 
 def check_symmetric(A: np.ndarray) -> np.ndarray:
@@ -134,6 +137,8 @@ def eigh_descending(A: np.ndarray) -> EigenPairs:
     deterministic.  The vectors are a new Fortran-ordered array.
     """
     values, V = np.linalg.eigh(A)
+    if not len(values):  # 0 x 0, empty as in eigh: argmax has no empty reduction
+        return EigenPairs(values=values, vectors=V)
     order = np.argsort(-values, kind="stable")
     V = V[:, order]
     # fix_sign on every column at once: argmax picks the lowest index on ties

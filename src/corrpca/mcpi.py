@@ -139,11 +139,9 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
     next iterate is, normalised, the first that applies of these Anderson
     mixes (Walker & Ni, SIAM J. Numer. Anal. 2011):
 
-    - depth 2, g_k - g1 (g_k - g_{k-1}) - g2 (g_{k-1} - g_{k-2}), (g1, g2)
-      the least-squares fit of f_k by df_k and df_{k-1}, when m >= 3 (at
-      m = 2 one difference spans the unit sphere's tangent), the Gram
-      determinant exceeds 1e-2 ||df_k||^2 ||df_{k-1}||^2, g1 < 1 and
-      g1 + g2 < 1/2;
+    - depth 2, g_k - g1 (g_k - g_{k-1}) - g2 (g_{k-1} - g_{k-2}), (g1, g2) the
+      least-squares fit of f_k by df_k and df_{k-1}, once both exist, when their
+      Gram determinant exceeds 1e-2 ||df_k||^2 ||df_{k-1}||^2, g1 < 1, g1 + g2 < 1/2;
     - depth 1, g_k - gamma (g_k - g_{k-1}), gamma = df_k.f_k / df_k.df_k,
       when df_k.df_k is positive and finite and gamma < 1/2: a map scaling f
       by rho along df_k has gamma = rho / (rho - 1), so this is |rho| < 1;
@@ -164,7 +162,6 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
     two_sigma2 = 2.0 * sigma * sigma
     Y, e = cs.Y, cs.e
     t = np.empty(Y.shape[0])  # t = Y x, then the weights, in place
-    two_tangents = Y.shape[1] >= 3  # the unit sphere's tangent at x has m - 1 dimensions
     x = u
     V = u_prev = f_prev = df_prev = None
     for outer in range(OUTER_MAX_ITER):
@@ -186,10 +183,8 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
             dd = float(df.dot(df))
             c = float(df.dot(f))
             if df_prev is not None:
-                # least squares over both differences: the normal equations
-                # [dd a; a bb] (g1, g2) = (c, c_prev), solved by Cramer's rule
-                # when the two differences are far from parallel; bb and
-                # g_{k-1} - g_{k-2} are the last step's dd and du
+                # least squares over both differences, [dd a; a bb] (g1, g2) = (c, c_prev)
+                # by Cramer's rule; bb and du_prev are the last step's dd and du
                 a = float(df.dot(df_prev))
                 det = dd * bb - a * a
                 if det > 1e-2 * dd * bb:
@@ -204,8 +199,7 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
                     x = u - gamma * du
             if x is not u:
                 x = x / math.sqrt(x.dot(x))
-            if two_tangents:
-                df_prev, bb, du_prev = df, dd, du
+            df_prev, bb, du_prev = df, dd, du
         u_prev, f_prev = u, f
     return u, OUTER_MAX_ITER, False, False, V
 

@@ -159,13 +159,14 @@ class TestGenerateExperiment:
         spec = ExperimentSpec(n=np.int64(10), p=np.int32(3), scatter=DEMO_SCATTER, seed=np.uint8(4))
         assert generate_experiment(spec)[0].shape == (10, 3)
 
-    @pytest.mark.parametrize("kind", ["non_pd", "non_symmetric", "nan", "wrong_shape"])
+    @pytest.mark.parametrize("kind", ["non_pd", "non_symmetric", "nan", "wrong_shape", "not_a_matrix"])
     def test_bad_scatter_rejected_at_construction(self, kind):
         scatter = {
             "non_pd": [[1.0, 2.0], [2.0, 1.0]],
             "non_symmetric": [[2.0, 1.0], [0.0, 2.0]],
             "nan": [[2.0, 0.0], [0.0, np.nan]],
             "wrong_shape": np.eye(3),
+            "not_a_matrix": {"a": 1},
         }[kind]
         with pytest.raises(ValueError, match="^bad scatter matrix: "):
             ExperimentSpec(n=10, p=2, scatter=scatter)

@@ -102,6 +102,11 @@ class TestSymEvd:
         pairs = sym_evd(np.zeros((3, 3)))
         assert np.array_equal(pairs.values, np.zeros(3))
 
+    def test_empty_matrix(self):
+        # check_symmetric accepts 0 x 0; its spectrum is empty, as in eigh's
+        pairs = sym_evd(np.zeros((0, 0)))
+        assert pairs.values.shape == (0,) and pairs.vectors.shape == (0, 0)
+
     def test_tied_entries_lowest_index_positive(self):
         # both eigenvectors have entries of equal magnitude, +-1/sqrt(2)
         V = sym_evd(np.array([[0.0, 1.0], [1.0, 0.0]])).vectors

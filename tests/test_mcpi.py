@@ -74,9 +74,9 @@ def reference_fixed_point(cs, sigma, u, depth):
     f_k = g_k - x_k and df = f_k - f_{k-1}, the next iterate is, normalised:
 
     - at depth 2 (``_fixed_point``'s rule), the mix g_k - g1 (g_k - g_{k-1})
-      - g2 (g_{k-1} - g_{k-2}) when m >= 3, two differences exist, their
-      Gram determinant is above 1e-2 of the product of their squared norms
-      and g1 < 1, g1 + g2 < 1/2;
+      - g2 (g_{k-1} - g_{k-2}) when two differences exist, their Gram
+      determinant is above 1e-2 of the product of their squared norms and
+      g1 < 1, g1 + g2 < 1/2;
     - at depth 1 or 2, else the secant mix g_k - gamma (g_k - g_{k-1}),
       gamma = df.f_k / df.df, when gamma < 1/2;
     - else g_k, which depth 0, the plain loop, always takes.
@@ -106,7 +106,7 @@ def reference_fixed_point(cs, sigma, u, depth):
             dd = float(df @ df)
             c = float(df @ f[-1])
             mixed = False
-            if depth >= 2 and cs.Y.shape[1] >= 3 and len(f) >= 3:
+            if depth >= 2 and len(f) >= 3:
                 df_prev = f[-2] - f[-3]
                 bb = float(df_prev @ df_prev)
                 a = float(df @ df_prev)
@@ -461,17 +461,8 @@ class TestSecantCorrector:
 
 
 class TestTwoDifferenceCorrector:
-    """``fit``, whose corrector mixes along two differences on complements
-    with m >= 3, against ``fit`` with the one-difference loop swapped in."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_two_dimensional_complement_is_the_one_difference_loop(self, monkeypatch, seed):
-        # p = 2 leaves only m = 2 rounds, whose tangent has one dimension
-        X = outlier_data(p=2, seed=seed)
-        ref = fit_with(monkeypatch, X, 1)
-        res = fit(X)
-        assert res.components.tobytes() == ref.components.tobytes()
-        assert res.diagnostics[:-1] == ref.diagnostics[:-1]  # the last one is direct, its final_sigma NaN
+    """``fit``, whose corrector mixes along two differences wherever two
+    exist, against ``fit`` with the one-difference loop swapped in."""
 
     @pytest.mark.parametrize(
         "n, p, fraction, seed",
@@ -490,9 +481,6 @@ class TestTwoDifferenceCorrector:
         res = fit(X)
         assert total_outer_iterations(res) <= 0.85 * total_outer_iterations(ref)
 
-    @pytest.mark.xfail(strict=True, reason="_fixed_point mixes along two differences when m >= 3 "
-                       "coordinates, not when the data span 3 dimensions: zero columns change the "
-                       "rule, and component 4 reaches another fixed point")
     def test_zero_columns_leave_the_fit_unchanged(self):
         spec = ExperimentSpec(n=21, p=5, scatter=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]),
                               outlier_fraction=0.1, seed=20)
@@ -511,10 +499,12 @@ class TestLeanLoop:
 
     @pytest.mark.parametrize(
         "n, p, fraction, seed",
-        ORACLE_CASES + [pytest.param(2000, 10, 0.05, seed, id=f"p10-n2000-seed{seed}") for seed in range(2)],
+        ORACLE_CASES
+        + [pytest.param(2000, 10, 0.05, seed, id=f"p10-n2000-seed{seed}") for seed in range(2)]
+        + [pytest.param(400, 2, 0.05, seed, id=f"p2-seed{seed}") for seed in range(4)],
     )
     def test_fit_matches_checked_loop_bit_for_bit(self, monkeypatch, n, p, fraction, seed):
-        # every p >= 3 case starts its chain in a complement of m >= 3
+        # the p = 2 cases run only rounds of m = 2, which mix at depth 2 too
         X = outlier_data(n, p, fraction, seed)
         ref = fit_with(monkeypatch, X, 2)
         res = fit(X)
@@ -875,6 +865,12 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateInputError, match="complex128"):
                 fit(X)
+
+    @pytest.mark.parametrize("X", [{"a": 1}, [[1.0, 2.0], [3.0]], [["a", "b"]]], ids=["dict", "ragged", "text"])
+    def test_not_numeric_rejected(self, X):
+        # numpy's TypeError or ValueError, raised as the documented error
+        with pytest.raises(DegenerateInputError, match="expected a real numeric matrix"):
+            fit(X)
 
     def test_overflowing_scatter_fitted(self):
         # X^T X of the input overflows float64 (at n=400 to inf - inf = NaN),

@@ -2,6 +2,7 @@
 scale and rotations, checked with hypothesis on small contaminated samples.
 Each draw gives one sample of p = 3 and one of p = 2: a p = 2 fit is a
 single round in a complement of m = 2, whose eigen-step is in closed form.
+Zero columns appended to those samples leave their components in place.
 Fewer rows than columns are checked on their own draws."""
 
 import numpy as np
@@ -75,6 +76,24 @@ def test_rotation(Xs, rot_seed):
         W = fit(X @ R).components
         RV = R.T @ fit(X).components
         assert np.max(np.abs(W * np.sign(np.sum(W * RV, axis=0)) - RV)) <= TOL
+
+
+@few
+@given(Xs=samples, zeros=st.integers(min_value=1, max_value=12), center=st.booleans())
+def test_zero_columns(Xs, zeros, center):
+    # columns the data do not span change no component's path: the first p
+    # components are fit(X)'s with zeros appended, and each round but the
+    # last, which fit(X) solves directly, takes the same steps
+    cfg = MCPIConfig(center=center)
+    for X in Xs:
+        p = X.shape[1]
+        res = fit(X, cfg)
+        padded = fit(np.hstack([X, np.zeros((X.shape[0], zeros))]), cfg)
+        assert np.max(np.abs(padded.components[:p, :p] - res.components)) <= TOL
+        assert not padded.components[p:, :p].any()
+        for d, pd in zip(res.diagnostics[:p - 1], padded.diagnostics):
+            assert (pd.outer_iterations, pd.converged, pd.sigma_underflow) == (
+                d.outer_iterations, d.converged, d.sigma_underflow)
 
 
 @st.composite
