@@ -11,12 +11,13 @@ of complements with it past a component that stopped before any
 eigen-step (every other step reuses that step's eigenvectors), and
 ``null_space_vector`` gives the unit vector orthogonal to p - 1 given
 orthonormal columns.  All eigenvector outputs follow a single sign
-convention: each vector is flipped so that its entry of largest absolute
-value is positive (lowest index wins ties), which makes results
-deterministic and regression-testable.  The tie rule sees exact ties only:
-where the largest magnitudes agree only up to rounding, as in the direction
-(1, 1, 0, -1)/sqrt(3), their last bits pick the entry, so two equivalent
-computations of one direction can come out with opposite signs.
+convention, coded once in ``fix_sign``: each vector is flipped so that its
+entry of largest absolute value is positive (lowest index wins ties), which
+makes results deterministic and regression-testable.  The tie rule sees
+exact ties only: where the largest magnitudes agree only up to rounding, as
+in the direction (1, 1, 0, -1)/sqrt(3), their last bits pick the entry, so
+two equivalent computations of one direction can come out with opposite
+signs.
 
 ``eigh_vectors`` is the eigen-step of ``mcpi``'s outer iterations: the
 eigenvectors of a small weighted scatter, unchecked and unsigned, as
@@ -27,8 +28,8 @@ the LAPACK build.  m >= 3 calls ``eigh``.
 
 These helpers run several times per fit on 3 x 3 matrices, where numpy's
 fixed cost per call outweighs the arithmetic, so they use few calls:
-ndarray-method reductions, one stable sort and one sign fix for all of
-``eigh_descending``'s columns, and a chain of complements that steps with
+ndarray-method reductions, one stable sort and one ``fix_sign`` call for
+all of a matrix's columns, and a chain of complements that steps with
 the last eigen-step's other eigenvectors, not a new ``eigh``.
 """
 
@@ -45,13 +46,17 @@ import numpy as np
 SYMMETRY_TOL = 1e-9
 
 
-def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip v so its largest-magnitude entry is positive (ties: lowest index).
+def fix_sign(V: np.ndarray) -> np.ndarray:
+    """A vector, or each column of a non-empty matrix, flipped so its
+    largest-magnitude entry is positive (ties: lowest index), as a new array
+    in V's memory order: each column gets the bits it gets alone.
 
     Only exact ties go to the lowest index.  Entries whose magnitudes tie up
     to rounding, like those of (1, 1, 0, -1)/sqrt(3), are ranked by their last
     bits, so equivalent arithmetic can give either sign."""
-    return -v if v[abs(v).argmax()] < 0.0 else v
+    # each column's first largest |entry|: its row and, in a matrix, its column
+    top = V[(abs(V).argmax(axis=0), *map(np.arange, V.shape[1:]))]
+    return V * np.copysign(1.0, top)
 
 
 def is_real(value) -> bool:
@@ -74,9 +79,11 @@ def check_positive(name: str, value) -> float:
 
 
 def check_orthonormal(V: np.ndarray, tol: float) -> np.ndarray:
-    """V as a float array, or ValueError unless max |V^T V - I| <= tol; a NaN
-    entry fails."""
+    """V as a float array, or ValueError unless it is a matrix with
+    max |V^T V - I| <= tol; a NaN entry fails."""
     V = np.asarray(V, dtype=float)
+    if V.ndim != 2:
+        raise ValueError(f"expected a matrix of column vectors, got shape {V.shape}")
     dev = abs(V.T @ V - np.eye(V.shape[1])).max(initial=0.0)
     if not dev <= tol:
         raise ValueError(f"columns not orthonormal: max |V^T V - I| = {dev:g}")
@@ -134,16 +141,14 @@ def eigh_descending(A: np.ndarray) -> EigenPairs:
 
     Eigenvalues come back in non-increasing order with ties broken by
     LAPACK's ascending column order (a stable sort), so output is
-    deterministic.  The vectors are a new Fortran-ordered array.
+    deterministic.  The vectors are a new Fortran-ordered array, its
+    columns signed by one ``fix_sign`` call.
     """
     values, V = np.linalg.eigh(A)
     if not len(values):  # 0 x 0, empty as in eigh: argmax has no empty reduction
         return EigenPairs(values=values, vectors=V)
     order = np.argsort(-values, kind="stable")
-    V = V[:, order]
-    # fix_sign on every column at once: argmax picks the lowest index on ties
-    V = np.multiply(V, np.copysign(1.0, V[abs(V).argmax(axis=0), np.arange(V.shape[1])]), order="F")
-    return EigenPairs(values=values[order], vectors=V)
+    return EigenPairs(values=values[order], vectors=fix_sign(np.asfortranarray(V[:, order])))
 
 
 def eigh_vectors(S: np.ndarray) -> np.ndarray:

@@ -58,10 +58,10 @@ class MCPIConfig:
 
 @dataclass
 class ComponentDiagnostics:
-    """How one component was found: the outer steps of its round, its kernel
-    size (NaN when stopped early), whether it met ``OUTER_TOL`` within
-    ``OUTER_MAX_ITER`` steps, and ``sigma_underflow`` for an early stop
-    (``_solve_component``)."""
+    """How one component was found, recorded by ``_fixed_point`` where its
+    round ends: its outer steps, its kernel size (NaN when stopped early),
+    whether it met ``OUTER_TOL`` within ``OUTER_MAX_ITER`` steps, and
+    ``sigma_underflow`` for an early stop (at the floor, ``_solve_component``)."""
 
     final_sigma: float
     outer_iterations: int
@@ -152,11 +152,11 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
     at every step, so a tracer can wrap the eigen-step by name.  sigma is
     checked (a ValueError before any step) and 2 sigma^2 formed once, and
     one buffer, of t and then the weights, serves every step: each iterate
-    has the bits of the checked, allocating calls.  Returns (u, outer
-    iterations, converged, underflow, V), V the step's m x m eigenvectors,
+    has the bits of the checked, allocating calls.  Returns (u, V, the
+    round's ``ComponentDiagnostics``), V the last step's m x m eigenvectors,
     ascending, so V[:, -1] = +-u.  When every weight underflows, u is the
     last g_k that had weights, or the start, with V None, when that is the
-    first step.
+    first step, and the record has ``sigma_underflow`` and a NaN kernel size.
     """
     sigma = check_positive("kernel size", sigma)
     two_sigma2 = 2.0 * sigma * sigma
@@ -168,14 +168,14 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
         np.dot(Y, x, out=t)
         w = rank_one_kernel(e, t, two_sigma2, out=t)
         if all_underflowed(w):
-            return u, outer, False, True, V
+            return u, V, ComponentDiagnostics(math.nan, outer, converged=False, sigma_underflow=True)
         V = linalg.eigh_vectors(weighted_scatter(Y, w))
         u = V[:, -1]
         if u.dot(x) < 0.0:  # sign ambiguity must not stall convergence
             u = -u
         f = u - x
         if math.sqrt(f.dot(f)) <= OUTER_TOL:  # np.linalg.norm's arithmetic, without its overhead
-            return u, outer + 1, True, False, V
+            return u, V, ComponentDiagnostics(sigma, outer + 1, converged=True)
         x = u
         if f_prev is not None:
             df = f - f_prev
@@ -201,7 +201,7 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
                 x = x / math.sqrt(x.dot(x))
             df_prev, bb, du_prev = df, dd, du
         u_prev, f_prev = u, f
-    return u, OUTER_MAX_ITER, False, False, V
+    return u, V, ComponentDiagnostics(sigma, OUTER_MAX_ITER, converged=False)
 
 
 def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
@@ -228,36 +228,29 @@ def _solve_component(cs: _Complement, v: np.ndarray, sigma: float | None, start:
     """One component in the complement ``cs``: one round of ``_fixed_point``
     at ``sigma`` (in the units of ``cs``), or at ``_kernel_size`` at the
     projection of the a-priori vector ``v`` when None, from ``start``, or
-    from that projection when None.  Returns the direction in the
-    coordinates of ``cs``, not yet sign-fixed, the V of its last eigen-step
-    (None, with the projection of ``v``, when no step finished) and the
-    component's diagnostics.
+    from that projection when None.  Returns the round's (u, V,
+    diagnostics), u unsigned, and u the projection of ``v`` when no
+    eigen-step finished (V None).
 
     At the floor 2 sigma^2 <= eps max e the exponent's error reaches about
     1, so the weights are noise; the floor lies far above exponent overflow
-    and 2 sigma^2 = 0.  There, or when every weight underflows, the
-    component stops early, with ``sigma_underflow``, ``converged=False`` and
-    a NaN ``final_sigma``.  Rank deficiency is that state, not an error: a
-    component with no variance off its a-priori vector stops at the floor
-    and keeps it.  With rank r < p and a sized kernel that is the r-th.
-    ``fit`` stops each later one, whose complement holds only rounding,
-    before any round, so no sigma0 fits that noise.  The last component is
-    never flagged.
+    and 2 sigma^2 = 0.  There the component stops before its round, with
+    the record of a round whose first weights all underflow: 0 steps,
+    ``sigma_underflow`` and a NaN ``final_sigma``.  Rank deficiency is that
+    state, not an error: a component with no variance off its a-priori
+    vector stops at the floor and keeps it.  With rank r < p and a sized
+    kernel that is the r-th.  ``fit`` stops each later one, whose complement
+    holds only rounding, before any round, so no sigma0 fits that noise.
+    The last component is never flagged.
     """
     u = cs.coordinates(v)
     floor = EPS * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
     if sigma is None:
         sigma = _kernel_size(cs, u, floor)
     if 2.0 * sigma * sigma <= floor:
-        x, outer, converged, underflow, V = u, 0, False, True, None
-    else:
-        x, outer, converged, underflow, V = _fixed_point(cs, sigma, u if start is None else start)
-    return u if V is None else x, V, ComponentDiagnostics(
-        final_sigma=math.nan if underflow else sigma,
-        outer_iterations=outer,
-        converged=converged,
-        sigma_underflow=underflow,
-    )
+        return u, None, ComponentDiagnostics(math.nan, 0, converged=False, sigma_underflow=True)
+    x, V, diag = _fixed_point(cs, sigma, u if start is None else start)
+    return u if V is None else x, V, diag
 
 
 def _scatter_evd(X, center: bool):
@@ -330,8 +323,8 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     weighted variance left; its kernel is still sized at its a-priori
     vector.  Without V, H = ``complement_basis(u)`` and the next starts at
     its a-priori vector.  The last component is B once m = 1.  Each is B u,
-    signed by ``fix_sign``.  Besides the input, a fit holds one n x p array,
-    O(n) vectors and one block of the scatter's scaled rows."""
+    and ``fix_sign`` signs their p x p matrix once.  Besides the input, a
+    fit holds one n x p array, O(n) vectors and one block of scaled rows."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, scale, apriori = _scatter_evd(X, cfg.center)
     sigma0 = None if cfg.sigma0 is None else _ldexp(cfg.sigma0, -scale)
@@ -351,7 +344,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
         # below the data's rounding floor (``_solve_component``)
         sigma = 0.0 if cs.e_max <= data_floor else sigma0
         u, V, diag = _solve_component(cs, apriori.vectors[:, i], sigma, start)
-        components.append(fix_sign(cs.B @ u))
+        components.append(cs.B @ u)
         diags.append(diag)
         if V is None:
             H, start = complement_basis(u[:, None]), None
@@ -369,9 +362,9 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
                 Yb[:, :-1] = (H.T @ Yb.T).T
             cs = _Complement.of(B, Y[:, :-1])
 
-    components.append(fix_sign(B[:, 0]))
+    components.append(B[:, 0])
     diags.append(ComponentDiagnostics.direct("null_space"))
-    return _result(np.column_stack(components), apriori.values, scale, diags)
+    return _result(fix_sign(np.column_stack(components)), apriori.values, scale, diags)
 
 
 def standard_pca(X, center: bool = False) -> PCAResult:

@@ -115,8 +115,10 @@ class TestSymEvd:
 
     def test_sign_matches_fix_sign_per_column(self):
         # exact ties keep LAPACK's ascending column order: eigh lists
-        # diag(1, 2, 1)'s vectors as e1, e3, e2, and reversing would put e3 first
-        matrices = [np.eye(3), np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0])]
+        # diag(1, 2, 1)'s vectors as e1, e3, e2, and reversing would put e3
+        # first; [[0, 1], [1, 0]]'s vectors have entries of equal magnitude
+        matrices = [np.eye(3), np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0]),
+                    np.array([[0.0, 1.0], [1.0, 0.0]])]
         rng = np.random.default_rng(17)
         for _ in range(50):
             p = int(rng.integers(1, 9))
@@ -127,10 +129,22 @@ class TestSymEvd:
             order = np.argsort(-values, kind="stable")
             V = V[:, order]
             expected = np.column_stack([fix_sign(V[:, k]) for k in range(len(A))])
+            assert fix_sign(V).tobytes() == expected.tobytes()
             # sym_evd is check_symmetric, then the unchecked eigh_descending
             for pairs in (sym_evd(A), eigh_descending(A)):
                 assert pairs.values.tobytes() == values[order].tobytes()
                 assert pairs.vectors.tobytes() == expected.tobytes()
+                assert pairs.vectors.flags.f_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matrix_is_signed_column_by_column(self, order):
+        # exact ties of opposite sign go to the lowest index; the result is
+        # a new array in the input's memory order
+        V = np.array([[-0.5, 0.5, 0.0], [0.5, -0.5, -1.0], [0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]], order=order)
+        signed = fix_sign(V)
+        assert signed.tobytes() == np.column_stack([fix_sign(V[:, k]) for k in range(3)]).tobytes()
+        assert np.array_equal(signed, V * [-1.0, 1.0, -1.0])
+        assert signed.flags[f"{order}_CONTIGUOUS"] and signed is not V
 
 
 # 2 x 2 inputs of ``eigh_vectors`` at the edges of the Schur rotation and

@@ -82,8 +82,8 @@ def reference_fixed_point(cs, sigma, u, depth):
     - else g_k, which depth 0, the plain loop, always takes.
 
     Same stop rule, ``mcpi.OUTER_MAX_ITER`` steps, sign alignment,
-    underflow rule and return tuple (the last step's eigenvector matrix V
-    last)."""
+    underflow rule and return value: (u, the last step's eigenvector matrix
+    V, the round's ``ComponentDiagnostics``)."""
     x = u
     V = None
     g = []  # the images g_k, newest last
@@ -91,7 +91,7 @@ def reference_fixed_point(cs, sigma, u, depth):
     for outer in range(mcpi.OUTER_MAX_ITER):
         w = rank_one_weights(cs.e, cs.Y @ x, sigma)
         if all_underflowed(w):
-            return u, outer, False, True, V
+            return u, V, mcpi.ComponentDiagnostics(math.nan, outer, converged=False, sigma_underflow=True)
         V = linalg.eigh_vectors(weighted_scatter(cs.Y, w))
         u = V[:, -1]
         if float(u @ x) < 0.0:
@@ -99,7 +99,7 @@ def reference_fixed_point(cs, sigma, u, depth):
         g.append(u)
         f.append(u - x)
         if np.linalg.norm(f[-1]) <= mcpi.OUTER_TOL:
-            return u, outer + 1, True, False, V
+            return u, V, mcpi.ComponentDiagnostics(sigma, outer + 1, converged=True)
         x = u
         if depth >= 1 and len(f) >= 2:
             df = f[-1] - f[-2]
@@ -124,7 +124,7 @@ def reference_fixed_point(cs, sigma, u, depth):
                 if gamma < 0.5:
                     x = u - gamma * (g[-1] - g[-2])
                     x = x / np.linalg.norm(x)
-    return u, mcpi.OUTER_MAX_ITER, False, False, V
+    return u, V, mcpi.ComponentDiagnostics(sigma, mcpi.OUTER_MAX_ITER, converged=False)
 
 
 def kernel_size_reference(X, components, v):
@@ -191,8 +191,8 @@ def one_round_reference(X):
 
 def record_rounds(monkeypatch):
     """Patch ``mcpi._fixed_point`` to log every round as (complement set-up,
-    sigma, start, u, steps, converged, underflow, V).  The log keeps a copy of
-    each complement, since ``fit``'s next chain step overwrites its Y."""
+    sigma, start, u, V, diagnostics).  The log keeps a copy of each
+    complement, since ``fit``'s next chain step overwrites its Y."""
     rounds = []
     solve = mcpi._fixed_point
 
@@ -345,13 +345,13 @@ class TestComplementStep:
         u = cs.coordinates(rng.standard_normal(p))
         sigma = 0.5 * float(np.sqrt(scatter[0, 0]))
         monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 1)
-        g, steps, _, underflow, V = mcpi._fixed_point(cs, sigma, u)
+        g, V, d = mcpi._fixed_point(cs, sigma, u)
 
         V_ref = linalg.eigh_vectors(weighted_scatter(cs.Y, rank_one_weights(cs.e, cs.Y @ u, sigma)))
         ref = V_ref[:, -1]
         if float(ref @ u) < 0.0:
             ref = -ref
-        assert (steps, underflow) == (1, False)
+        assert (d.outer_iterations, d.sigma_underflow) == (1, False)
         assert g.tobytes() == ref.tobytes()
         assert V.tobytes() == V_ref.tobytes()
 
@@ -455,8 +455,8 @@ class TestSecantCorrector:
         for i, d in enumerate(res.diagnostics[:-1]):
             cs = complement_of(X, list(res.components[:, :i].T))
             v = res.components[:, i]
-            u, steps, _, underflow, _ = reference_fixed_point(cs, d.final_sigma, cs.coordinates(v), 0)
-            assert steps == 1 and not underflow
+            u, _, step = reference_fixed_point(cs, d.final_sigma, cs.coordinates(v), 0)
+            assert step.outer_iterations == 1 and not step.sigma_underflow
             assert np.max(np.abs(cs.B @ u - v)) <= 1e-7
 
 
@@ -534,6 +534,13 @@ class TestLeanLoop:
             monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", max_iter)
             with pytest.raises(ValueError, match="kernel size"):
                 mcpi._fixed_point(cs, sigma, u)
+
+    def test_nan_kernel_size_is_not_a_stop_at_the_floor(self):
+        # the floor test 2 sigma^2 <= floor is False for NaN, so the round's
+        # check raises instead of a silent stop
+        cs = mcpi._Complement.of(np.eye(3), outlier_data(seed=1))
+        with pytest.raises(ValueError, match="kernel size"):
+            mcpi._solve_component(cs, np.eye(3)[0], np.nan, None)
 
 
 class TestWorkingMemory:
@@ -629,7 +636,7 @@ class TestComplementChain:
             cs, _, start = after[:3]
             m = cs.B.shape[1]
             assert np.array_equal(start, np.eye(m)[-1])
-            last_cs, last_V = before[0], before[7]
+            last_cs, last_V = before[0], before[4]
             assert np.max(np.abs(cs.B[:, -1] - last_cs.B @ last_V[:, -2])) <= 1e-14
 
     def test_no_eigen_step_hands_down_the_apriori_start(self, monkeypatch):
@@ -639,7 +646,7 @@ class TestComplementChain:
         X = clean_data(seed=9)
         res = fit(X, MCPIConfig(sigma0=1e-6))
         (first,), (second,) = per_component(rounds)
-        assert first[4] == 0 and first[6] and first[7] is None
+        assert first[5].outer_iterations == 0 and first[5].sigma_underflow and first[4] is None
         apriori = mcpi._scatter_evd(X, False)[2].vectors
         cs, _, start = second[:3]
         assert np.array_equal(start, cs.coordinates(apriori[:, 1]))
@@ -744,7 +751,7 @@ class TestFit:
             assert np.array_equal(start, prior if i == 0 else np.eye(p - i)[-1])
             assert sigma == mcpi._kernel_size(cs, prior, mcpi.EPS * cs.e_max)
             assert d.final_sigma == in_input_units(sigma, X)
-            assert d.outer_iterations == round_[4] and d.converged and not d.sigma_underflow
+            assert d.outer_iterations == round_[5].outer_iterations and d.converged and not d.sigma_underflow
             ref = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
             assert d.final_sigma == pytest.approx(ref, rel=1e-12)
             found = res.components[:, :i + 1]
@@ -929,8 +936,8 @@ class TestFit:
         res = fit(X)
         cs, sigma, start = rounds[0][:3]
         monkeypatch.setattr(mcpi, "OUTER_MAX_ITER", 2)
-        g, steps, _, _, V = reference_fixed_point(cs, sigma, start, 2)
-        assert steps == 2
+        g, V, step = reference_fixed_point(cs, sigma, start, 2)
+        assert step.outer_iterations == 2
         assert np.array_equal(res.components[:, 0], fix_sign(cs.B @ g))
         assert np.array_equal(rounds[1][0].B, cs.B @ V[:, :-1])
         d = res.diagnostics[0]

@@ -4,6 +4,14 @@ import pytest
 from corrpca.metrics import component_alignment, reconstruction_error
 
 
+# 0-D, 1-D and 3-D arguments where an orthonormal matrix is expected
+NOT_MATRICES = [
+    pytest.param(np.array(1.0), id="0-D"),
+    pytest.param(np.array([1.0, 0.0]), id="1-D"),
+    pytest.param(np.eye(2)[None], id="3-D"),
+]
+
+
 def random_orthonormal(p, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
@@ -52,6 +60,13 @@ class TestComponentAlignment:
         # both orthonormal, of different sizes
         with pytest.raises(ValueError, match=r"shape mismatch: \(3, 3\) vs \(4, 4\)"):
             component_alignment(np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("V", NOT_MATRICES)
+    def test_rejects_non_matrix(self, V):
+        with pytest.raises(ValueError, match=r"expected a matrix of column vectors, got shape"):
+            component_alignment(V, V)
+        with pytest.raises(ValueError, match=r"expected a matrix of column vectors, got shape"):
+            component_alignment(np.eye(2), V)
 
     @pytest.mark.parametrize("side", ["estimate", "truth"])
     def test_rejects_nan(self, side):
@@ -116,6 +131,11 @@ class TestReconstructionError:
             float(np.linalg.norm((np.eye(4) - V @ V.T) @ x) ** 2) for x in X
         )
         assert reconstruction_error(X, V) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("V", NOT_MATRICES)
+    def test_rejects_non_matrix(self, V):
+        with pytest.raises(ValueError, match=r"expected a matrix of column vectors, got shape"):
+            reconstruction_error(np.ones((4, 2)), V)
 
     def test_monotone_in_subspace_growth(self):
         rng = np.random.default_rng(11)

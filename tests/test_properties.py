@@ -3,7 +3,8 @@ scale and rotations, checked with hypothesis on small contaminated samples.
 Each draw gives one sample of p = 3 and one of p = 2: a p = 2 fit is a
 single round in a complement of m = 2, whose eigen-step is in closed form.
 Zero columns appended to those samples leave their components in place.
-Fewer rows than columns are checked on their own draws."""
+Fewer rows than columns are checked on their own draws.  Every component
+follows the sign rule: its first entry of largest magnitude is positive."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,12 +30,19 @@ samples = st.builds(
 few = settings(max_examples=5, deadline=None, derandomize=True)
 
 
+def signed(V):
+    """Whether each column's first entry of largest magnitude is positive."""
+    return bool(np.all(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] > 0.0))
+
+
 @few
 @given(Xs=samples, perm_seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_row_permutation(Xs, perm_seed):
     for X in Xs:
         perm = np.random.default_rng(perm_seed).permutation(X.shape[0])
-        assert np.max(np.abs(fit(X[perm]).components - fit(X).components)) <= TOL
+        V, W = fit(X[perm]).components, fit(X).components
+        assert np.max(np.abs(V - W)) <= TOL
+        assert signed(V) and signed(W)
 
 
 @few
@@ -114,12 +122,14 @@ def wide(draw):
 @given(X=wide(), center=st.booleans())
 def test_fewer_rows_than_columns(X, center):
     # rank r < p is a state, not an error: finite orthonormal components, and
-    # the last p - r orthogonal to every (centred) row
+    # the last p - r orthogonal to every (centred) row, and stopped and
+    # null-space components signed as the iterated ones
     p = X.shape[1]
     robust = fit(X, MCPIConfig(center=center))
     for res in (robust, standard_pca(X, center)):
         V = res.components
         assert np.isfinite(V).all() and np.max(np.abs(V.T @ V - np.eye(p))) <= 1e-10
+        assert signed(V)
     Xc = X - X.mean(axis=0) if center else X
     null = robust.components[:, np.linalg.matrix_rank(Xc):]
     assert np.max(np.abs(Xc @ null), initial=0.0) <= 1e-10 * np.max(np.abs(X))
