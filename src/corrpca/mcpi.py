@@ -3,10 +3,10 @@
 A map of the fit; each contract is stated once, on the name that keeps it.
 ``_scatter_evd`` checks the input, brings it to unit scale and
 eigendecomposes its X^T X / n.  ``fit`` walks a chain of nested complements
-(``_Complement``), one component per complement.  ``_solve_component``
-sizes a component's kernel (``_kernel_size``), stops it at the rounding
-floor or runs one round of ``_fixed_point``, the paper's power iteration as
-a fixed-point map.  ``_result`` maps the scale back.
+(``_Complement``), one component per complement: it sizes the component's
+kernel (``_kernel_size``) and runs one round of ``_fixed_point``, the
+paper's power iteration as a fixed-point map, which stops the component at
+the rounding floor.  ``_result`` maps the scale back.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ EPS = np.finfo(float).eps
 
 class DegenerateInputError(ValueError):
     """Input is not a finite, real, non-empty n x p matrix.  Neither its
-    scale (``_scatter_evd``) nor its rank (``_solve_component``) is a fault,
+    scale (``_scatter_evd``) nor its rank (``_fixed_point``) is a fault,
     so n < p is fitted."""
 
 
@@ -61,7 +61,7 @@ class ComponentDiagnostics:
     """How one component was found, recorded by ``_fixed_point`` where its
     round ends: its outer steps, its kernel size (NaN when stopped early),
     whether it met ``OUTER_TOL`` within ``OUTER_MAX_ITER`` steps, and
-    ``sigma_underflow`` for an early stop (at the floor, ``_solve_component``)."""
+    ``sigma_underflow`` for an early stop."""
 
     final_sigma: float
     outer_iterations: int
@@ -95,9 +95,11 @@ class PCAResult:
 class _Complement:
     """The samples' coordinates in the complement of k found components:
     an orthonormal p x m ``B`` (m = p - k), the column-major ``Y = X B``, the
-    row energies ``e`` and their maximum ``e_max``.  Complements nest, so, as
+    row energies ``e``, their maximum ``e_max`` and the data's rounding floor
+    ``floor``, EPS times the first ``e_max`` of the chain, which ``of`` forms
+    there and is handed at each later step.  Complements nest, so, as
     He et al. deflate, ``fit`` walks one chain from ``of(I, X)``, stepping
-    past a component at u to ``of(B H, Y H)``, H an orthonormal basis of u's
+    past a component at u to ``of(B H, Y H, floor)``, H an orthonormal basis of u's
     complement.  It writes Y H over the first m - 1 columns of Y, so ``of``
     copies nothing and the complement left behind is dead."""
 
@@ -105,12 +107,14 @@ class _Complement:
     Y: np.ndarray
     e: np.ndarray
     e_max: float
+    floor: float
 
     @classmethod
-    def of(cls, B: np.ndarray, Y: np.ndarray) -> "_Complement":
+    def of(cls, B: np.ndarray, Y: np.ndarray, floor: float | None = None) -> "_Complement":
         Y = np.asfortranarray(Y)
         e = np.einsum("ij,ij->i", Y, Y)
-        return cls(B=B, Y=Y, e=e, e_max=float(e.max()))
+        e_max = float(e.max())
+        return cls(B=B, Y=Y, e=e, e_max=e_max, floor=EPS * e_max if floor is None else floor)
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Unit vector of the projection of the unit vector v onto the
@@ -126,10 +130,23 @@ class _Complement:
         return u / math.sqrt(nrm2)  # np.linalg.norm's arithmetic, without its overhead
 
 
-def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
-    """Outer iterations at kernel size ``sigma`` from the unit vector ``u``,
-    in the coordinates of ``cs``, until the map moves its iterate by at
-    most ``OUTER_TOL``, for at most ``OUTER_MAX_ITER`` steps.
+def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray, start: np.ndarray | None = None):
+    """One component's round: outer iterations at kernel size ``sigma``
+    from the unit vector ``start``, or from the unit vector ``u`` when None,
+    in the coordinates of ``cs``, until the map moves its iterate by at most
+    ``OUTER_TOL``, for at most ``OUTER_MAX_ITER`` steps.
+
+    At the floor 2 sigma^2 <= eps e_max the exponent's error reaches about
+    1, so the weights are noise; the floor lies far above exponent overflow
+    and 2 sigma^2 = 0.  A complement whose e_max is at most the data's
+    rounding floor ``cs.floor`` holds only rounding, at any sigma, so no
+    sigma0 fits that noise.  In either case the round stops before sigma is
+    checked, with the record of a round whose first weights all underflow:
+    0 steps, ``sigma_underflow`` and a NaN ``final_sigma``.  Rank deficiency
+    is that state, not an error: a component with no variance off its
+    a-priori vector stops at the floor and keeps it.  With rank r < p and a
+    sized kernel that is the r-th, and every later one stops at the data's
+    floor.  The last component is never flagged.
 
     Step k maps x_k to g_k, the top eigenvector of Y^T diag(w) Y signed
     along x_k, with w = exp(-max(e - t^2, 0) / 2 sigma^2) and t = Y x_k: the
@@ -154,15 +171,18 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
     one buffer, of t and then the weights, serves every step: each iterate
     has the bits of the checked, allocating calls.  Returns (u, V, the
     round's ``ComponentDiagnostics``), V the last step's m x m eigenvectors,
-    ascending, so V[:, -1] = +-u.  When every weight underflows, u is the
-    last g_k that had weights, or the start, with V None, when that is the
-    first step, and the record has ``sigma_underflow`` and a NaN kernel size.
+    ascending, so V[:, -1] = +-u.  When no eigen-step finished, u is ``u``
+    itself and V None.  When every weight underflows, u is the last g_k
+    that had weights, and the record has ``sigma_underflow`` and a NaN
+    kernel size.
     """
+    if cs.e_max <= cs.floor or 2.0 * sigma * sigma <= EPS * cs.e_max:
+        return u, None, ComponentDiagnostics(math.nan, 0, converged=False, sigma_underflow=True)
     sigma = check_positive("kernel size", sigma)
     two_sigma2 = 2.0 * sigma * sigma
     Y, e = cs.Y, cs.e
     t = np.empty(Y.shape[0])  # t = Y x, then the weights, in place
-    x = u
+    x = u if start is None else start
     V = u_prev = f_prev = df_prev = None
     for outer in range(OUTER_MAX_ITER):
         np.dot(Y, x, out=t)
@@ -204,15 +224,15 @@ def _fixed_point(cs: _Complement, sigma: float, u: np.ndarray):
     return u, V, ComponentDiagnostics(sigma, OUTER_MAX_ITER, converged=False)
 
 
-def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
+def _kernel_size(cs: _Complement, u: np.ndarray) -> float:
     """``KERNEL_SCALE`` times the median residual norm sqrt(e - t^2), t = Y u,
-    squared residuals at or below ``floor`` counted as 0; the RMS residual
-    when over half are 0.  That is the scale of the errors whose
-    correntropy the fit maximises (He et al., IEEE TIP 2011), where many
-    samples keep weight and the outliers do not; per sample, so the same
-    for any n drawn from one distribution."""
+    squared residuals at or below the rounding floor eps e_max counted as 0;
+    the RMS residual when over half are 0.  That is the scale of the errors
+    whose correntropy the fit maximises (He et al., IEEE TIP 2011), where
+    many samples keep weight and the outliers do not; per sample, so the
+    same for any n drawn from one distribution."""
     r2 = cs.e - (cs.Y @ u) ** 2
-    r2[r2 <= floor] = 0.0
+    r2[r2 <= EPS * cs.e_max] = 0.0
     # the median without np.median, whose first call imports numpy.ma (the
     # modules a fit loads are pinned in tests/test_api.py).  sqrt is monotone,
     # so the middle values of r are the roots of those of r^2, and the lower
@@ -222,35 +242,6 @@ def _kernel_size(cs: _Complement, u: np.ndarray, floor: float) -> float:
     lo = s[k] if len(r2) % 2 else s[:k].max()
     median = 0.5 * (math.sqrt(lo) + math.sqrt(s[k]))
     return KERNEL_SCALE * (median if median > 0.0 else math.sqrt(r2.mean()))
-
-
-def _solve_component(cs: _Complement, v: np.ndarray, sigma: float | None, start: np.ndarray | None):
-    """One component in the complement ``cs``: one round of ``_fixed_point``
-    at ``sigma`` (in the units of ``cs``), or at ``_kernel_size`` at the
-    projection of the a-priori vector ``v`` when None, from ``start``, or
-    from that projection when None.  Returns the round's (u, V,
-    diagnostics), u unsigned, and u the projection of ``v`` when no
-    eigen-step finished (V None).
-
-    At the floor 2 sigma^2 <= eps max e the exponent's error reaches about
-    1, so the weights are noise; the floor lies far above exponent overflow
-    and 2 sigma^2 = 0.  There the component stops before its round, with
-    the record of a round whose first weights all underflow: 0 steps,
-    ``sigma_underflow`` and a NaN ``final_sigma``.  Rank deficiency is that
-    state, not an error: a component with no variance off its a-priori
-    vector stops at the floor and keeps it.  With rank r < p and a sized
-    kernel that is the r-th.  ``fit`` stops each later one, whose complement
-    holds only rounding, before any round, so no sigma0 fits that noise.
-    The last component is never flagged.
-    """
-    u = cs.coordinates(v)
-    floor = EPS * cs.e_max  # the rounding floor, on 2 sigma^2 and on e - t^2
-    if sigma is None:
-        sigma = _kernel_size(cs, u, floor)
-    if 2.0 * sigma * sigma <= floor:
-        return u, None, ComponentDiagnostics(math.nan, 0, converged=False, sigma_underflow=True)
-    x, V, diag = _fixed_point(cs, sigma, u if start is None else start)
-    return u if V is None else x, V, diag
 
 
 def _scatter_evd(X, center: bool):
@@ -268,7 +259,7 @@ def _scatter_evd(X, center: bool):
     ValueError unless ``center`` is a bool; DegenerateInputError unless X
     is real (a complex one is not cast), n x p with n, p >= 1 (an empty X
     has no max) and finite.  Any n is fitted: with n < p the data have rank
-    below p, a state (``_solve_component``), not an error."""
+    below p, a state (``_fixed_point``), not an error."""
     if not isinstance(center, (bool, np.bool_)):
         raise ValueError(f"center must be a bool, got {center!r}")
     X = as_real(X, DegenerateInputError)
@@ -305,7 +296,8 @@ def _ldexp(x: float, k: int) -> float:
 def _result(components, values, scale: int, diags) -> PCAResult:
     """The result of a fit of the input times 2^-``scale``, with the
     eigenvalues ``values`` of its scatter and each ``final_sigma`` mapped to
-    the input's units, times 4^``scale`` and 2^``scale``."""
+    the input's units, times 4^``scale`` and 2^``scale``: the records in
+    ``diags``, which ``fit`` built, are rescaled in place."""
     values = np.array([_ldexp(v, 2 * scale) for v in values.tolist()])
     for d in diags:
         d.final_sigma = _ldexp(d.final_sigma, scale)
@@ -321,10 +313,12 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     eigenvectors of its last eigen-step, so the chain needs no ``eigh``, and
     the next component starts at H's last column, the direction of most
     weighted variance left; its kernel is still sized at its a-priori
-    vector.  Without V, H = ``complement_basis(u)`` and the next starts at
-    its a-priori vector.  The last component is B once m = 1.  Each is B u,
-    and ``fix_sign`` signs their p x p matrix once.  Besides the input, a
-    fit holds one n x p array, O(n) vectors and one block of scaled rows."""
+    vector, or is ``sigma0``, and ``_fixed_point`` runs its round or stops
+    it at the floor.  Without V, H = ``complement_basis(u)`` and the next
+    starts at its a-priori vector.  The last component is B once m = 1.
+    Each is B u, and ``fix_sign`` signs their p x p matrix once.  Besides
+    the input, a fit holds one n x p array, O(n) vectors and one block of
+    scaled rows."""
     cfg = cfg if cfg is not None else MCPIConfig()
     X, scale, apriori = _scatter_evd(X, cfg.center)
     sigma0 = None if cfg.sigma0 is None else _ldexp(cfg.sigma0, -scale)
@@ -334,16 +328,14 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
     p = X.shape[1]
     B = np.eye(p)
     cs = _Complement.of(B, X)  # X is the chain's Y, overwritten by its steps
-    data_floor = EPS * cs.e_max
     components: list[np.ndarray] = []
     diags: list[ComponentDiagnostics] = []
 
     start = None
     for i in range(p - 1):
-        # sigma0, or None to size the kernel; 0, at the floor, in a complement
-        # below the data's rounding floor (``_solve_component``)
-        sigma = 0.0 if cs.e_max <= data_floor else sigma0
-        u, V, diag = _solve_component(cs, apriori.vectors[:, i], sigma, start)
+        u = cs.coordinates(apriori.vectors[:, i])
+        sigma = _kernel_size(cs, u) if sigma0 is None else sigma0
+        u, V, diag = _fixed_point(cs, sigma, u, start)
         components.append(cs.B @ u)
         diags.append(diag)
         if V is None:
@@ -360,7 +352,7 @@ def fit(X, cfg: MCPIConfig | None = None) -> PCAResult:
             for j in range(0, Y.shape[0], rows):
                 Yb = Y[j:j + rows]
                 Yb[:, :-1] = (H.T @ Yb.T).T
-            cs = _Complement.of(B, Y[:, :-1])
+            cs = _Complement.of(B, Y[:, :-1], cs.floor)
 
     components.append(B[:, 0])
     diags.append(ComponentDiagnostics.direct("null_space"))

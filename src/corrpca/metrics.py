@@ -31,6 +31,8 @@ def component_alignment(V_est: np.ndarray, V_true: np.ndarray) -> AlignmentRepor
     if V_est.shape != V_true.shape:
         raise ValueError(f"shape mismatch: {V_est.shape} vs {V_true.shape}")
     p = V_est.shape[1]
+    if p == 0:
+        raise ValueError(f"no components to align: shapes {V_est.shape} and {V_true.shape}")
     # the greedy match in plain Python: on p x p matrices this small,
     # numpy's cost per call outweighs the arithmetic
     cos = abs(V_est.T @ V_true).tolist()
@@ -50,8 +52,12 @@ def component_alignment(V_est: np.ndarray, V_true: np.ndarray) -> AlignmentRepor
 
 
 def reconstruction_error(X: np.ndarray, V: np.ndarray) -> float:
-    """sum_k ||(I - V V^T) x_k||^2 for orthonormal columns V."""
+    """sum_k ||(I - V V^T) x_k||^2 for the rows x_k of the n x p matrix X and
+    orthonormal p x k columns V."""
     V = check_orthonormal(V, ORTHONORMAL_TOL)
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != V.shape[0]:
+        raise ValueError(f"expected an n x {V.shape[0]} matrix of rows for V of shape {V.shape}, "
+                         f"got shape {X.shape}")
     E = X - (X @ V) @ V.T
     return float(np.sum(E * E))

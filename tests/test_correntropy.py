@@ -86,7 +86,7 @@ def stops_at_floor(Y, sigma, u):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcpi, "OUTER_MAX_ITER", 1)
         cs = mcpi._Complement.of(np.eye(Y.shape[1]), Y)
-        return mcpi._solve_component(cs, u, sigma, None)[2].sigma_underflow
+        return mcpi._fixed_point(cs, sigma, cs.coordinates(u))[2].sigma_underflow
 
 
 class TestExponentOverflows:

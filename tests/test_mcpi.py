@@ -63,7 +63,7 @@ def with_rows_along_second_apriori(X, k=5, scale=3.0):
     return np.vstack([X, np.outer(np.tile([scale, -scale], k), v2)])
 
 
-def reference_fixed_point(cs, sigma, u, depth):
+def reference_fixed_point(cs, sigma, u, depth, start=None):
     """Oracle for ``mcpi._fixed_point`` at mixing ``depth`` 0, 1 or 2,
     written with the checked, allocating public helpers:
     ``rank_one_weights`` checks sigma on every step, ``weighted_scatter``
@@ -81,10 +81,12 @@ def reference_fixed_point(cs, sigma, u, depth):
       gamma = df.f_k / df.df, when gamma < 1/2;
     - else g_k, which depth 0, the plain loop, always takes.
 
-    Same stop rule, ``mcpi.OUTER_MAX_ITER`` steps, sign alignment,
-    underflow rule and return value: (u, the last step's eigenvector matrix
-    V, the round's ``ComponentDiagnostics``)."""
-    x = u
+    Same floor stop, start, stop rule, ``mcpi.OUTER_MAX_ITER`` steps, sign
+    alignment, underflow rule and return value: (u, the last step's
+    eigenvector matrix V, the round's ``ComponentDiagnostics``)."""
+    if cs.e_max <= cs.floor or 2.0 * sigma**2 <= np.finfo(float).eps * cs.e_max:
+        return u, None, mcpi.ComponentDiagnostics(math.nan, 0, converged=False, sigma_underflow=True)
+    x = u if start is None else start
     V = None
     g = []  # the images g_k, newest last
     f = []  # the steps f_k = g_k - x_k, newest last
@@ -141,9 +143,13 @@ def kernel_size_reference(X, components, v):
 
 def complement_of(X, components):
     """The complement of the unit vectors in ``components``, built from
-    scratch: the complement basis B of the whole found set, and Y = X B."""
-    B = complement_basis(np.column_stack(components)) if len(components) else np.eye(X.shape[1])
-    return mcpi._Complement.of(B, X @ B)
+    scratch: the complement basis B of the whole found set, Y = X B, and
+    the rounding floor of X itself, as ``fit`` hands it down."""
+    data = mcpi._Complement.of(np.eye(X.shape[1]), X)
+    if not len(components):
+        return data
+    B = complement_basis(np.column_stack(components))
+    return mcpi._Complement.of(B, X @ B, data.floor)
 
 
 def handed_down(cs, V):
@@ -160,7 +166,7 @@ def ith_component(X, components, sigma, v):
     Returns (direction, diagnostics, the start it hands down:
     ``handed_down``)."""
     cs = complement_of(X, components)
-    u, V, diag = mcpi._solve_component(cs, v, sigma, None)
+    u, V, diag = mcpi._fixed_point(cs, sigma, cs.coordinates(v))
     return fix_sign(cs.B @ u), diag, handed_down(cs, V)
 
 
@@ -192,14 +198,16 @@ def one_round_reference(X):
 def record_rounds(monkeypatch):
     """Patch ``mcpi._fixed_point`` to log every round as (complement set-up,
     sigma, start, u, V, diagnostics).  The log keeps a copy of each
-    complement, since ``fit``'s next chain step overwrites its Y."""
+    complement, since ``fit``'s next chain step overwrites its Y, and of
+    each record, since ``fit`` rescales it in place."""
     rounds = []
     solve = mcpi._fixed_point
 
-    def recorded(cs, sigma, u):
-        result = solve(cs, sigma, u)
-        rounds.append((dataclasses.replace(cs, Y=cs.Y.copy(order="F")), sigma, u, *result))
-        return result
+    def recorded(cs, sigma, u, start=None):
+        g, V, diag = solve(cs, sigma, u, start)
+        rounds.append((dataclasses.replace(cs, Y=cs.Y.copy(order="F")), sigma,
+                       u if start is None else start, g, V, dataclasses.replace(diag)))
+        return g, V, diag
 
     monkeypatch.setattr(mcpi, "_fixed_point", recorded)
     return rounds
@@ -384,7 +392,7 @@ class TestKernelSize:
         cs = mcpi._Complement.of(np.eye(3), X)
         u = cs.coordinates(u)
         floor = np.finfo(float).eps * cs.e_max
-        got = mcpi._kernel_size(cs, u, floor)
+        got = mcpi._kernel_size(cs, u)
         assert np.float64(got).tobytes() == np.float64(self.two_index_reference(cs, u, floor)).tobytes()
 
 
@@ -409,7 +417,8 @@ def fit_with(monkeypatch, X, depth):
     """``fit`` with ``reference_fixed_point`` at mixing ``depth`` swapped in
     for ``mcpi._fixed_point``."""
     with monkeypatch.context() as m:
-        m.setattr(mcpi, "_fixed_point", lambda cs, sigma, u: reference_fixed_point(cs, sigma, u, depth))
+        m.setattr(mcpi, "_fixed_point",
+                  lambda cs, sigma, u, start=None: reference_fixed_point(cs, sigma, u, depth, start))
         return fit(X)
 
 
@@ -522,7 +531,7 @@ class TestLeanLoop:
         assert len(sizes) == total_outer_iterations(res)
         assert sorted(set(sizes)) == [2, 3]
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_kernel_size_rejected_before_any_step(self, monkeypatch, sigma):
         def no_step(*args, **kwargs):
             raise AssertionError("an outer step ran")
@@ -535,12 +544,29 @@ class TestLeanLoop:
             with pytest.raises(ValueError, match="kernel size"):
                 mcpi._fixed_point(cs, sigma, u)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-170, 1e-10])
+    def test_kernel_size_at_the_floor_stops_before_any_step(self, monkeypatch, sigma):
+        # 2 sigma^2 <= eps e_max (0 included): the round returns u itself,
+        # even with a start, and the stopped record
+        def no_step(*args, **kwargs):
+            raise AssertionError("an outer step ran")
+
+        monkeypatch.setattr(mcpi, "weighted_scatter", no_step)
+        cs = mcpi._Complement.of(np.eye(3), outlier_data(seed=1))
+        assert 2.0 * sigma**2 <= mcpi.EPS * cs.e_max
+        u = cs.coordinates(np.ones(3))
+        for start in (None, np.eye(3)[-1]):
+            g, V, d = mcpi._fixed_point(cs, sigma, u, start)
+            assert g is u and V is None
+            assert (d.outer_iterations, d.converged, d.sigma_underflow) == (0, False, True)
+            assert np.isnan(d.final_sigma)
+
     def test_nan_kernel_size_is_not_a_stop_at_the_floor(self):
-        # the floor test 2 sigma^2 <= floor is False for NaN, so the round's
-        # check raises instead of a silent stop
+        # the floor test 2 sigma^2 <= eps e_max is False for NaN, so the
+        # round's check raises instead of a silent stop
         cs = mcpi._Complement.of(np.eye(3), outlier_data(seed=1))
         with pytest.raises(ValueError, match="kernel size"):
-            mcpi._solve_component(cs, np.eye(3)[0], np.nan, None)
+            mcpi._fixed_point(cs, np.nan, cs.coordinates(np.eye(3)[0]))
 
 
 class TestWorkingMemory:
@@ -585,8 +611,9 @@ class TestComplementChain:
         start = None
         for i in range(X.shape[1] - 1):
             cs = complement_of(X, components)
-            u, V, diag = mcpi._solve_component(cs, apriori[:, i], None,
-                                               None if start is None else cs.coordinates(start))
+            u = cs.coordinates(apriori[:, i])
+            u, V, diag = mcpi._fixed_point(cs, mcpi._kernel_size(cs, u), u,
+                                           None if start is None else cs.coordinates(start))
             components.append(fix_sign(cs.B @ u))
             diags.append(diag)
             start = handed_down(cs, V)
@@ -749,9 +776,11 @@ class TestFit:
             cs, sigma, start = round_[:3]
             prior = cs.coordinates(apriori[:, i])
             assert np.array_equal(start, prior if i == 0 else np.eye(p - i)[-1])
-            assert sigma == mcpi._kernel_size(cs, prior, mcpi.EPS * cs.e_max)
-            assert d.final_sigma == in_input_units(sigma, X)
-            assert d.outer_iterations == round_[5].outer_iterations and d.converged and not d.sigma_underflow
+            assert sigma == mcpi._kernel_size(cs, prior)
+            logged = round_[5]
+            assert logged.final_sigma == sigma
+            assert d == dataclasses.replace(logged, final_sigma=in_input_units(sigma, X))
+            assert d.converged and not d.sigma_underflow
             ref = kernel_size_reference(X, list(res.components[:, :i].T), apriori[:, i])
             assert d.final_sigma == pytest.approx(ref, rel=1e-12)
             found = res.components[:, :i + 1]
@@ -952,7 +981,7 @@ class TestFit:
         def solved(*args):
             raise AssertionError("a component was solved before sigma0 was checked")
 
-        monkeypatch.setattr(mcpi, "_solve_component", solved)
+        monkeypatch.setattr(mcpi, "_fixed_point", solved)
         with pytest.raises(ValueError, match="beyond float64"):
             fit(2.0**-1000 * outlier_data(seed=1), MCPIConfig(sigma0=1e300))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,9 @@ class TestComponentAlignment:
         # both orthonormal, of different sizes
         with pytest.raises(ValueError, match=r"shape mismatch: \(3, 3\) vs \(4, 4\)"):
             component_alignment(np.eye(3), np.eye(4))
+        # both orthonormal and of one shape, but without columns
+        with pytest.raises(ValueError, match=r"no components to align: shapes \(3, 0\) and \(3, 0\)"):
+            component_alignment(np.zeros((3, 0)), np.zeros((3, 0)))
 
     @pytest.mark.parametrize("V", NOT_MATRICES)
     def test_rejects_non_matrix(self, V):
@@ -136,6 +141,11 @@ class TestReconstructionError:
     def test_rejects_non_matrix(self, V):
         with pytest.raises(ValueError, match=r"expected a matrix of column vectors, got shape"):
             reconstruction_error(np.ones((4, 2)), V)
+        # rows that are not those of an n x 2 matrix, for a 2 x 2 V
+        for X in (V, np.ones((4, 3))):
+            with pytest.raises(ValueError, match=r"expected an n x 2 matrix of rows for V of shape \(2, 2\), "
+                               rf"got shape {re.escape(str(np.shape(X)))}"):
+                reconstruction_error(X, np.eye(2))
 
     def test_monotone_in_subspace_growth(self):
         rng = np.random.default_rng(11)
