@@ -161,7 +161,8 @@ def cmd_synth(args, spec: ExperimentSpec) -> None:
     The CSV has one row per line and each cell formatted ``%.17g``, so every
     float64 reads back to the same bits: the bytes of ``np.savetxt(output, X,
     delimiter=",", fmt="%.17g")``.  An output ending in ``.gz``, ``.bz2`` or
-    ``.xz`` is compressed in that format, which ``fit`` reads as well."""
+    ``.xz`` is compressed in that format, and one ending in ``.lzma`` as xz;
+    ``fit`` reads each of them as well."""
     X, idx = generate_experiment(spec)
     _write_matrix_csv(args.output, X)
     _write_json(args.output + ".meta.json", "synth", {

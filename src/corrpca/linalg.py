@@ -1,10 +1,8 @@
 """Dense symmetric eigensolver, complement bases, and argument checks.
 
-``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with a
-descending order and a sign convention.  It checks its argument with
-``check_symmetric`` and then calls ``eigh_descending``, the unchecked core,
-which callers use on a matrix symmetric and finite by construction (``mcpi``
-on its X^T X / n at unit scale).  ``complement_basis`` is the one
+``sym_evd`` wraps LAPACK's symmetric solver (``numpy.linalg.eigh``) with
+``check_symmetric``, a descending order and a sign convention; it is the one
+entry for a scatter's eigendecomposition.  ``complement_basis`` is the one
 source of orthonormal complements, also through ``eigh``: the eigenvectors
 of the projector F F^T for its zero eigenvalues.  ``mcpi`` steps its chain
 of complements with it past a component that stopped before any
@@ -130,21 +128,16 @@ class EigenPairs:
 
 
 def sym_evd(A: np.ndarray) -> EigenPairs:
-    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``):
-    ``check_symmetric`` (a complex matrix is a ValueError, not cast to its
-    real part), then ``eigh_descending``."""
-    return eigh_descending(check_symmetric(A))
-
-
-def eigh_descending(A: np.ndarray) -> EigenPairs:
-    """``sym_evd`` of a real, finite, symmetric float matrix, unchecked.
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``),
+    after ``check_symmetric`` (a complex matrix is a ValueError, not cast to
+    its real part).
 
     Eigenvalues come back in non-increasing order with ties broken by
     LAPACK's ascending column order (a stable sort), so output is
     deterministic.  The vectors are a new Fortran-ordered array, its
     columns signed by one ``fix_sign`` call.
     """
-    values, V = np.linalg.eigh(A)
+    values, V = np.linalg.eigh(check_symmetric(A))
     if not len(values):  # 0 x 0, empty as in eigh: argmax has no empty reduction
         return EigenPairs(values=values, vectors=V)
     order = np.argsort(-values, kind="stable")

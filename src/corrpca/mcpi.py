@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .correntropy import all_underflowed, block_rows, rank_one_kernel, weighted_scatter
-from .linalg import as_real, check_positive, complement_basis, eigh_descending, fix_sign
+from .linalg import as_real, check_positive, complement_basis, fix_sign
 # Reference names that bench/tracing.py reads here.
 from .reference import build_deflated_operator, woodbury_update
 
@@ -246,7 +246,9 @@ def _kernel_size(cs: _Complement, u: np.ndarray) -> float:
 
 def _scatter_evd(X, center: bool):
     """The checked input at unit scale (centred when asked), the exponent e
-    that scales it back, and the eigenpairs of its X^T X / n.
+    that scales it back, and the eigenpairs of its X^T X / n from
+    ``linalg.sym_evd``, looked up on the module as ``_fixed_point`` looks up
+    ``linalg.eigh_vectors``.
 
     The unit-scale contract: with 2^(e - 1) <= max |x| < 2^e (max |x| is
     also the finiteness check), X 2^-e is exact and every |x| < 1, so
@@ -279,9 +281,7 @@ def _scatter_evd(X, center: bool):
     X = np.ldexp(X, -scale, order="F")
     if center:
         X -= X.mean(axis=0)
-    # X^T X is symmetric by construction (numpy forms it with one syrk) and
-    # finite at unit scale, so the eigensolver skips sym_evd's checks
-    return X, scale, eigh_descending(X.T @ X / n)
+    return X, scale, linalg.sym_evd(X.T @ X / n)
 
 
 def _ldexp(x: float, k: int) -> float:

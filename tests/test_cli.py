@@ -118,8 +118,10 @@ class TestSynthCsv:
 
     @pytest.mark.parametrize("suffix,magic,codec", [(".gz", b"\x1f\x8b", gzip),
                                                     (".bz2", b"BZh", bz2),
-                                                    (".xz", b"\xfd7zXZ", lzma)],
-                             ids=["gz", "bz2", "xz"])
+                                                    (".xz", b"\xfd7zXZ", lzma),
+                                                    # .lzma is written as xz too
+                                                    (".lzma", b"\xfd7zXZ\x00", lzma)],
+                             ids=["gz", "bz2", "xz", "lzma"])
     def test_compressed_by_suffix(self, tmp_path, suffix, magic, codec):
         flags = ["synth", "--n", CSV_BLOCK_ROWS + 1, "--p", 3, "--outlier-frac", 0.05,
                  "--seed", 4, "--output"]

@@ -9,7 +9,6 @@ from corrpca.linalg import (
     check_positive,
     check_symmetric,
     complement_basis,
-    eigh_descending,
     eigh_vectors,
     fix_sign,
     null_space_vector,
@@ -130,11 +129,10 @@ class TestSymEvd:
             V = V[:, order]
             expected = np.column_stack([fix_sign(V[:, k]) for k in range(len(A))])
             assert fix_sign(V).tobytes() == expected.tobytes()
-            # sym_evd is check_symmetric, then the unchecked eigh_descending
-            for pairs in (sym_evd(A), eigh_descending(A)):
-                assert pairs.values.tobytes() == values[order].tobytes()
-                assert pairs.vectors.tobytes() == expected.tobytes()
-                assert pairs.vectors.flags.f_contiguous
+            pairs = sym_evd(A)
+            assert pairs.values.tobytes() == values[order].tobytes()
+            assert pairs.vectors.tobytes() == expected.tobytes()
+            assert pairs.vectors.flags.f_contiguous
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matrix_is_signed_column_by_column(self, order):

@@ -531,6 +531,17 @@ class TestLeanLoop:
         assert len(sizes) == total_outer_iterations(res)
         assert sorted(set(sizes)) == [2, 3]
 
+    @pytest.mark.parametrize("method", [fit, standard_pca])
+    def test_the_scatter_evd_goes_through_the_linalg_attribute(self, monkeypatch, method):
+        # once per fit, so a tracer that wraps linalg.sym_evd sees the
+        # a-priori decomposition
+        scatters = []
+        evd = linalg.sym_evd
+        monkeypatch.setattr(linalg, "sym_evd", lambda A: scatters.append(A) or evd(A))
+        X = outlier_data(seed=1)
+        method(X)
+        assert len(scatters) == 1 and scatters[0].shape == (X.shape[1],) * 2
+
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_kernel_size_rejected_before_any_step(self, monkeypatch, sigma):
         def no_step(*args, **kwargs):
